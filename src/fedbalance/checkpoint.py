@@ -163,9 +163,15 @@ def _extract_model(header: dict, payload: bytes, prefix: str, arch: ArchSpec) ->
         if int(np.prod(e["shape"])) * 4 != e["nbytes"]:
             raise CheckpointError(f"tensor {e['name']}: shape {e['shape']} disagrees "
                                   f"with {e['nbytes']} bytes")
-        raw = payload[e["offset"]:e["offset"] + e["nbytes"]]
-        arr = np.frombuffer(raw, dtype="<f4").reshape(e["shape"]).copy()
-        params[e["name"][len(want):]] = arr
+        offset, nbytes = e["offset"], e["nbytes"]
+        if (type(offset) is not int or type(nbytes) is not int or offset < 0
+                or offset + nbytes > len(payload)):
+            raise CheckpointError(f"tensor {e['name']}: bytes [{offset!r}, +{nbytes}) lie "
+                                  f"outside the {len(payload)}-byte payload")
+        arr = np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=offset)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"tensor {e['name']} contains non-finite values")
+        params[e["name"][len(want):]] = arr.reshape(e["shape"]).copy()
     expected = _param_shapes(arch)
     if set(params) != set(expected):
         raise CheckpointError(f"tensor set under {prefix!r} does not match the architecture")

@@ -2,9 +2,10 @@
 
 Per fold: partition-respecting global FedAvg training, a checkpoint of the
 server and of every client, then one personalization pass per sampling
-technique, each starting from the same reloaded checkpoint so techniques are
-compared from identical bytes.  Metrics are recorded on a fixed round
-schedule and collected into a flat table keyed (fold, sampler, round).
+technique, each starting from the same reloaded server checkpoint so
+techniques are compared from identical bytes.  Metrics are recorded on a
+fixed round schedule and collected into a flat table keyed (fold, sampler,
+round).
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import load_client, load_global, save_client, save_global
+# load_client stays importable here so that callers and tools can patch
+# or wrap it by name, though a fold never reads client files back
+from .checkpoint import load_client, load_global, save_client, save_global  # noqa: F401
 from .dataset import Dataset, partition_noniid, stratified_kfold
 from .federation import (
     ClientState,
@@ -191,8 +194,9 @@ def run_fold(plan: ExperimentPlan, fold: int) -> list[MetricsRecord]:
     """Run one fold end to end and return its metric rows.
 
     Writes ``global.fedh`` plus one ``client_<id>.fedh`` per client into the
-    fold directory after the global phase; every sampler trial starts by
-    reloading those files, so trials cannot contaminate each other.
+    fold directory after the global phase.  Every sampler trial starts by
+    reloading ``global.fedh``, which holds every client's metadata and model
+    too, so trials cannot contaminate each other.
     """
     if not 0 <= fold < plan.num_folds:
         raise ValueError(f"fold {fold} outside 0..{plan.num_folds - 1}")
@@ -229,8 +233,6 @@ def run_fold(plan: ExperimentPlan, fold: int) -> list[MetricsRecord]:
     records: list[MetricsRecord] = []
     for spec in plan.samplers:
         reloaded = load_global(fold_dir / "global.fedh")
-        reloaded.clients = [load_client(fold_dir / f"client_{c.client_id}.fedh")
-                            for c in server.clients]
         try:
             records.extend(_run_personalization(plan, fold, spec, reloaded, features, labels))
         except Exception as exc:

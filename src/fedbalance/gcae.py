@@ -11,10 +11,10 @@ hand-written backpropagation — no autodiff framework anywhere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -132,58 +132,174 @@ def init_model(arch: ArchSpec, rng, dtype=np.float32) -> ModelState:
     return ModelState(arch, params)
 
 
-# --- layer primitives (forward returns a context for the matching backward) ---
+# --- kernel plan ---
+#
+# Each convolution product is one im2col copy of a zero-padded buffer and
+# one matmul on C-contiguous operands, in the orientation that
+# np.einsum(optimize=True) chooses for the same contraction:
+#   forward  w (O, C*K)          @ windows of x  (C*K, B*L)
+#   dw       dy (O, B*L)         @ windows of x  (B*L, C*K)
+#   dx       flipped w (C, O*K)  @ windows of dy (O*K, B*L)
+# BLAS rounds differently when an operand is transposed, so fixing the
+# orientation keeps every result bit for bit what the einsum formulation
+# gave.  The shapes come from a plan built once per ArchSpec; a call does
+# no planning of its own and keeps no buffer between calls.
 
 
-def _conv1d_fwd(x, w, b):
-    k = w.shape[2]
-    pl = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pl, k - 1 - pl)))
-    xw = sliding_window_view(xp, k, axis=2)
-    y = np.einsum("bclk,ock->bol", xw, w, optimize=True) + b[None, :, None]
-    return y, (xw, w)
+@dataclass(frozen=True)
+class _ConvPlan:
+    """One stride-1, same-length 1-D correlation of ``length`` samples.
+
+    The input is zero-padded by ``kernel - 1`` samples, ``pad_left`` of them
+    before the signal.  ``need_dx`` is False for the encoder's first conv,
+    whose input gradient nobody reads.
+    """
+
+    cin: int
+    cout: int
+    kernel: int
+    length: int
+    need_dx: bool = True
+
+    @property
+    def pad_left(self) -> int:
+        return (self.kernel - 1) // 2
+
+    @property
+    def pad_right(self) -> int:
+        return self.kernel - 1 - self.pad_left
+
+    @property
+    def padded(self) -> int:
+        return self.length + self.kernel - 1
 
 
-def _conv1d_bwd(dy, ctx):
-    xw, w = ctx
-    k = w.shape[2]
-    pl = (k - 1) // 2
-    dw = np.einsum("bclk,bol->ock", xw, dy, optimize=True)
+@dataclass(frozen=True)
+class _Plan:
+    enc: tuple[_ConvPlan, ...]   # encoder convs, input side first
+    dec: tuple[_ConvPlan, ...]   # decoder convs, latent side first
+    pools: tuple[int, ...]       # encoder pool sizes; the decoder upsamples by them in reverse
+    pooled: tuple[int, ...]      # encoder lengths after each pool
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(arch: ArchSpec) -> _Plan:
+    """The layer geometry of ``arch``; one per architecture, whatever the batch."""
+    lengths = arch.stage_input_lengths
+    enc, in_ch = [], arch.input_channels
+    for i, st in enumerate(arch.stages):
+        enc.append(_ConvPlan(in_ch, st.channels, st.kernel, lengths[i], need_dx=i > 0))
+        in_ch = st.channels
+    dec = []
+    for i in reversed(range(len(arch.stages))):
+        out_ch = arch.stages[i - 1].channels if i > 0 else arch.input_channels
+        st = arch.stages[i]
+        dec.append(_ConvPlan(st.channels, out_ch, st.kernel, lengths[i]))
+    return _Plan(tuple(enc), tuple(dec), tuple(st.pool for st in arch.stages),
+                 arch.pooled_lengths)
+
+
+# --- layer primitives ---
+
+
+def _padded(h, pad_left: int, pad_right: int):
+    """Copy of h zero-padded along the last axis, C-contiguous."""
+    B, C, L = h.shape
+    xp = np.zeros((B, C, pad_left + L + pad_right), dtype=h.dtype)
+    xp[:, :, pad_left:pad_left + L] = h
+    return xp
+
+
+def _windows(xp, kernel: int, length: int, batch_major: bool):
+    """Read-only strided view of the ``length`` windows of ``kernel`` taps
+    in a C-contiguous (B, C, length + kernel - 1) buffer: (B, L, C, K) if
+    ``batch_major``, else (C, K, B, L)."""
+    B, C, Lp = xp.shape
+    s = xp.itemsize
+    if batch_major:
+        shape, strides = (B, length, C, kernel), (C * Lp * s, s, Lp * s, s)
+    else:
+        shape, strides = (C, kernel, B, length), (Lp * s, s, C * Lp * s, s)
+    return np.ndarray(shape, xp.dtype, xp, 0, strides)
+
+
+def _conv_fwd(xp, w, b, conv: _ConvPlan):
+    """y[b, o, l] = sum_{c, k} w[o, c, k] * xp[b, c, l + k] + b[o], for a
+    buffer padded as ``conv`` says.  Returns (B, O, L)."""
+    B, L = len(xp), conv.length
+    cols = _windows(xp, conv.kernel, L, False).reshape(conv.cin * conv.kernel, B * L)
+    y = w.reshape(conv.cout, -1) @ cols
+    return y.reshape(conv.cout, B, L).transpose(1, 0, 2) + b[None, :, None]
+
+
+def _conv_bwd(dy, xp, w, conv: _ConvPlan):
+    """(dx or None, dw, db) for ``_conv_fwd`` given the output gradient."""
+    B, L, K = len(dy), conv.length, conv.kernel
+    cols = _windows(xp, K, L, True).reshape(B * L, conv.cin * K)
+    dw = (dy.transpose(1, 0, 2).reshape(conv.cout, B * L) @ cols).reshape(w.shape)
     db = dy.sum(axis=(0, 2))
-    dyp = np.pad(dy, ((0, 0), (0, 0), (k - 1 - pl, pl)))
-    dyw = sliding_window_view(dyp, k, axis=2)
-    dx = np.einsum("bolk,ock->bcl", dyw, w[:, :, ::-1], optimize=True)
-    return dx, dw, db
+    if not conv.need_dx:
+        return None, dw, db
+    # dx is the correlation of dy, padded the other way round, with the
+    # kernel flipped and its channel axes swapped
+    dyp = _padded(dy, conv.pad_right, conv.pad_left)
+    wf = np.ascontiguousarray(w[:, :, ::-1].transpose(1, 0, 2)).reshape(conv.cin, conv.cout * K)
+    dx = wf @ _windows(dyp, K, L, False).reshape(conv.cout * K, B * L)
+    return dx.reshape(conv.cin, B, L).transpose(1, 0, 2), dw, db
 
 
-def _maxpool_fwd(x, p):
-    B, C, L = x.shape
-    T = -(-L // p)
-    xp = np.pad(x, ((0, 0), (0, 0), (0, T * p - L)), constant_values=-np.inf)
-    xr = xp.reshape(B, C, T, p)
-    am = xr.argmax(axis=3)
-    y = np.take_along_axis(xr, am[..., None], axis=3)[..., 0]
-    return y, (am, p, L)
+def _maxpool_fwd(h, p: int, train: bool):
+    """Ceil-mode max pooling by p over the last axis: (pooled, winner).
+
+    The ragged final window is maxed as-is.  In training mode ``winner``
+    holds the position of each window's first maximum; otherwise it is
+    None.  A NaN anywhere in a window makes the pooled value NaN, and the
+    loss with it, so the winner then goes unread.
+    """
+    B, C, L = h.shape
+    if L % p:
+        hp = np.empty((B, C, -(-L // p) * p), dtype=h.dtype)
+        hp[:, :, :L] = h
+        hp[:, :, L:] = -np.inf
+        h = hp
+    y, winner = h[:, :, 0::p], None
+    for j in range(1, p):
+        s = h[:, :, j::p]
+        if train:
+            take = s > y
+            winner = take if winner is None else np.where(take, j, winner)
+        y = np.maximum(y, s)
+    if train and winner is None:  # p == 1: the only slot wins
+        winner = np.zeros(y.shape, dtype=bool)
+    return y, winner
 
 
-def _maxpool_bwd(dy, ctx):
-    am, p, L = ctx
+def _maxpool_bwd(dy, winner, p: int, length: int):
+    """Route each pooled gradient to its window's first maximum; the other
+    slots get dy * 0, as in the ReLU backward.  C-contiguous."""
     B, C, T = dy.shape
-    dxp = np.zeros((B, C, T, p), dtype=dy.dtype)
-    np.put_along_axis(dxp, am[..., None], dy[..., None], axis=3)
-    return dxp.reshape(B, C, T * p)[:, :, :L]
+    dx = np.empty((B, C, T, p), dtype=dy.dtype)
+    for j in range(p):
+        dx[..., j] = dy * (winner == j)
+    return dx.reshape(B, C, T * p)[:, :, :length]
 
 
-def _upsample_fwd(x, p, out_len):
-    y = np.repeat(x, p, axis=2)[:, :, :out_len]
-    return y, (p, x.shape[2], out_len)
+def _upsample_into(xp, h, p: int, start: int, length: int) -> None:
+    """Write h repeated p times along the last axis, cropped to ``length``,
+    into xp[:, :, start:start + length]."""
+    for j in range(p):
+        dst = xp[:, :, start + j:start + length:p]
+        dst[...] = h[:, :, :dst.shape[2]]
 
 
-def _upsample_bwd(dy, ctx):
-    p, l_in, out_len = ctx
-    full = np.zeros((dy.shape[0], dy.shape[1], l_in * p), dtype=dy.dtype)
-    full[:, :, :out_len] = dy
-    return full.reshape(dy.shape[0], dy.shape[1], l_in, p).sum(axis=3)
+def _upsample_bwd(dy, p: int):
+    """Sum each group of p gradient samples (the last group may be short),
+    in sample order; C-contiguous."""
+    dx = np.ascontiguousarray(dy[:, :, 0::p])
+    for j in range(1, p):
+        part = dy[:, :, j::p]
+        dx[:, :, :part.shape[2]] += part
+    return dx
 
 
 def _dense_fwd(x, w, b):
@@ -204,38 +320,50 @@ def _relu_bwd(dy, mask):
 
 
 # --- model passes ---
+#
+# With ``cache=None`` a pass only computes values; given a list, it also
+# appends what the matching backward pass reads.
 
 
-def _encode_cached(params, arch, x):
-    stage_cache = []
-    h = x.reshape(len(x), arch.input_channels, arch.input_len)
-    for i, st in enumerate(arch.stages):
-        h, conv_ctx = _conv1d_fwd(h, params[f"enc.conv{i}.w"], params[f"enc.conv{i}.b"])
-        h, relu_mask = _relu_fwd(h)
-        h, pool_ctx = _maxpool_fwd(h, st.pool)
-        stage_cache.append((conv_ctx, relu_mask, pool_ctx))
-    flat = h.reshape(len(x), arch.flat_dim)
+def _encode(params, plan: _Plan, x, cache=None):
+    B = len(x)
+    train = cache is not None
+    first = plan.enc[0]
+    xp = _padded(x.reshape(B, first.cin, first.length), first.pad_left, first.pad_right)
+    for i, conv in enumerate(plan.enc):
+        h, relu_mask = _relu_fwd(_conv_fwd(xp, params[f"enc.conv{i}.w"],
+                                           params[f"enc.conv{i}.b"], conv))
+        h, winner = _maxpool_fwd(h, plan.pools[i], train)
+        if train:
+            cache.append((xp, relu_mask, winner))
+        if i + 1 < len(plan.enc):
+            nxt = plan.enc[i + 1]
+            xp = _padded(h, nxt.pad_left, nxt.pad_right)
+    flat = h.reshape(B, -1)
     latent, fc_ctx = _dense_fwd(flat, params["enc.fc.w"], params["enc.fc.b"])
-    return latent, (stage_cache, fc_ctx, h.shape)
+    if train:
+        cache.append(fc_ctx)
+    return latent
 
 
-def _decode_cached(params, arch, z):
+def _decode(params, plan: _Plan, z, cache=None):
+    B = len(z)
     pre, fc_ctx = _dense_fwd(z, params["dec.fc.w"], params["dec.fc.b"])
-    act, relu_mask = _relu_fwd(pre)
-    n = len(arch.stages)
-    lengths = arch.stage_input_lengths
-    h = act.reshape(len(z), arch.stages[-1].channels, arch.pooled_lengths[-1])
-    stage_cache = []
-    for d, i in enumerate(reversed(range(n))):
-        h, up_ctx = _upsample_fwd(h, arch.stages[i].pool, lengths[i])
-        h, conv_ctx = _conv1d_fwd(h, params[f"dec.conv{d}.w"], params[f"dec.conv{d}.b"])
-        if i > 0:
+    h, relu_mask = _relu_fwd(pre)
+    h = h.reshape(B, plan.dec[0].cin, plan.pooled[-1])
+    if cache is not None:
+        cache.append((fc_ctx, relu_mask))
+    last = len(plan.dec) - 1
+    for d, conv in enumerate(plan.dec):
+        xp = np.zeros((B, conv.cin, conv.padded), dtype=h.dtype)
+        _upsample_into(xp, h, plan.pools[last - d], conv.pad_left, conv.length)
+        h = _conv_fwd(xp, params[f"dec.conv{d}.w"], params[f"dec.conv{d}.b"], conv)
+        conv_relu = None
+        if d < last:
             h, conv_relu = _relu_fwd(h)
-        else:
-            conv_relu = None
-        stage_cache.append((up_ctx, conv_ctx, conv_relu))
-    recon = h.reshape(len(z), arch.input_width)
-    return recon, (fc_ctx, relu_mask, stage_cache)
+        if cache is not None:
+            cache.append((xp, conv_relu))
+    return h.reshape(B, -1)
 
 
 def _mlp_cached(params, arch, z):
@@ -254,23 +382,22 @@ def _mlp_cached(params, arch, z):
 
 def encode(model: ModelState, x: np.ndarray) -> np.ndarray:
     x = _check_input(model, x)
-    latent, _ = _encode_cached(model.params, model.arch, x)
-    return latent
+    return _encode(model.params, _plan(model.arch), x)
 
 
 def decode(model: ModelState, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=model.dtype)
     if z.ndim != 2 or z.shape[1] != model.arch.latent_dim:
         raise ValueError(f"latent must be (n, {model.arch.latent_dim})")
-    recon, _ = _decode_cached(model.params, model.arch, z)
-    return recon
+    return _decode(model.params, _plan(model.arch), z)
 
 
 def forward(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(reconstruction, class scores, latent codes), no gradient bookkeeping."""
     x = _check_input(model, x)
-    latent, _ = _encode_cached(model.params, model.arch, x)
-    recon, _ = _decode_cached(model.params, model.arch, latent)
+    plan = _plan(model.arch)
+    latent = _encode(model.params, plan, x)
+    recon = _decode(model.params, plan, latent)
     scores, _ = _mlp_cached(model.params, model.arch, latent)
     return recon, scores, latent
 
@@ -326,9 +453,7 @@ def evaluate_loss(model: ModelState, x, labels, alpha: float | None = None,
     alpha, beta = _weights(model, alpha, beta)
     x = _check_input(model, x)
     labels = _check_labels(model, labels, len(x))
-    latent, _ = _encode_cached(model.params, model.arch, x)
-    recon, _ = _decode_cached(model.params, model.arch, latent)
-    scores, _ = _mlp_cached(model.params, model.arch, latent)
+    recon, scores, _ = forward(model, x)
     mse, _ = _mse(recon, x)
     ce, _ = _cross_entropy(scores.astype(np.float64), labels)
     return alpha * mse + beta * ce, mse, ce
@@ -345,8 +470,13 @@ def _check_labels(model, labels, n):
 
 def _compute_grads(model: ModelState, x, labels, alpha, beta, head_only=False):
     params, arch = model.params, model.arch
-    latent, enc_cache = _encode_cached(params, arch, x)
-    recon, dec_cache = _decode_cached(params, arch, latent)
+    plan = _plan(arch)
+    # head-only training reads no encoder or decoder gradient, so those
+    # passes run without caches
+    enc_cache = None if head_only else []
+    dec_cache = None if head_only else []
+    latent = _encode(params, plan, x, enc_cache)
+    recon = _decode(params, plan, latent, dec_cache)
     scores, mlp_cache = _mlp_cached(params, arch, latent)
 
     total, drecon, dscores = loss(recon, x, scores, labels, alpha, beta)
@@ -368,29 +498,29 @@ def _compute_grads(model: ModelState, x, labels, alpha, beta, head_only=False):
         return total, grads
 
     # decoder
-    fc_ctx, relu_mask, stage_cache = dec_cache
+    (fc_ctx, relu_mask), stage_cache = dec_cache[0], dec_cache[1:]
+    last = len(plan.dec) - 1
     dh = drecon.reshape(len(x), arch.input_channels, arch.input_len)
-    n = len(arch.stages)
-    for d in reversed(range(n)):
-        up_ctx, conv_ctx, conv_relu = stage_cache[d]
+    for d in reversed(range(len(plan.dec))):
+        xp, conv_relu = stage_cache[d]
         if conv_relu is not None:
             dh = _relu_bwd(dh, conv_relu)
-        dh, grads[f"dec.conv{d}.w"], grads[f"dec.conv{d}.b"] = _conv1d_bwd(dh, conv_ctx)
-        dh = _upsample_bwd(dh, up_ctx)
-    dflat = dh.reshape(len(x), arch.flat_dim)
-    dflat = _relu_bwd(dflat, relu_mask)
+        dh, grads[f"dec.conv{d}.w"], grads[f"dec.conv{d}.b"] = _conv_bwd(
+            dh, xp, params[f"dec.conv{d}.w"], plan.dec[d])
+        dh = _upsample_bwd(dh, plan.pools[last - d])
+    dflat = _relu_bwd(dh.reshape(len(x), arch.flat_dim), relu_mask)
     dz_dec, grads["dec.fc.w"], grads["dec.fc.b"] = _dense_bwd(dflat, fc_ctx)
 
     # encoder, fed by both latent consumers
-    enc_stage_cache, enc_fc_ctx, pooled_shape = enc_cache
-    dlatent = dz_dec + dz_mlp
-    dflat_enc, grads["enc.fc.w"], grads["enc.fc.b"] = _dense_bwd(dlatent, enc_fc_ctx)
-    dh = dflat_enc.reshape(pooled_shape)
-    for i in reversed(range(n)):
-        conv_ctx, relu_mask_i, pool_ctx = enc_stage_cache[i]
-        dh = _maxpool_bwd(dh, pool_ctx)
-        dh = _relu_bwd(dh, relu_mask_i)
-        dh, grads[f"enc.conv{i}.w"], grads[f"enc.conv{i}.b"] = _conv1d_bwd(dh, conv_ctx)
+    stage_cache, enc_fc_ctx = enc_cache[:-1], enc_cache[-1]
+    dflat_enc, grads["enc.fc.w"], grads["enc.fc.b"] = _dense_bwd(dz_dec + dz_mlp, enc_fc_ctx)
+    dh = dflat_enc.reshape(len(x), arch.stages[-1].channels, plan.pooled[-1])
+    for i in reversed(range(len(plan.enc))):
+        xp, relu_mask_i, winner = stage_cache[i]
+        conv = plan.enc[i]
+        dh = _relu_bwd(_maxpool_bwd(dh, winner, plan.pools[i], conv.length), relu_mask_i)
+        dh, grads[f"enc.conv{i}.w"], grads[f"enc.conv{i}.b"] = _conv_bwd(
+            dh, xp, params[f"enc.conv{i}.w"], conv)
     return total, grads
 
 
@@ -408,7 +538,8 @@ def train_step(model: ModelState, x, labels, lr: float, alpha: float | None = No
     if not np.isfinite(total):
         raise FloatingPointError(f"non-finite training loss {total!r}")
     for name, g in grads.items():
-        model.params[name] -= (lr * g).astype(model.dtype)
+        # the step is rounded to the model's dtype before it is subtracted
+        model.params[name] -= np.multiply(lr, g, out=g)
     return total
 
 

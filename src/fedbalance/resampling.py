@@ -139,13 +139,23 @@ def fit_linear_svm(features: np.ndarray, binary_labels: np.ndarray, params: SvmP
     w = np.zeros(X.shape[1])
     b = 0.0
     lr, reg = params.learning_rate, params.regularization
+    # Everything that does not depend on w is computed once: the row views,
+    # the hinge steps lr * y_i * x_i and lr * y_i, and the shrink factor.
+    # The updates are the plain per-row loop's operations in its order, so
+    # (w, b) is bit for bit what that loop gives.
+    shrink = 1.0 - lr * reg
+    rows = list(X)
+    signs = y.tolist()
+    b_steps = [lr * yi for yi in signs]
+    w_steps = [lr * yi * xi for yi, xi in zip(signs, X)]
+    multiply, add = np.multiply, np.add
     for _ in range(params.epochs):
-        for i in range(len(X)):
-            margin = y[i] * (X[i] @ w + b)
-            w *= 1.0 - lr * reg
+        for xi, yi, w_step, b_step in zip(rows, signs, w_steps, b_steps):
+            margin = yi * (xi.dot(w) + b)
+            multiply(w, shrink, out=w)
             if margin < 1.0:
-                w += lr * y[i] * X[i]
-                b += lr * y[i]
+                add(w, w_step, out=w)
+                b += b_step
     return w, float(b)
 
 

@@ -145,3 +145,68 @@ def upsample_ref(x, p: int, out_len: int):
     for t in range(out_len):
         y[:, :, t] = x[:, :, t // p]
     return y
+
+
+def linear_svm_ref(features, binary_labels, learning_rate: float, regularization: float,
+                   epochs: int):
+    """Cyclic hinge-loss subgradient descent written as the plain loop: one
+    row at a time, every step recomputed in place."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(binary_labels, dtype=np.float64)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    lr, reg = learning_rate, regularization
+    for _ in range(epochs):
+        for i in range(len(X)):
+            margin = y[i] * (X[i] @ w + b)
+            w *= 1.0 - lr * reg
+            if margin < 1.0:
+                w += lr * y[i] * X[i]
+                b += lr * y[i]
+    return w, float(b)
+
+
+def conv1d_grads_ref(x, w, dy):
+    """(dx, dw, db) of ``conv1d_ref`` by the chain rule, accumulated one
+    output sample and one tap at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    B, C, L = x.shape
+    O, _, K = w.shape
+    pl = (K - 1) // 2
+    dx, dw, db = np.zeros_like(x), np.zeros_like(w), np.zeros(O)
+    for bi in range(B):
+        for o in range(O):
+            for t in range(L):
+                g = float(dy[bi, o, t])
+                db[o] += g
+                for kk in range(K):
+                    src = t - pl + kk
+                    if 0 <= src < L:
+                        dw[o, :, kk] += g * x[bi, :, src]
+                        dx[bi, :, src] += g * w[o, :, kk]
+    return dx, dw, db
+
+
+def maxpool_grad_ref(x, p: int, dy):
+    """Gradient of ``maxpool_ref``: each window's gradient goes to the first
+    position holding its maximum."""
+    x = np.asarray(x, dtype=np.float64)
+    B, C, L = x.shape
+    dx = np.zeros((B, C, L))
+    for bi in range(B):
+        for c in range(C):
+            for t in range(dy.shape[2]):
+                window = list(x[bi, c, t * p:(t + 1) * p])
+                dx[bi, c, t * p + window.index(max(window))] = dy[bi, c, t]
+    return dx
+
+
+def upsample_grad_ref(dy, p: int, in_len: int):
+    """Gradient of ``upsample_ref``: each input sample collects the
+    gradients of its copies."""
+    B, C, L = dy.shape
+    dx = np.zeros((B, C, in_len))
+    for t in range(L):
+        dx[:, :, t // p] += dy[:, :, t]
+    return dx

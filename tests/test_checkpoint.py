@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -230,3 +231,58 @@ def test_save_rejects_non_finite_tensors(tmp_path, bad):
         save_global(tmp_path / "g.fedh", server)
     with pytest.raises(CheckpointError, match="non-finite"):
         save_client(tmp_path / "c.fedh", server.clients[1])
+
+
+def _rewrite_payload(path, mutate):
+    """Let ``mutate(header, payload)`` edit a saved file, then store a fresh
+    payload checksum so only the loader's own checks can object."""
+    raw = path.read_bytes()
+    hlen = _header_len(raw)
+    header = json.loads(raw[16:hlen])
+    payload = bytearray(raw[hlen:])
+    mutate(header, payload)
+    header["payload_crc32"] = zlib.crc32(payload)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(struct.pack("<4sIQ", b"FEDH", 1, len(blob)) + blob + bytes(payload))
+
+
+def _entry(header, name):
+    return next(e for e in header["tensors"] if e["name"] == name)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_tensors(tmp_path, bad):
+    path = tmp_path / "g.fedh"
+    save_global(path, make_server())
+
+    def poison(header, payload):
+        e = _entry(header, "client/1/enc.fc.b")
+        struct.pack_into("<f", payload, e["offset"] + 4, bad)
+
+    _rewrite_payload(path, poison)
+    with pytest.raises(CheckpointError, match="client/1/enc.fc.b contains non-finite"):
+        load_global(path)
+
+    cpath = tmp_path / "c.fedh"
+    save_client(cpath, make_server().clients[0])
+    _rewrite_payload(cpath, lambda h, p: struct.pack_into("<f", p, len(p) - 4, bad))
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_client(cpath)
+
+
+@pytest.mark.parametrize("where", ["past_end", "straddles_end", "negative", "not_an_int"])
+def test_load_rejects_tensor_offsets_outside_the_payload(tmp_path, where):
+    path = tmp_path / "g.fedh"
+    save_global(path, make_server())
+
+    def move(header, payload):
+        e = _entry(header, "global/dec.fc.w")
+        e["offset"] = {"past_end": len(payload) + 8,
+                       "straddles_end": len(payload) - e["nbytes"] + 4,
+                       "negative": -4,
+                       "not_an_int": float(e["offset"])}[where]
+
+    _rewrite_payload(path, move)
+    with pytest.raises(CheckpointError, match="tensor global/dec.fc.w: bytes .* outside"):
+        load_global(path)
+

@@ -120,6 +120,36 @@ def test_rerun_reproduces_every_record(tiny_run, tmp_path):
     assert again.records == table.records
 
 
+def test_trials_never_read_client_checkpoints(tiny_run, tmp_path, monkeypatch):
+    plan, table = tiny_run
+
+    def refuse(path):
+        raise AssertionError(f"client checkpoint {path} was read")
+
+    monkeypatch.setattr(cv, "load_client", refuse)
+    again = run_experiment(tiny_plan(tmp_path))
+    assert again.records == table.records
+
+
+def test_client_files_duplicate_the_global_checkpoint(tiny_run):
+    """Each client_<id>.fedh holds what global.fedh already holds for that
+    client, so building trials from global.fedh alone loses nothing."""
+    from fedbalance.checkpoint import load_client, load_global
+
+    plan, _ = tiny_run
+    for fold in range(plan.num_folds):
+        d = plan.fold_dir(fold)
+        server = load_global(d / "global.fedh")
+        assert [c.client_id for c in server.clients] == list(range(plan.num_clients))
+        for c in server.clients:
+            alone = load_client(d / f"client_{c.client_id}.fedh")
+            assert alone.client_id == c.client_id
+            assert np.array_equal(alone.train_indices, c.train_indices)
+            assert np.array_equal(alone.test_indices, c.test_indices)
+            for name, p in c.model.params.items():
+                assert np.array_equal(alone.model.params[name], p)
+
+
 def test_run_fold_validates_index(tiny_run):
     plan, _ = tiny_run
     with pytest.raises(ValueError):

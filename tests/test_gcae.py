@@ -5,9 +5,15 @@ from fedbalance.gcae import (
     ArchSpec,
     ConvStage,
     ModelState,
-    _conv1d_fwd,
+    _conv_bwd,
+    _conv_fwd,
+    _ConvPlan,
+    _maxpool_bwd,
     _maxpool_fwd,
-    _upsample_fwd,
+    _padded,
+    _plan,
+    _upsample_bwd,
+    _upsample_into,
     decode,
     encode,
     evaluate_loss,
@@ -17,7 +23,16 @@ from fedbalance.gcae import (
     loss,
     train_step,
 )
-from oracles import conv1d_ref, maxpool_ref, upsample_ref
+from oracles import (
+    conv1d_grads_ref,
+    conv1d_ref,
+    maxpool_grad_ref,
+    maxpool_ref,
+    upsample_grad_ref,
+    upsample_ref,
+)
+
+BATCHES = (1, 7, 32, 512)
 
 
 def small_arch(input_len=12, **kw):
@@ -78,30 +93,97 @@ def test_init_model_bounds_and_determinism():
 # --- layer primitives against naive references ---
 
 
+def conv_forward(x, w, b):
+    conv = _ConvPlan(x.shape[1], w.shape[0], w.shape[2], x.shape[2])
+    xp = _padded(x, conv.pad_left, conv.pad_right)
+    return _conv_fwd(xp, w, b, conv), xp, conv
+
+
 def test_conv1d_matches_reference():
     rng = np.random.default_rng(0)
-    for k in (1, 2, 3, 5):
-        x = rng.normal(size=(2, 3, 9))
+    for batch, k in ((batch, k) for batch in BATCHES for k in (1, 2, 3, 5)):
+        x = rng.normal(size=(batch, 3, 25))
         w = rng.normal(size=(4, 3, k))
         b = rng.normal(size=4)
-        got, _ = _conv1d_fwd(x, w, b)
+        got, _, _ = conv_forward(x, w, b)
         assert np.allclose(got, conv1d_ref(x, w, b), atol=1e-12)
+
+
+def test_conv1d_backward_matches_reference():
+    rng = np.random.default_rng(100)
+    for batch, k in ((batch, k) for batch in BATCHES for k in (1, 2, 3, 5)
+                     if batch < 512 or k == 3):
+        x = rng.normal(size=(batch, 3, 25))
+        w = rng.normal(size=(4, 3, k))
+        dy = rng.normal(size=(batch, 4, 25))
+        _, xp, conv = conv_forward(x, w, rng.normal(size=4))
+        dx, dw, db = _conv_bwd(dy, xp, w, conv)
+        want_dx, want_dw, want_db = conv1d_grads_ref(x, w, dy)
+        assert np.allclose(dx, want_dx, atol=1e-12)
+        assert np.allclose(dw, want_dw, atol=1e-12)
+        assert np.allclose(db, want_db, atol=1e-12)
+        # the input gradient of the data-facing conv is never computed
+        skip = _ConvPlan(3, 4, k, 25, need_dx=False)
+        none_dx, dw_again, _ = _conv_bwd(dy, xp, w, skip)
+        assert none_dx is None and np.array_equal(dw_again, dw)
 
 
 def test_maxpool_matches_reference_including_ragged_tail():
     rng = np.random.default_rng(1)
-    for L, p in ((8, 2), (9, 2), (10, 3), (7, 4)):
-        x = rng.normal(size=(2, 3, L))
-        got, _ = _maxpool_fwd(x, p)
-        assert np.allclose(got, maxpool_ref(x, p))
+    for batch, (L, p) in ((batch, lp) for batch in BATCHES
+                          for lp in ((8, 2), (9, 2), (25, 2), (10, 3), (7, 4), (5, 1))):
+        x = rng.normal(size=(batch, 3, L))
+        want = maxpool_ref(x, p)
+        got, winner = _maxpool_fwd(x, p, train=True)
+        assert np.allclose(got, want)
+        values_only, none = _maxpool_fwd(x, p, train=False)
+        assert np.array_equal(values_only, got) and none is None
+        dy = rng.normal(size=want.shape)
+        assert np.allclose(_maxpool_bwd(dy, winner, p, L), maxpool_grad_ref(x, p, dy))
+
+
+def test_maxpool_gradient_goes_to_the_first_of_tied_maxima():
+    x = np.array([[[1.0, 1.0, 0.0, 2.0, 2.0, 2.0]]])
+    got, winner = _maxpool_fwd(x, 3, train=True)
+    assert got.tolist() == [[[1.0, 2.0]]]
+    dx = _maxpool_bwd(np.array([[[5.0, 7.0]]]), winner, 3, 6)
+    assert dx.tolist() == [[[5.0, 0.0, 0.0, 7.0, 0.0, 0.0]]]
 
 
 def test_upsample_matches_reference():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(2, 3, 5))
-    for out_len in (9, 10):
-        got, _ = _upsample_fwd(x, 2, out_len)
-        assert np.allclose(got, upsample_ref(x, 2, out_len))
+    for batch, (p, in_len, out_len) in ((batch, shape) for batch in BATCHES
+                                        for shape in ((2, 5, 9), (2, 5, 10), (2, 13, 25),
+                                                      (3, 4, 10), (3, 4, 12))):
+        x = rng.normal(size=(batch, 3, in_len))
+        # written into the middle of a wider buffer, as the decoder pads it
+        buf = np.full((batch, 3, out_len + 4), 9.0)
+        _upsample_into(buf, x, p, 2, out_len)
+        assert np.allclose(buf[:, :, 2:-2], upsample_ref(x, p, out_len))
+        assert np.all(buf[:, :, :2] == 9.0) and np.all(buf[:, :, -2:] == 9.0)
+        dy = rng.normal(size=(batch, 3, out_len))
+        assert np.allclose(_upsample_bwd(dy, p), upsample_grad_ref(dy, p, in_len))
+
+
+def test_plan_depends_on_the_architecture_only():
+    arch = small_arch(input_len=25, input_channels=2,
+                      stages=(ConvStage(4, 3, 2), ConvStage(5, 4, 3)))
+    plan = _plan(arch)
+    assert plan is _plan(ArchSpec(**{f: getattr(arch, f) for f in arch.__dataclass_fields__}))
+    assert [(c.cin, c.cout, c.kernel, c.length, c.need_dx) for c in plan.enc] == [
+        (2, 4, 3, 25, False), (4, 5, 4, 13, True)]
+    assert [(c.cin, c.cout, c.kernel, c.length) for c in plan.dec] == [
+        (5, 4, 4, 13), (4, 2, 3, 25)]
+    assert plan.pools == (2, 3) and plan.pooled == (13, 5)
+    # calls at many batch sizes add nothing to the plan cache
+    m = init_model(arch, np.random.default_rng(0))
+    before = _plan.cache_info().currsize
+    rng = np.random.default_rng(1)
+    for batch in range(1, 40):
+        x = rng.normal(size=(batch, 50)).astype(np.float32)
+        train_step(m, x, rng.integers(0, 3, size=batch), lr=0.01)
+        forward(m, x)
+    assert _plan.cache_info().currsize == before
 
 
 # --- forward pass ---
@@ -211,6 +293,48 @@ def test_gradients_with_uneven_loss_weights():
     x = rng.normal(size=(4, 12))
     y = rng.integers(0, 3, size=4)
     assert grad_check(m, x, y) < 1e-4
+
+
+def test_gradients_match_finite_differences_at_a_large_batch():
+    """Every kernel runs one path at every batch size; check the float64
+    backward pass well above the batch-32 training size, on a ragged,
+    multi-channel architecture with pool sizes 2 and 3."""
+    arch = ArchSpec(input_len=11, num_classes=3, input_channels=2,
+                    stages=(ConvStage(3, 3, 2), ConvStage(4, 2, 3)),
+                    latent_dim=4, mlp_hidden=(5,))
+    rng = np.random.default_rng(17)
+    m = randomize_biases(init_model(arch, rng, dtype=np.float64), rng)
+    x = rng.normal(size=(96, 22))
+    y = rng.integers(0, 3, size=96)
+    assert grad_check(m, x, y) < 1e-4
+
+
+def test_interleaved_architectures_train_as_if_alone():
+    """Plans are per architecture: alternating steps of two models with
+    different shapes gives each the bits it gets when trained alone."""
+    archs = (small_arch(input_len=25), small_arch(input_len=12, input_channels=2,
+                                                  stages=(ConvStage(5, 4, 3),)))
+    rng = np.random.default_rng(21)
+    models = [init_model(a, rng) for a in archs]
+    batches = [[(rng.normal(size=(b, a.input_width)).astype(np.float32),
+                 rng.integers(0, 3, size=b)) for b in (32, 7, 1, 32)] for a in archs]
+
+    alone = []
+    for m, steps in zip(models, batches):
+        m = m.copy()
+        losses = [train_step(m, x, y, lr=0.05) for x, y in steps]
+        alone.append((m, losses))
+
+    together = [m.copy() for m in models]
+    losses = [[], []]
+    for t in range(4):
+        for i in (0, 1):
+            x, y = batches[i][t]
+            losses[i].append(train_step(together[i], x, y, lr=0.05))
+    for i in (0, 1):
+        assert losses[i] == alone[i][1]
+        for name, p in alone[i][0].params.items():
+            assert np.array_equal(together[i].params[name], p)
 
 
 def test_train_step_zero_lr_is_noop():

@@ -20,6 +20,7 @@ from oracles import (
     brute_enn_keep,
     brute_knn,
     brute_tomek,
+    linear_svm_ref,
     segments_hold,
 )
 
@@ -192,6 +193,25 @@ def test_linear_svm_is_deterministic_and_validates_labels():
     assert np.array_equal(w1, w2) and b1 == b2
     with pytest.raises(ValueError):
         fit_linear_svm(X, np.ones(3), SvmParams())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_linear_svm_is_bit_identical_to_the_plain_loop(seed):
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(20, 120)), int(rng.integers(1, 17))
+    # float32 rows like the encoder's latent codes, overlapping classes so
+    # that some rows stay inside the margin in every epoch
+    X = rng.normal(size=(n, dim)).astype(np.float32)
+    y = np.where(rng.random(n) < 0.3, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    params = SvmParams(learning_rate=float(rng.uniform(0.001, 0.1)),
+                       epochs=int(rng.integers(1, 40)),
+                       regularization=float(rng.uniform(0.0, 0.01)))
+    w, b = fit_linear_svm(X, y, params)
+    w_ref, b_ref = linear_svm_ref(X, y, params.learning_rate, params.regularization,
+                                  params.epochs)
+    assert np.array_equal(w, w_ref)
+    assert b == b_ref
 
 
 def test_svm_smote_balances_with_segment_property():
