@@ -27,7 +27,6 @@ from .federation import (
     build_personalization_set,
     evaluate_clients,
     fedavg,
-    personalize_client,
     run_global_round,
     train_on,
 )
@@ -44,7 +43,7 @@ from .gcae import (
     loss,
     train_step,
 )
-from .metrics import EvalResult, accuracy, aggregate_over_folds, roc_auc_macro, sample_std
+from .metrics import accuracy, aggregate_over_folds, roc_auc_macro, sample_std
 from .resampling import SAMPLER_NAMES, ResampledSet, SamplerSpec, SvmParams, resample
 from .seeding import derive_rng, derive_seed, seed_sequence
 
@@ -59,9 +58,9 @@ __all__ = [
     "SAMPLER_NAMES", "SamplerSpec", "SvmParams", "ResampledSet", "resample",
     "ClientState", "ServerState", "TrainHyper", "PersonalSet", "EvalSummary",
     "fedavg", "train_on", "run_global_round",
-    "build_personalization_set", "personalize_client", "evaluate_clients",
+    "build_personalization_set", "evaluate_clients",
     "CheckpointError", "save_global", "load_global", "save_client", "load_client",
     "ExperimentPlan", "MetricsRecord", "MetricsTable", "run_fold", "run_experiment",
-    "EvalResult", "accuracy", "roc_auc_macro", "sample_std", "aggregate_over_folds",
+    "accuracy", "roc_auc_macro", "sample_std", "aggregate_over_folds",
     "seed_sequence", "derive_rng", "derive_seed",
 ]

@@ -8,16 +8,20 @@ directory order.  A CRC32 of the payload is stored in the header so bit rot
 in the bulk data is caught on load.
 
 Two kinds exist: ``global`` (a full ServerState, including every client's
-model and metadata) and ``client`` (one ClientState).  Files are written
-atomically via a temp file + ``os.replace``.
+model and row indices) and ``client`` (one ClientState).  Files are written
+atomically via a temp file + ``os.replace``.  Loads check the whole header
+against the version-2 schema first (:func:`_check_header`), so a malformed
+file raises :class:`CheckpointError` naming the block or tensor at fault.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -25,8 +29,10 @@ from .federation import ClientState, ServerState
 from .gcae import ArchSpec, ConvStage, ModelState, _param_shapes
 
 MAGIC = b"FEDH"
-VERSION = 1
+VERSION = 2
 _HEAD = struct.Struct("<4sIQ")  # magic, version, header_len
+_ARCH_SIZES = ("input_len", "num_classes", "latent_dim", "input_channels")
+_HISTORIES = ("rs_test_acc", "rs_test_auc", "rs_train_loss")
 
 
 class CheckpointError(Exception):
@@ -34,31 +40,14 @@ class CheckpointError(Exception):
 
 
 def _arch_to_dict(arch: ArchSpec) -> dict:
-    return {
-        "input_len": arch.input_len,
-        "num_classes": arch.num_classes,
-        "stages": [[s.channels, s.kernel, s.pool] for s in arch.stages],
-        "latent_dim": arch.latent_dim,
-        "mlp_hidden": list(arch.mlp_hidden),
-        "input_channels": arch.input_channels,
-        "recon_weight": arch.recon_weight,
-        "pred_weight": arch.pred_weight,
-    }
+    return {**asdict(arch), "stages": [astuple(s) for s in arch.stages]}
 
 
 def _arch_from_dict(d: dict) -> ArchSpec:
     try:
-        return ArchSpec(
-            input_len=d["input_len"],
-            num_classes=d["num_classes"],
-            stages=tuple(ConvStage(*s) for s in d["stages"]),
-            latent_dim=d["latent_dim"],
-            mlp_hidden=tuple(d["mlp_hidden"]),
-            input_channels=d["input_channels"],
-            recon_weight=d["recon_weight"],
-            pred_weight=d["pred_weight"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return ArchSpec(**{**d, "stages": tuple(ConvStage(*s) for s in d["stages"]),
+                           "mlp_hidden": tuple(d["mlp_hidden"])})
+    except (TypeError, ValueError) as exc:  # TypeError: a field ArchSpec does not have
         raise CheckpointError(f"invalid architecture block: {exc}") from exc
 
 
@@ -67,10 +56,6 @@ def _client_meta(c: ClientState) -> dict:
         "client_id": c.client_id,
         "train_indices": c.train_indices.tolist(),
         "test_indices": c.test_indices.tolist(),
-        "train_slow": c.train_slow,
-        "send_slow": c.send_slow,
-        "train_time_cost": c.train_time_cost,
-        "send_time_cost": c.send_time_cost,
     }
 
 
@@ -81,13 +66,96 @@ def _client_from_meta(d: dict, model: ModelState) -> ClientState:
             model=model,
             train_indices=np.asarray(d["train_indices"], dtype=np.int64),
             test_indices=np.asarray(d["test_indices"], dtype=np.int64),
-            train_slow=d["train_slow"],
-            send_slow=d["send_slow"],
-            train_time_cost=d["train_time_cost"],
-            send_time_cost=d["send_time_cost"],
         )
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"invalid client block: {exc}") from exc
+    except ValueError as exc:
+        raise CheckpointError(f"invalid block of client {d['client_id']}: {exc}") from exc
+
+
+def _is_int(v) -> bool:
+    return type(v) is int  # JSON true/false must not pass as 1/0
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+def _int_list(v, minimum: int) -> bool:
+    return isinstance(v, list) and all(_is_int(i) and minimum <= i < 2**63 for i in v)
+
+
+def _check_header(header, kind: str, payload: bytes) -> None:
+    """Reject a header that breaks the schema, naming the block or tensor.
+
+    Checks, in order: the kind and the blocks it needs; the architecture,
+    client and server fields' types; client ids unique; every tensor named,
+    once, with a byte count; the payload length and checksum; then each
+    tensor's dtype, shape, and byte range, which must lie inside the
+    payload and overlap no other tensor's.
+    """
+    if not isinstance(header, dict):
+        raise CheckpointError("header is not a JSON object")
+    if header.get("kind") != kind:
+        raise CheckpointError(f"expected a {kind} checkpoint, found kind={header.get('kind')!r}")
+    blocks = {"arch": dict, "tensors": list}
+    blocks.update({"server": dict, "clients": list} if kind == "global" else {"client": dict})
+    for block, typ in blocks.items():
+        if not isinstance(header.get(block), typ):
+            raise CheckpointError(f"{block!r} block is missing or not a JSON {typ.__name__}")
+
+    arch = header["arch"]
+    stages = arch.get("stages")
+    if not (all(_is_int(arch.get(k)) for k in _ARCH_SIZES)
+            and isinstance(stages, list) and all(_int_list(s, 1) and len(s) == 3 for s in stages)
+            and _int_list(arch.get("mlp_hidden"), 1)
+            and _is_number(arch.get("recon_weight")) and _is_number(arch.get("pred_weight"))):
+        raise CheckpointError("'arch' block is malformed")
+
+    metas = header["clients"] if kind == "global" else [header["client"]]
+    for i, meta in enumerate(metas):
+        if not (isinstance(meta, dict) and _is_int(meta.get("client_id"))
+                and _int_list(meta.get("train_indices"), 0)
+                and _int_list(meta.get("test_indices"), 0)):
+            raise CheckpointError(f"client block #{i} is malformed")
+    ids = [meta["client_id"] for meta in metas]
+    if len(set(ids)) != len(ids):
+        raise CheckpointError(f"'clients' block repeats client ids "
+                              f"{sorted({i for i in ids if ids.count(i) > 1})}")
+    if kind == "global":
+        for key in _HISTORIES:
+            v = header["server"].get(key)
+            if not (isinstance(v, list) and all(_is_number(x) for x in v)):
+                raise CheckpointError(f"'server' block: {key} is not a list of numbers")
+
+    tensors = header["tensors"]
+    for i, e in enumerate(tensors):
+        if not (isinstance(e, dict) and isinstance(e.get("name"), str)):
+            raise CheckpointError(f"tensor #{i} has no name")
+        if not (_is_int(e.get("nbytes")) and e["nbytes"] >= 0):
+            raise CheckpointError(f"tensor {e['name']}: nbytes {e.get('nbytes')!r} is not a byte count")
+    names = [e["name"] for e in tensors]
+    if len(set(names)) != len(names):
+        raise CheckpointError("tensor directory repeats a tensor name")
+    expected = sum(e["nbytes"] for e in tensors)
+    if len(payload) != expected:
+        raise CheckpointError(f"payload is {len(payload)} bytes, directory says {expected}")
+    if zlib.crc32(payload) != header.get("payload_crc32"):
+        raise CheckpointError("payload checksum mismatch")
+
+    ranges = []
+    for e in tensors:
+        name, shape, offset, nbytes = e["name"], e.get("shape"), e.get("offset"), e["nbytes"]
+        if e.get("dtype") != "float32":
+            raise CheckpointError(f"tensor {name} has dtype {e.get('dtype')}")
+        if not _int_list(shape, 1) or math.prod(shape) * 4 != nbytes:
+            raise CheckpointError(f"tensor {name}: shape {shape!r} disagrees with {nbytes} bytes")
+        if not _is_int(offset) or offset < 0 or offset + nbytes > len(payload):
+            raise CheckpointError(f"tensor {name}: bytes [{offset!r}, +{nbytes}) lie "
+                                  f"outside the {len(payload)}-byte payload")
+        ranges.append((offset, offset + nbytes, name))
+    ranges.sort()
+    for (_, end, first), (start, _, second) in zip(ranges, ranges[1:]):
+        if start < end:
+            raise CheckpointError(f"tensors {first} and {second} overlap in the payload")
 
 
 def _collect_tensors(named_models: list[tuple[str, ModelState]]):
@@ -126,7 +194,7 @@ def _write_file(path, header: dict, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _read_file(path) -> tuple[dict, bytes]:
+def _read_file(path, kind: str) -> tuple[dict, bytes]:
     with open(path, "rb") as fh:
         head = fh.read(_HEAD.size)
         if len(head) < _HEAD.size:
@@ -144,11 +212,7 @@ def _read_file(path) -> tuple[dict, bytes]:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable header: {exc}") from exc
         payload = fh.read()
-    expected = sum(e["nbytes"] for e in header.get("tensors", []))
-    if len(payload) != expected:
-        raise CheckpointError(f"payload is {len(payload)} bytes, directory says {expected}")
-    if zlib.crc32(payload) != header.get("payload_crc32"):
-        raise CheckpointError("payload checksum mismatch")
+    _check_header(header, kind, payload)
     return header, payload
 
 
@@ -158,17 +222,7 @@ def _extract_model(header: dict, payload: bytes, prefix: str, arch: ArchSpec) ->
     for e in header["tensors"]:
         if not e["name"].startswith(want):
             continue
-        if e["dtype"] != "float32":
-            raise CheckpointError(f"tensor {e['name']} has dtype {e['dtype']}")
-        if int(np.prod(e["shape"])) * 4 != e["nbytes"]:
-            raise CheckpointError(f"tensor {e['name']}: shape {e['shape']} disagrees "
-                                  f"with {e['nbytes']} bytes")
-        offset, nbytes = e["offset"], e["nbytes"]
-        if (type(offset) is not int or type(nbytes) is not int or offset < 0
-                or offset + nbytes > len(payload)):
-            raise CheckpointError(f"tensor {e['name']}: bytes [{offset!r}, +{nbytes}) lie "
-                                  f"outside the {len(payload)}-byte payload")
-        arr = np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=offset)
+        arr = np.frombuffer(payload, dtype="<f4", count=e["nbytes"] // 4, offset=e["offset"])
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"tensor {e['name']} contains non-finite values")
         params[e["name"][len(want):]] = arr.reshape(e["shape"]).copy()
@@ -190,14 +244,7 @@ def save_global(path, server: ServerState) -> None:
     header = {
         "kind": "global",
         "arch": _arch_to_dict(server.global_model.arch),
-        "server": {
-            "selected_clients": list(server.selected_clients),
-            "train_slow_clients": list(server.train_slow_clients),
-            "send_slow_clients": list(server.send_slow_clients),
-            "rs_test_acc": list(server.rs_test_acc),
-            "rs_test_auc": list(server.rs_test_auc),
-            "rs_train_loss": list(server.rs_train_loss),
-        },
+        "server": {key: list(getattr(server, key)) for key in _HISTORIES},
         "clients": [_client_meta(c) for c in server.clients],
         "tensors": entries,
     }
@@ -205,28 +252,17 @@ def save_global(path, server: ServerState) -> None:
 
 
 def load_global(path) -> ServerState:
-    header, payload = _read_file(path)
-    if header.get("kind") != "global":
-        raise CheckpointError(f"expected a global checkpoint, found kind={header.get('kind')!r}")
+    header, payload = _read_file(path, "global")
     arch = _arch_from_dict(header["arch"])
     global_model = _extract_model(header, payload, "global", arch)
     clients = [
         _client_from_meta(meta, _extract_model(header, payload, f"client/{meta['client_id']}", arch))
         for meta in header["clients"]
     ]
-    s = header["server"]
     try:
-        return ServerState(
-            global_model=global_model,
-            clients=clients,
-            selected_clients=list(s["selected_clients"]),
-            train_slow_clients=list(s["train_slow_clients"]),
-            send_slow_clients=list(s["send_slow_clients"]),
-            rs_test_acc=list(s["rs_test_acc"]),
-            rs_test_auc=list(s["rs_test_auc"]),
-            rs_train_loss=list(s["rs_train_loss"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return ServerState(global_model=global_model, clients=clients,
+                           **{key: list(header["server"][key]) for key in _HISTORIES})
+    except ValueError as exc:
         raise CheckpointError(f"invalid server block: {exc}") from exc
 
 
@@ -242,9 +278,7 @@ def save_client(path, client: ClientState) -> None:
 
 
 def load_client(path) -> ClientState:
-    header, payload = _read_file(path)
-    if header.get("kind") != "client":
-        raise CheckpointError(f"expected a client checkpoint, found kind={header.get('kind')!r}")
+    header, payload = _read_file(path, "client")
     arch = _arch_from_dict(header["arch"])
     model = _extract_model(header, payload, "model", arch)
     return _client_from_meta(header["client"], model)

@@ -11,22 +11,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
 from .checkpoint import CheckpointError
-from .crossval import ExperimentPlan, MetricsRecord, MetricsTable, run_experiment
-from .dataset import (
-    DEFAULT_CLASS_COUNTS,
-    DEFAULT_FEATURE_DIM,
-    Dataset,
-    generate_synthetic,
-    load_csv,
-    make_synthetic_spec,
-)
+from .crossval import ExperimentPlan, MetricsTable, run_experiment
+from .dataset import Dataset, generate_synthetic, load_csv, make_synthetic_spec
 from .federation import TrainHyper
 from .gcae import ArchSpec, ConvStage
 from .metrics import aggregate_over_folds
@@ -34,226 +27,182 @@ from .resampling import SAMPLER_NAMES, SamplerSpec, SvmParams
 from .seeding import derive_seed
 
 
-@dataclass(frozen=True)
-class DataSource:
-    kind: str
-    class_counts: tuple[int, ...] = tuple(DEFAULT_CLASS_COUNTS)
-    dim: int = DEFAULT_FEATURE_DIM
-    scale: float = 1.0
-    path: str | None = None
-    label_column: str | int | None = None
+def _positive_ints(v) -> bool:
+    return isinstance(v, list) and all(type(x) is int and x >= 1 for x in v)
 
 
-@dataclass(frozen=True)
-class ArchOverride:
-    stages: tuple[tuple[int, int, int], ...] = ((8, 5, 2), (16, 5, 2))
-    latent_dim: int = 16
-    mlp_hidden: tuple[int, ...] = (32,)
-    recon_weight: float = 1.0
-    pred_weight: float = 1.0
-
-
-@dataclass(frozen=True)
-class SamplerParams:
-    k_neighbors: int = 5
-    m_neighbors: int = 10
-    enn_k: int = 3
-    svm_learning_rate: float = 0.01
-    svm_epochs: int = 200
-    svm_regularization: float = 1e-3
-
-
-@dataclass(frozen=True)
-class Config:
-    seed: int
-    dataset: DataSource
-    num_clients: int
-    samplers: tuple[str, ...]
-    num_folds: int = 5
-    global_rounds: int = 200
-    personalization_rounds: int = 200
-    eval_gap: int = 1
-    concentration: float = 0.5
-    personalize_full_model: bool = True
-    hyper: TrainHyper = field(default_factory=TrainHyper)
-    sampler_params: SamplerParams = field(default_factory=SamplerParams)
-    arch: ArchOverride | None = None
-    output_dir: str = "results"
-
-
-def _unknown_keys(obj: dict, allowed: set[str], where: str):
-    extra = set(obj) - allowed
-    if extra:
-        raise ValueError(f"unknown key(s) in {where}: {', '.join(sorted(extra))}")
-
-
-def _get_int(obj: dict, key: str, default=None, minimum=None, where="config"):
-    if key not in obj:
-        if default is None:
-            raise ValueError(f"{where}: missing required key {key!r}")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"{where}.{key} must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ValueError(f"{where}.{key} must be >= {minimum}, got {v}")
+def _counts(v, name):
+    if not _positive_ints(v) or len(v) < 2:
+        raise ValueError(f"{name} must be a list of >= 2 positive integers")
     return v
 
 
-def _get_float(obj: dict, key: str, default, where="config"):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
-
-
-def _get_bool(obj: dict, key: str, default, where="config"):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if not isinstance(v, bool):
-        raise ValueError(f"{where}.{key} must be true or false, got {v!r}")
+def _stages(v, name):
+    if not isinstance(v, list) or not v or not all(_positive_ints(s) and len(s) == 3 for s in v):
+        raise ValueError(f"{name} must be a list of [channels, kernel, pool] triples")
     return v
 
 
-def _parse_dataset(obj) -> DataSource:
-    if not isinstance(obj, dict):
-        raise ValueError("config.dataset must be an object")
-    kind = obj.get("kind")
-    if kind == "synthetic":
-        _unknown_keys(obj, {"kind", "class_counts", "dim", "scale"}, "config.dataset")
-        counts = obj.get("class_counts", list(DEFAULT_CLASS_COUNTS))
-        if (not isinstance(counts, list) or len(counts) < 2
-                or any(isinstance(c, bool) or not isinstance(c, int) or c < 1 for c in counts)):
-            raise ValueError("dataset.class_counts must be a list of >= 2 positive integers")
-        return DataSource(
-            kind="synthetic",
-            class_counts=tuple(counts),
-            dim=_get_int(obj, "dim", DEFAULT_FEATURE_DIM, minimum=1, where="config.dataset"),
-            scale=_get_float(obj, "scale", 1.0, where="config.dataset"),
-        )
-    if kind == "csv":
-        _unknown_keys(obj, {"kind", "path", "label_column"}, "config.dataset")
-        path = obj.get("path")
-        if not isinstance(path, str) or not path:
-            raise ValueError("dataset.path must be a non-empty string")
-        label_column = obj.get("label_column", "label")
-        if isinstance(label_column, bool) or not isinstance(label_column, (str, int)):
-            raise ValueError("dataset.label_column must be a column name or index")
-        return DataSource(kind="csv", path=path, label_column=label_column)
-    raise ValueError(f"dataset.kind must be 'synthetic' or 'csv', got {kind!r}")
+def _widths(v, name):
+    if not _positive_ints(v):
+        raise ValueError(f"{name} must be a list of positive integers")
+    return v
 
 
-def _parse_hyper(obj) -> TrainHyper:
-    if not isinstance(obj, dict):
-        raise ValueError("config.hyper must be an object")
-    allowed = {"learning_rate", "batch_size", "local_epochs", "train_cost", "send_cost"}
-    _unknown_keys(obj, allowed, "config.hyper")
-    return TrainHyper(
-        learning_rate=_get_float(obj, "learning_rate", 0.01, where="config.hyper"),
-        batch_size=_get_int(obj, "batch_size", 32, minimum=1, where="config.hyper"),
-        local_epochs=_get_int(obj, "local_epochs", 1, minimum=1, where="config.hyper"),
-        train_cost=_get_float(obj, "train_cost", 0.0, where="config.hyper"),
-        send_cost=_get_float(obj, "send_cost", 0.0, where="config.hyper"),
-    )
+def _column(v, name):
+    if isinstance(v, bool) or not isinstance(v, (str, int)):
+        raise ValueError(f"{name} must be a column name or index")
+    return v
 
 
-def _parse_sampler_params(obj) -> SamplerParams:
-    if not isinstance(obj, dict):
-        raise ValueError("config.sampler_params must be an object")
-    allowed = {"k_neighbors", "m_neighbors", "enn_k",
-               "svm_learning_rate", "svm_epochs", "svm_regularization"}
-    _unknown_keys(obj, allowed, "config.sampler_params")
-    w = "config.sampler_params"
-    return SamplerParams(
-        k_neighbors=_get_int(obj, "k_neighbors", 5, minimum=1, where=w),
-        m_neighbors=_get_int(obj, "m_neighbors", 10, minimum=1, where=w),
-        enn_k=_get_int(obj, "enn_k", 3, minimum=1, where=w),
-        svm_learning_rate=_get_float(obj, "svm_learning_rate", 0.01, where=w),
-        svm_epochs=_get_int(obj, "svm_epochs", 200, minimum=1, where=w),
-        svm_regularization=_get_float(obj, "svm_regularization", 1e-3, where=w),
-    )
+def _samplers(v, name):
+    if not isinstance(v, list) or not v:
+        raise ValueError(f"{name} must be a non-empty list")
+    for kind in v:
+        if kind not in SAMPLER_NAMES:
+            raise ValueError(f"unknown sampler {kind!r}; valid: {', '.join(SAMPLER_NAMES)}")
+    if len(set(v)) != len(v):
+        raise ValueError(f"{name} contains duplicates")
+    return v
 
 
-def _parse_arch(obj) -> ArchOverride:
-    if not isinstance(obj, dict):
-        raise ValueError("config.arch must be an object")
-    allowed = {"stages", "latent_dim", "mlp_hidden", "recon_weight", "pred_weight"}
-    _unknown_keys(obj, allowed, "config.arch")
-    default = ArchOverride()
-    stages = obj.get("stages", [list(s) for s in default.stages])
-    if (not isinstance(stages, list) or not stages
-            or any(not isinstance(s, list) or len(s) != 3
-                   or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in s)
-                   for s in stages)):
-        raise ValueError("arch.stages must be a list of [channels, kernel, pool] triples")
-    hidden = obj.get("mlp_hidden", list(default.mlp_hidden))
-    if (not isinstance(hidden, list)
-            or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in hidden)):
-        raise ValueError("arch.mlp_hidden must be a list of positive integers")
-    recon = _get_float(obj, "recon_weight", default.recon_weight, where="config.arch")
-    pred = _get_float(obj, "pred_weight", default.pred_weight, where="config.arch")
-    if recon < 0 or pred < 0 or recon + pred <= 0:
-        raise ValueError("arch loss weights must be non-negative with a positive sum")
-    return ArchOverride(
-        stages=tuple(tuple(s) for s in stages),
-        latent_dim=_get_int(obj, "latent_dim", default.latent_dim, minimum=1, where="config.arch"),
-        mlp_hidden=tuple(hidden),
-        recon_weight=recon,
-        pred_weight=pred,
-    )
+def _dataset(v, name):
+    if not isinstance(v, dict):
+        raise ValueError(f"{name} must be an object")
+    kind = v.get("kind")
+    if kind not in ("synthetic", "csv"):
+        raise ValueError(f"dataset.kind must be 'synthetic' or 'csv', got {kind!r}")
+    return {"kind": kind, **_section(v, kind, name, extra={"kind"})}
 
 
-_TOP_KEYS = {
-    "seed", "dataset", "num_clients", "samplers", "num_folds", "global_rounds",
-    "personalization_rounds", "eval_gap", "concentration", "personalize_full_model",
-    "hyper", "sampler_params", "arch", "output_dir",
+# Every config key as (section, key, type, minimum).  Section None is the top
+# level; "synthetic" and "csv" are the two forms of config.dataset; a type of
+# dict is a nested section named by the key.  A key without a default in
+# _DEFAULTS is required.
+_FIELDS = (
+    (None, "seed", int, 0),
+    (None, "dataset", _dataset, None),
+    (None, "num_clients", int, 2),
+    (None, "samplers", _samplers, None),
+    (None, "num_folds", int, 2),
+    (None, "global_rounds", int, 1),
+    (None, "personalization_rounds", int, 1),
+    (None, "eval_gap", int, 1),
+    (None, "concentration", float, None),
+    (None, "personalize_full_model", bool, None),
+    (None, "output_dir", str, None),
+    (None, "hyper", dict, None),
+    (None, "sampler_params", dict, None),
+    (None, "arch", dict, None),
+    ("synthetic", "class_counts", _counts, None),
+    ("synthetic", "dim", int, 1),
+    ("synthetic", "scale", float, None),
+    ("csv", "path", str, None),
+    ("csv", "label_column", _column, None),
+    ("hyper", "learning_rate", float, None),
+    ("hyper", "batch_size", int, 1),
+    ("hyper", "local_epochs", int, 1),
+    ("sampler_params", "k_neighbors", int, 1),
+    ("sampler_params", "m_neighbors", int, 1),
+    ("sampler_params", "enn_k", int, 1),
+    ("sampler_params", "svm_learning_rate", float, None),
+    ("sampler_params", "svm_epochs", int, 1),
+    ("sampler_params", "svm_regularization", float, None),
+    ("arch", "stages", _stages, None),
+    ("arch", "latent_dim", int, 1),
+    ("arch", "mlp_hidden", _widths, None),
+    ("arch", "recon_weight", float, None),
+    ("arch", "pred_weight", float, None),
+)
+
+
+def _defaults(fn, prefix: str = "") -> dict:
+    """Parameter defaults of a library class or function, as config keys."""
+    return {prefix + name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
+
+
+def _plain(v):
+    """A library default in its JSON form: tuples and conv stages as lists."""
+    if isinstance(v, ConvStage):
+        return [v.channels, v.kernel, v.pool]
+    return [_plain(x) for x in v] if isinstance(v, tuple) else v
+
+
+# A missing section defaults to {} (every key at its default); a None
+# default leaves the key out of the config.
+_DEFAULTS = {
+    None: {**_defaults(ExperimentPlan), "output_dir": "results",
+           "hyper": {}, "sampler_params": {}},
+    "synthetic": _defaults(make_synthetic_spec),
+    "csv": _defaults(load_csv),
+    "hyper": _defaults(TrainHyper),
+    "sampler_params": {**_defaults(SamplerSpec), **_defaults(SvmParams, "svm_")},
+    "arch": _defaults(ArchSpec),
 }
 
 
-def parse_config(obj: dict) -> Config:
-    """Validate a decoded JSON object into a Config; strict about keys."""
+def _value(v, name: str, kind, minimum):
+    if kind is int:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        if minimum is not None and v < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {v}")
+        return v
+    if kind is float:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{name} must be a number, got {v!r}")
+        return float(v)
+    if kind is bool:
+        if not isinstance(v, bool):
+            raise ValueError(f"{name} must be true or false, got {v!r}")
+        return v
+    if kind is str:
+        if not isinstance(v, str) or not v:
+            raise ValueError(f"{name} must be a non-empty string")
+        return v
+    if kind is dict:
+        return _section(v, name.rpartition(".")[2], name)
+    return kind(v, name)
+
+
+def _section(obj, section, where: str, extra=frozenset()) -> dict:
+    """Validate one config object against its rows of _FIELDS, filling in
+    defaults; strict about keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
+    rows = [row for row in _FIELDS if row[0] == section]
+    unknown = set(obj) - {key for _, key, _, _ in rows} - extra
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    defaults = _DEFAULTS[section]
+    out = {}
+    for _, key, kind, minimum in rows:
+        if key in obj:
+            out[key] = _value(obj[key], f"{where}.{key}", kind, minimum)
+        elif key not in defaults:
+            raise ValueError(f"{where}: missing required key {key!r}")
+        elif defaults[key] is not None:
+            out[key] = _value(_plain(defaults[key]), f"{where}.{key}", kind, minimum)
+    return out
+
+
+def parse_config(obj) -> dict:
+    """Validate a decoded JSON object into the canonical config: a JSON-ready
+    dict with every default filled in, which parses back to itself."""
     if not isinstance(obj, dict):
         raise ValueError("config root must be a JSON object")
-    _unknown_keys(obj, _TOP_KEYS, "config")
-    for key in ("seed", "dataset", "num_clients", "samplers"):
-        if key not in obj:
-            raise ValueError(f"config: missing required key {key!r}")
-    samplers = obj["samplers"]
-    if not isinstance(samplers, list) or not samplers:
-        raise ValueError("config.samplers must be a non-empty list")
-    for name in samplers:
-        if name not in SAMPLER_NAMES:
-            raise ValueError(f"unknown sampler {name!r}; valid: {', '.join(SAMPLER_NAMES)}")
-    if len(set(samplers)) != len(samplers):
-        raise ValueError("config.samplers contains duplicates")
-    concentration = _get_float(obj, "concentration", 0.5)
-    if concentration <= 0:
+    config = _section(obj, None, "config")
+    if config["concentration"] <= 0:
         raise ValueError("config.concentration must be positive")
-    output_dir = obj.get("output_dir", "results")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ValueError("config.output_dir must be a non-empty string")
-    return Config(
-        seed=_get_int(obj, "seed", minimum=0),
-        dataset=_parse_dataset(obj["dataset"]),
-        num_clients=_get_int(obj, "num_clients", minimum=2),
-        samplers=tuple(samplers),
-        num_folds=_get_int(obj, "num_folds", 5, minimum=2),
-        global_rounds=_get_int(obj, "global_rounds", 200, minimum=1),
-        personalization_rounds=_get_int(obj, "personalization_rounds", 200, minimum=1),
-        eval_gap=_get_int(obj, "eval_gap", 1, minimum=1),
-        concentration=concentration,
-        personalize_full_model=_get_bool(obj, "personalize_full_model", True),
-        hyper=_parse_hyper(obj.get("hyper", {})),
-        sampler_params=_parse_sampler_params(obj.get("sampler_params", {})),
-        arch=_parse_arch(obj["arch"]) if "arch" in obj else None,
-        output_dir=output_dir,
-    )
+    if "arch" in config:
+        recon, pred = config["arch"]["recon_weight"], config["arch"]["pred_weight"]
+        if recon < 0 or pred < 0 or recon + pred <= 0:
+            raise ValueError("arch loss weights must be non-negative with a positive sum")
+    return config
 
 
-def load_config(path) -> Config:
+def load_config(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -265,156 +214,81 @@ def load_config(path) -> Config:
     return parse_config(obj)
 
 
-def config_to_dict(config: Config) -> dict:
-    """Canonical JSON-ready form; parse_config round-trips it exactly."""
-    if config.dataset.kind == "synthetic":
-        dataset = {
-            "kind": "synthetic",
-            "class_counts": list(config.dataset.class_counts),
-            "dim": config.dataset.dim,
-            "scale": config.dataset.scale,
-        }
-    else:
-        dataset = {
-            "kind": "csv",
-            "path": config.dataset.path,
-            "label_column": config.dataset.label_column,
-        }
-    out = {
-        "seed": config.seed,
-        "dataset": dataset,
-        "num_clients": config.num_clients,
-        "samplers": list(config.samplers),
-        "num_folds": config.num_folds,
-        "global_rounds": config.global_rounds,
-        "personalization_rounds": config.personalization_rounds,
-        "eval_gap": config.eval_gap,
-        "concentration": config.concentration,
-        "personalize_full_model": config.personalize_full_model,
-        "output_dir": config.output_dir,
-        "hyper": {
-            "learning_rate": config.hyper.learning_rate,
-            "batch_size": config.hyper.batch_size,
-            "local_epochs": config.hyper.local_epochs,
-            "train_cost": config.hyper.train_cost,
-            "send_cost": config.hyper.send_cost,
-        },
-        "sampler_params": {
-            "k_neighbors": config.sampler_params.k_neighbors,
-            "m_neighbors": config.sampler_params.m_neighbors,
-            "enn_k": config.sampler_params.enn_k,
-            "svm_learning_rate": config.sampler_params.svm_learning_rate,
-            "svm_epochs": config.sampler_params.svm_epochs,
-            "svm_regularization": config.sampler_params.svm_regularization,
-        },
-    }
-    if config.arch is not None:
-        out["arch"] = {
-            "stages": [list(s) for s in config.arch.stages],
-            "latent_dim": config.arch.latent_dim,
-            "mlp_hidden": list(config.arch.mlp_hidden),
-            "recon_weight": config.arch.recon_weight,
-            "pred_weight": config.arch.pred_weight,
-        }
-    return out
+def build_dataset(config: dict) -> Dataset:
+    src = config["dataset"]
+    if src["kind"] == "synthetic":
+        spec = make_synthetic_spec(src["class_counts"], src["dim"], src["scale"],
+                                   seed=config["seed"])
+        return generate_synthetic(spec, derive_seed(config["seed"], "data"))
+    return load_csv(src["path"], src["label_column"])
 
 
-def build_dataset(config: Config) -> Dataset:
-    src = config.dataset
-    if src.kind == "synthetic":
-        spec = make_synthetic_spec(src.class_counts, src.dim, src.scale, seed=config.seed)
-        return generate_synthetic(spec, derive_seed(config.seed, "data"))
-    return load_csv(src.path, src.label_column)
-
-
-def build_plan(config: Config, ds: Dataset, work_dir) -> ExperimentPlan:
-    sp = config.sampler_params
-    svm = SvmParams(learning_rate=sp.svm_learning_rate, epochs=sp.svm_epochs,
-                    regularization=sp.svm_regularization)
-    samplers = tuple(
-        SamplerSpec(kind=name, k_neighbors=sp.k_neighbors, m_neighbors=sp.m_neighbors,
-                    enn_k=sp.enn_k, svm=svm)
-        for name in config.samplers
-    )
+def build_plan(config: dict, ds: Dataset, work_dir) -> ExperimentPlan:
+    # sampler_params holds SamplerSpec's fields, and SvmParams' behind "svm_"
+    spec = {key: v for key, v in config["sampler_params"].items() if not key.startswith("svm_")}
+    svm = SvmParams(**{key[4:]: v for key, v in config["sampler_params"].items()
+                       if key.startswith("svm_")})
     arch = None
-    if config.arch is not None:
-        arch = ArchSpec(
-            input_len=ds.num_features,
-            num_classes=ds.num_classes,
-            stages=tuple(ConvStage(*s) for s in config.arch.stages),
-            latent_dim=config.arch.latent_dim,
-            mlp_hidden=config.arch.mlp_hidden,
-            recon_weight=config.arch.recon_weight,
-            pred_weight=config.arch.pred_weight,
-        )
+    if "arch" in config:
+        a = config["arch"]
+        arch = ArchSpec(input_len=ds.num_features, num_classes=ds.num_classes,
+                        **{**a, "stages": tuple(ConvStage(*s) for s in a["stages"]),
+                           "mlp_hidden": tuple(a["mlp_hidden"])})
     return ExperimentPlan(
         dataset=ds,
-        num_clients=config.num_clients,
-        samplers=samplers,
+        num_clients=config["num_clients"],
+        samplers=tuple(SamplerSpec(kind=name, svm=svm, **spec) for name in config["samplers"]),
         work_dir=Path(work_dir),
-        num_folds=config.num_folds,
-        global_rounds=config.global_rounds,
-        personalization_rounds=config.personalization_rounds,
-        eval_gap=config.eval_gap,
-        master_seed=config.seed,
-        concentration=config.concentration,
+        num_folds=config["num_folds"],
+        global_rounds=config["global_rounds"],
+        personalization_rounds=config["personalization_rounds"],
+        eval_gap=config["eval_gap"],
+        master_seed=config["seed"],
+        concentration=config["concentration"],
         arch=arch,
-        hyper=config.hyper,
-        personalize_full_model=config.personalize_full_model,
+        hyper=TrainHyper(**config["hyper"]),
+        personalize_full_model=config["personalize_full_model"],
     )
 
 
 _METRIC_COLUMNS = ("test_accuracy", "test_auc", "std_test_accuracy", "std_test_auc", "train_loss")
 
 
-def _write_metrics_csv(path: Path, records: list[MetricsRecord]):
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("fold", "sampler", "round") + _METRIC_COLUMNS)
-        for r in records:
-            writer.writerow([r.fold, r.sampler, r.round]
-                            + [f"{getattr(r, c):.6f}" for c in _METRIC_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _write_summary_csv(path: Path, rows: list[dict]):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("sampler", "round") + _METRIC_COLUMNS)
-        for row in rows:
-            writer.writerow([row["sampler"], row["round"]]
-                            + [f"{row[c]:.6f}" for c in _METRIC_COLUMNS])
-
-
-def _write_violin_csv(path: Path, records: list[MetricsRecord], sampler_order: tuple[str, ...]):
-    rank = {name: i for i, name in enumerate(sampler_order)}
-    ordered = sorted(records, key=lambda r: (rank[r.sampler], r.fold, r.round))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("sampler", "fold", "round", "std_test_accuracy"))
-        for r in ordered:
-            writer.writerow([r.sampler, r.fold, r.round, f"{r.std_test_accuracy:.6f}"])
-
-
-def write_outputs(table: MetricsTable, config: Config, output_dir: Path):
+def write_outputs(table: MetricsTable, config: dict, output_dir: Path):
     output_dir.mkdir(parents=True, exist_ok=True)
-    _write_metrics_csv(output_dir / "metrics.csv", table.records)
-    _write_summary_csv(output_dir / "summary.csv", aggregate_over_folds(table.records))
-    _write_violin_csv(output_dir / "violin.csv", table.records, config.samplers)
+    records = table.records
+    _write_csv(output_dir / "metrics.csv", ("fold", "sampler", "round") + _METRIC_COLUMNS,
+               ([r.fold, r.sampler, r.round] + [f"{getattr(r, c):.6f}" for c in _METRIC_COLUMNS]
+                for r in records))
+    _write_csv(output_dir / "summary.csv", ("sampler", "round") + _METRIC_COLUMNS,
+               ([row["sampler"], row["round"]] + [f"{row[c]:.6f}" for c in _METRIC_COLUMNS]
+                for row in aggregate_over_folds(records)))
+    rank = {name: i for i, name in enumerate(config["samplers"])}
+    _write_csv(output_dir / "violin.csv", ("sampler", "fold", "round", "std_test_accuracy"),
+               ([r.sampler, r.fold, r.round, f"{r.std_test_accuracy:.6f}"]
+                for r in sorted(records, key=lambda r: (rank[r.sampler], r.fold, r.round))))
     manifest = {
         "tool": "fedbalance",
         "version": __version__,
-        "config": config_to_dict(config),
+        "config": config,
         "num_records": len(table),
     }
     with open(output_dir / "run_manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def run(config: Config, output_dir=None) -> MetricsTable:
+def run(config: dict, output_dir=None) -> MetricsTable:
     """Execute the full experiment and write all output files.
 
     ``output_dir`` overrides the config's own ``output_dir`` when given."""
-    output_dir = Path(output_dir if output_dir is not None else config.output_dir)
+    output_dir = Path(output_dir if output_dir is not None else config["output_dir"])
     ds = build_dataset(config)
     plan = build_plan(config, ds, output_dir / "checkpoints")
     table = run_experiment(plan)
@@ -440,10 +314,10 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = replace(config, seed=args.seed)
+            config = {**config, "seed": args.seed}
         if args.folds is not None:
-            config = replace(config, num_folds=args.folds)
-        out_dir = args.output if args.output is not None else config.output_dir
+            config = {**config, "num_folds": args.folds}
+        out_dir = args.output if args.output is not None else config["output_dir"]
         table = run(config, out_dir)
     except (ValueError, RuntimeError, FloatingPointError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

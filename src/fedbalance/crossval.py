@@ -1,9 +1,9 @@
 """Stratified K-fold orchestration of the federated train/personalize cycle.
 
-Per fold: partition-respecting global FedAvg training, a checkpoint of the
-server and of every client, then one personalization pass per sampling
-technique, each starting from the same reloaded server checkpoint so
-techniques are compared from identical bytes.  Metrics are recorded on a
+Per fold: partition-respecting global FedAvg training, one checkpoint of
+the server (which holds every client), then one personalization pass per
+sampling technique, each starting from the same reloaded server checkpoint
+so techniques are compared from identical bytes.  Metrics are recorded on a
 fixed round schedule and collected into a flat table keyed (fold, sampler,
 round).
 """
@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-# load_client stays importable here so that callers and tools can patch
-# or wrap it by name, though a fold never reads client files back
+# save_client and load_client stay importable here so that callers and
+# tools can patch or wrap them by name, though a fold writes and reads
+# global.fedh only
 from .checkpoint import load_client, load_global, save_client, save_global  # noqa: F401
 from .dataset import Dataset, partition_noniid, stratified_kfold
 from .federation import (
@@ -30,7 +29,7 @@ from .federation import (
     run_global_round,
     train_on,
 )
-from .gcae import ArchSpec, ModelState, init_model
+from .gcae import ArchSpec, init_model
 from .resampling import SamplerSpec
 from .seeding import derive_rng, derive_seed
 
@@ -82,17 +81,6 @@ class MetricsTable:
             out = [r for r in out if r.round == round]
         return out
 
-    def to_dicts(self) -> list[dict]:
-        return [
-            {
-                "fold": r.fold, "sampler": r.sampler, "round": r.round,
-                "test_accuracy": r.test_accuracy, "test_auc": r.test_auc,
-                "std_test_accuracy": r.std_test_accuracy, "std_test_auc": r.std_test_auc,
-                "train_loss": r.train_loss,
-            }
-            for r in self.records
-        ]
-
 
 def _as_spec(s) -> SamplerSpec:
     return s if isinstance(s, SamplerSpec) else SamplerSpec(kind=s)
@@ -100,11 +88,7 @@ def _as_spec(s) -> SamplerSpec:
 
 @dataclass
 class ExperimentPlan:
-    """Everything needed to reproduce one experiment, plus progress state.
-
-    ``fold_now`` tracks the fold currently (or last) being processed so a
-    crashed run can be resumed against the on-disk checkpoints.
-    """
+    """Everything needed to reproduce one experiment."""
 
     dataset: Dataset
     num_clients: int
@@ -119,7 +103,6 @@ class ExperimentPlan:
     arch: ArchSpec | None = None
     hyper: TrainHyper = field(default_factory=TrainHyper)
     personalize_full_model: bool = True
-    fold_now: int = 0
 
     def __post_init__(self):
         self.samplers = tuple(_as_spec(s) for s in self.samplers)
@@ -193,14 +176,12 @@ def _global_eval(server: ServerState, features, labels) -> None:
 def run_fold(plan: ExperimentPlan, fold: int) -> list[MetricsRecord]:
     """Run one fold end to end and return its metric rows.
 
-    Writes ``global.fedh`` plus one ``client_<id>.fedh`` per client into the
-    fold directory after the global phase.  Every sampler trial starts by
-    reloading ``global.fedh``, which holds every client's metadata and model
-    too, so trials cannot contaminate each other.
+    Writes ``global.fedh``, which holds every client's rows and model too,
+    into the fold directory after the global phase.  Every sampler trial
+    starts by reloading it, so trials cannot contaminate each other.
     """
     if not 0 <= fold < plan.num_folds:
         raise ValueError(f"fold {fold} outside 0..{plan.num_folds - 1}")
-    plan.fold_now = fold
     features, labels = plan.dataset.features, plan.dataset.labels
     shards = _partition(plan)
     splits = _split_clients(shards, _fold_plan(plan), fold)
@@ -227,8 +208,6 @@ def run_fold(plan: ExperimentPlan, fold: int) -> list[MetricsRecord]:
     fold_dir = plan.fold_dir(fold)
     fold_dir.mkdir(parents=True, exist_ok=True)
     save_global(fold_dir / "global.fedh", server)
-    for c in server.clients:
-        save_client(fold_dir / f"client_{c.client_id}.fedh", c)
 
     records: list[MetricsRecord] = []
     for spec in plan.samplers:

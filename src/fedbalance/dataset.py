@@ -136,11 +136,12 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     )
 
 
-def load_csv(path, label_column) -> Dataset:
+def load_csv(path, label_column="label") -> Dataset:
     """Load a one-header-row numeric CSV; label column by name or index.
 
     Labels (possibly strings) are mapped to contiguous class indices in
-    order of first appearance; feature columns keep their file order.
+    order of first appearance; feature columns keep their file order and
+    parse as Python's ``float`` does.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -160,27 +161,29 @@ def load_csv(path, label_column) -> Dataset:
             except ValueError:
                 raise ValueError(f"label column {label_column!r} not in header") from None
 
-        rows = []
+        cells = []
         raw_labels = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: ragged row ({len(row)} cells, expected {len(header)})")
-            raw_labels.append(row[label_idx])
-            values = []
-            for j, cell in enumerate(row):
-                if j == label_idx:
-                    continue
+            raw_labels.append(row.pop(label_idx))
+            cells.append(row)
+
+    if not cells:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        features = np.array(cells, dtype=np.float64)
+    except ValueError:
+        features = None
+    if features is None or not np.isfinite(features).all():
+        for lineno, row in enumerate(cells, start=2):  # name the first bad cell
+            for cell in row:
                 try:
                     v = float(cell)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
                 if not np.isfinite(v):
                     raise ValueError(f"{path}:{lineno}: non-finite cell {cell!r}")
-                values.append(v)
-            rows.append(values)
-
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
     label_map: dict[str, int] = {}
     labels = []
     for raw in raw_labels:
@@ -190,7 +193,7 @@ def load_csv(path, label_column) -> Dataset:
     if len(label_map) < 2:
         raise ValueError("fewer than 2 classes")
     return Dataset(
-        features=np.asarray(rows, dtype=np.float64),
+        features=features,
         labels=np.asarray(labels, dtype=np.int64),
         num_classes=len(label_map),
     )

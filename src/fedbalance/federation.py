@@ -1,14 +1,10 @@
-"""Cloud-edge simulation: FedAvg rounds, local SGD, latent-space personalization.
+"""Cloud-edge simulation: FedAvg rounds, local SGD, latent-space balancing.
 
-A global round copies the server model to every selected client, trains it
-locally on the client's fold-train rows, and replaces the server model with
-the sample-count-weighted average of the returned models.  Personalization
-reuses the same local-training machinery but never aggregates: each client
-drifts on its own class-balanced data.
-
-Clients carry simulated-deployment metadata (slow flags, accumulated time
-costs).  The costs are incremented by configurable amounts each round and
-are checkpointed, but they never influence training results.
+A global round copies the server model to every client, trains it locally
+on the client's fold-train rows, and replaces the server model with the
+sample-count-weighted average of the returned models.  Personalization
+(``crossval``) reuses the same local training but never aggregates: each
+client drifts on its own class-balanced data.
 """
 
 from __future__ import annotations
@@ -28,30 +24,22 @@ class TrainHyper:
     learning_rate: float = 0.01
     batch_size: int = 32
     local_epochs: int = 1
-    train_cost: float = 0.0  # simulated time added per participating round
-    send_cost: float = 0.0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1 or self.local_epochs < 1:
             raise ValueError("batch_size and local_epochs must be >= 1")
-        if self.train_cost < 0 or self.send_cost < 0:
-            raise ValueError("simulated costs must be non-negative")
 
 
 @dataclass
 class ClientState:
-    """One simulated edge device: its model, its rows, and inert metadata."""
+    """One simulated edge device: its model and its fold's row indices."""
 
     client_id: int
     model: ModelState
     train_indices: np.ndarray
     test_indices: np.ndarray
-    train_slow: bool = False
-    send_slow: bool = False
-    train_time_cost: float = 0.0
-    send_time_cost: float = 0.0
 
     def __post_init__(self):
         self.train_indices = np.asarray(self.train_indices, dtype=np.int64)
@@ -59,34 +47,16 @@ class ClientState:
         if np.intersect1d(self.train_indices, self.test_indices).size:
             raise ValueError("train and test indices overlap")
 
-    @property
-    def num_train(self) -> int:
-        return len(self.train_indices)
-
 
 @dataclass
 class ServerState:
     global_model: ModelState
     clients: list[ClientState]
-    selected_clients: list[int] | None = None  # None -> all clients
-    train_slow_clients: list[bool] | None = None
-    send_slow_clients: list[bool] | None = None
     rs_test_acc: list[float] = field(default_factory=list)
     rs_test_auc: list[float] = field(default_factory=list)
     rs_train_loss: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        n = len(self.clients)
-        if self.selected_clients is None:
-            self.selected_clients = list(range(n))
-        if self.train_slow_clients is None:
-            self.train_slow_clients = [c.train_slow for c in self.clients]
-        if self.send_slow_clients is None:
-            self.send_slow_clients = [c.send_slow for c in self.clients]
-        if any(not 0 <= i < n for i in self.selected_clients):
-            raise ValueError("selected_clients must index into clients")
-        if len(self.train_slow_clients) != n or len(self.send_slow_clients) != n:
-            raise ValueError("slow-flag lists must have one entry per client")
         for c in self.clients:
             if c.model.arch != self.global_model.arch:
                 raise ValueError(f"client {c.client_id} arch differs from the server's")
@@ -143,18 +113,15 @@ def train_on(model: ModelState, features, labels, hyper: TrainHyper, rng,
 
 def run_global_round(server: ServerState, features, labels, hyper: TrainHyper,
                      rng_factory) -> float:
-    """One FedAvg round over the selected clients.
+    """One FedAvg round over every client.
 
     ``rng_factory(client_id)`` supplies each client's batch-shuffling stream.
     Clients with empty fold-train data are skipped with a warning; if every
-    selected client is empty the round fails.  Returns the sample-weighted
-    mean client train loss, which is also appended to rs_train_loss.
+    client is empty the round fails.  Returns the sample-weighted mean
+    client train loss, which is also appended to rs_train_loss.
     """
-    if not server.selected_clients:
-        raise ValueError("no clients selected")
     models, weights, losses = [], [], []
-    for idx in server.selected_clients:
-        client = server.clients[idx]
+    for client in server.clients:
         tr = client.train_indices
         if len(tr) == 0:
             warnings.warn(f"client {client.client_id} has no fold-train data; skipping",
@@ -164,13 +131,11 @@ def run_global_round(server: ServerState, features, labels, hyper: TrainHyper,
         client_loss = train_on(local, features[tr], labels[tr], hyper,
                                rng_factory(client.client_id))
         client.model = local
-        client.train_time_cost += hyper.train_cost * (2.0 if client.train_slow else 1.0)
-        client.send_time_cost += hyper.send_cost * (2.0 if client.send_slow else 1.0)
         models.append(local)
         weights.append(len(tr))
         losses.append(client_loss)
     if not models:
-        raise ValueError("every selected client was empty; nothing to aggregate")
+        raise ValueError("every client was empty; nothing to aggregate")
     server.global_model = fedavg(models, weights)
     mean_loss = float(np.average(losses, weights=weights))
     server.rs_train_loss.append(mean_loss)
@@ -211,25 +176,6 @@ def build_personalization_set(model: ModelState, features, labels,
     if rs.is_synthetic.any():
         out[rs.is_synthetic] = decode(model, rs.features[rs.is_synthetic])
     return PersonalSet(features=out, labels=rs.labels.copy(), resampled=rs)
-
-
-def personalize_client(client: ClientState, global_model: ModelState, spec: SamplerSpec,
-                       features, labels, hyper: TrainHyper, resample_rng, round_rng_factory,
-                       rounds: int, full_model: bool = True) -> ClientState:
-    """Full per-client personalization: init from the global model, balance
-    the client's fold-train rows in latent space, then train ``rounds``
-    local rounds with no aggregation.  The global model is never mutated.
-    ``round_rng_factory(round_no)`` supplies each round's shuffling stream."""
-    model = global_model.copy()
-    tr = client.train_indices
-    features = np.asarray(features)
-    labels = np.asarray(labels, dtype=np.int64)
-    pers = build_personalization_set(model, features[tr], labels[tr], spec, resample_rng)
-    for r in range(1, rounds + 1):
-        train_on(model, pers.features, pers.labels, hyper, round_rng_factory(r),
-                 head_only=not full_model)
-    client.model = model
-    return client
 
 
 @dataclass(frozen=True)

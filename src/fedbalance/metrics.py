@@ -2,23 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.stats import rankdata
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    accuracy: float
-    auc: float
-    sample_count: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.accuracy <= 1.0 and 0.0 <= self.auc <= 1.0):
-            raise ValueError("accuracy and auc must lie in [0, 1]")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
 
 
 def accuracy(predicted: np.ndarray, true: np.ndarray) -> float:
@@ -32,11 +16,27 @@ def accuracy(predicted: np.ndarray, true: np.ndarray) -> float:
     return float(np.mean(predicted == true))
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, each group of ties given the mean of the
+    ranks it spans.  The means are half-integers, so they are exact."""
+    values = np.asarray(values)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new_group = np.empty(len(values), dtype=bool)
+    new_group[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], len(values))
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = ((starts + 1 + ends) / 2.0)[np.cumsum(new_group) - 1]
+    return ranks
+
+
 def _binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:
     # Mann-Whitney with tied ranks averaged.
     n_pos = int(positives.sum())
     n_neg = len(positives) - n_pos
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     rank_sum = float(ranks[positives].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -41,7 +41,6 @@ class SamplerSpec:
     m_neighbors: int = 10
     enn_k: int = 3
     svm: SvmParams = field(default_factory=SvmParams)
-    target: str = "majority"
 
     def __post_init__(self):
         if self.kind not in SAMPLER_NAMES:
@@ -50,8 +49,6 @@ class SamplerSpec:
             raise ValueError("neighbor counts must be >= 1")
         if self.svm.epochs < 1:
             raise ValueError("svm epochs must be >= 1")
-        if self.target != "majority":
-            raise ValueError("only balance-to-majority is supported")
 
 
 @dataclass
@@ -213,8 +210,9 @@ def _balance(features: np.ndarray, labels: np.ndarray, rng, seed_selector) -> Re
     """Pad every non-majority class up to the majority count.
 
     ``seed_selector(class_rows, class_label, global_positions)`` returns the
-    positions (into class_rows) eligible as interpolation seeds; single-row
-    classes fall back to random replication.
+    positions (into class_rows) eligible as interpolation seeds.  Classes
+    are padded by random replication instead when the selector is None or
+    the class has a single row.
     """
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
@@ -231,7 +229,7 @@ def _balance(features: np.ndarray, labels: np.ndarray, rng, seed_selector) -> Re
             continue
         positions = np.flatnonzero(labels == c)
         class_rows = features[positions]
-        if len(class_rows) < 2:
+        if seed_selector is None or len(class_rows) < 2:
             synth_blocks.append(_replicate(class_rows, n_new, rng))
         else:
             seeds = seed_selector(class_rows, int(c), positions)
@@ -319,38 +317,7 @@ class _MarginSeeds:
 def random_oversample(features: np.ndarray, labels: np.ndarray, rng) -> ResampledSet:
     """Pad every non-majority class to the majority count by replicating
     its own rows uniformly with replacement."""
-    features = np.asarray(features)
-    labels = np.asarray(labels, dtype=np.int64)
-    counts = _class_counts(labels)
-    present = np.flatnonzero(counts)
-    if len(present) < 2:
-        raise ValueError("need at least 2 classes")
-    majority = int(counts.max())
-    synth_blocks, synth_labels = [], []
-    for c in present:
-        n_new = majority - int(counts[c])
-        if n_new == 0:
-            continue
-        class_rows = features[labels == c]
-        synth_blocks.append(_replicate(class_rows, n_new, rng))
-        synth_labels.append(np.full(n_new, c, dtype=np.int64))
-    if synth_blocks:
-        out_features = np.concatenate([features] + synth_blocks)
-        out_labels = np.concatenate([labels] + synth_labels)
-    else:
-        out_features = features.copy()
-        out_labels = labels.copy()
-    n_orig, n_total = len(features), len(out_features)
-    is_synthetic = np.zeros(n_total, dtype=bool)
-    is_synthetic[n_orig:] = True
-    return ResampledSet(
-        features=out_features,
-        labels=out_labels,
-        is_synthetic=is_synthetic,
-        source_indices=np.concatenate([np.arange(n_orig), np.full(n_total - n_orig, -1)]),
-        source_counts=counts,
-        result_counts=_class_counts(out_labels),
-    )
+    return _balance(features, labels, rng, None)
 
 
 def borderline_smote(features: np.ndarray, labels: np.ndarray, spec: SamplerSpec, rng) -> ResampledSet:

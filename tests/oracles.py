@@ -85,6 +85,14 @@ def pairwise_auc(scores, is_positive) -> float:
     return total / (len(pos) * len(neg))
 
 
+def average_rank_ref(values) -> list[float]:
+    """1-based rank of each value with ties sharing the mean of the ranks
+    they span: one plus the smaller values plus half the other equal ones."""
+    values = list(values)
+    return [1 + sum(x < y for x in values) + (sum(x == y for x in values) - 1) / 2
+            for y in values]
+
+
 def segments_hold(class_rows, synthetics, rel: float = 1e-6) -> np.ndarray:
     """For each synthetic row, whether it lies on the segment between *some*
     pair of class rows: d(p,s) + d(s,q) - d(p,q) <= rel * d(p,q)."""

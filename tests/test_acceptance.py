@@ -133,12 +133,10 @@ def test_criterion_4_checkpoint_roundtrip_and_corruption(tmp_path):
         rng = np.random.default_rng(11)
         clients = [
             ClientState(i, init_model(arch, rng),
-                        np.arange(4 * i, 4 * i + 4), np.arange(20 + 2 * i, 22 + 2 * i),
-                        train_slow=bool(i % 2), send_slow=(i == 0),
-                        train_time_cost=i / 3.0, send_time_cost=1.5 * i)
+                        np.arange(4 * i, 4 * i + 4), np.arange(20 + 2 * i, 22 + 2 * i))
             for i in range(3)
         ]
-        server = ServerState(init_model(arch, rng), clients, selected_clients=[0, 2],
+        server = ServerState(init_model(arch, rng), clients,
                              rs_test_acc=[0.5, 0.625], rs_test_auc=[0.5, 0.75],
                              rs_train_loss=[1.25, 1.0, 0.75])
         path = tmp_path / "state.fedh"
@@ -150,9 +148,6 @@ def test_criterion_4_checkpoint_roundtrip_and_corruption(tmp_path):
             assert a.tobytes() == b.tobytes()
         for name, p in server.global_model.params.items():
             assert loaded.global_model.params[name].tobytes() == p.tobytes()
-        assert loaded.selected_clients == server.selected_clients
-        assert loaded.train_slow_clients == server.train_slow_clients
-        assert loaded.send_slow_clients == server.send_slow_clients
         assert loaded.rs_test_acc == server.rs_test_acc
         assert loaded.rs_test_auc == server.rs_test_auc
         assert loaded.rs_train_loss == server.rs_train_loss
@@ -160,9 +155,6 @@ def test_criterion_4_checkpoint_roundtrip_and_corruption(tmp_path):
             assert c1.client_id == c0.client_id
             assert np.array_equal(c1.train_indices, c0.train_indices)
             assert np.array_equal(c1.test_indices, c0.test_indices)
-            assert (c1.train_slow, c1.send_slow) == (c0.train_slow, c0.send_slow)
-            assert c1.train_time_cost == c0.train_time_cost
-            assert c1.send_time_cost == c0.send_time_cost
             for name, p in c0.model.params.items():
                 assert c1.model.params[name].tobytes() == p.tobytes()
 

@@ -4,8 +4,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedbalance.checkpoint import (
+    VERSION,
     CheckpointError,
     load_client,
     load_global,
@@ -28,15 +31,11 @@ def make_server(seed=0):
             model=init_model(ARCH, np.random.default_rng(seed + 10 + i)),
             train_indices=rng.choice(100, size=8, replace=False),
             test_indices=np.arange(100 + i * 3, 103 + i * 3),
-            train_slow=(i == 1),
-            send_slow=(i == 2),
-            train_time_cost=0.25 + 1.5 * i,
-            send_time_cost=i / 3.0,  # not exactly representable for i=1
         )
         for i in range(3)
     ]
-    return ServerState(gm, clients, selected_clients=[0, 2],
-                       rs_test_acc=[0.4, 0.5], rs_test_auc=[0.6, 0.65],
+    return ServerState(gm, clients,
+                       rs_test_acc=[0.4, 0.5], rs_test_auc=[0.6, 1 / 3.0],  # 1/3 is inexact
                        rs_train_loss=[2.0, 1.5, 1.2])
 
 
@@ -49,20 +48,13 @@ def test_global_round_trip_restores_every_field(tmp_path):
     for k in server.global_model.params:
         assert np.array_equal(back.global_model.params[k], server.global_model.params[k])
     assert back.global_model.arch == ARCH
-    assert back.selected_clients == [0, 2]
-    assert back.train_slow_clients == [False, True, False]
-    assert back.send_slow_clients == [False, False, True]
     assert back.rs_test_acc == [0.4, 0.5]
-    assert back.rs_test_auc == [0.6, 0.65]
+    assert back.rs_test_auc == [0.6, 1 / 3.0]  # bitwise float round-trip
     assert back.rs_train_loss == [2.0, 1.5, 1.2]
     for orig, rest in zip(server.clients, back.clients):
         assert rest.client_id == orig.client_id
         assert np.array_equal(rest.train_indices, orig.train_indices)
         assert np.array_equal(rest.test_indices, orig.test_indices)
-        assert rest.train_slow == orig.train_slow
-        assert rest.send_slow == orig.send_slow
-        assert rest.train_time_cost == orig.train_time_cost  # bitwise float round-trip
-        assert rest.send_time_cost == orig.send_time_cost
         for k in orig.model.params:
             assert np.array_equal(rest.model.params[k], orig.model.params[k])
 
@@ -72,7 +64,9 @@ def test_client_round_trip(tmp_path):
     path = tmp_path / "c.fedh"
     save_client(path, client)
     back = load_client(path)
-    assert back.client_id == 1 and back.train_slow and back.send_time_cost == 1 / 3.0
+    assert back.client_id == 1
+    assert np.array_equal(back.train_indices, client.train_indices)
+    assert np.array_equal(back.test_indices, client.test_indices)
     for k in client.model.params:
         assert np.array_equal(back.model.params[k], client.model.params[k])
 
@@ -153,12 +147,13 @@ def test_bad_magic_and_version(tmp_path):
     wrong_magic.write_bytes(b"NOPE" + bytes(raw[4:]))
     with pytest.raises(CheckpointError, match="magic"):
         load_global(wrong_magic)
-    wrong_version = bytearray(raw)
-    struct.pack_into("<I", wrong_version, 4, 99)
-    vp = tmp_path / "v.fedh"
-    vp.write_bytes(wrong_version)
-    with pytest.raises(CheckpointError, match="version"):
-        load_global(vp)
+    for version in (1, 99):  # 1 is the format before the strict header
+        wrong_version = bytearray(raw)
+        struct.pack_into("<I", wrong_version, 4, version)
+        vp = tmp_path / "v.fedh"
+        vp.write_bytes(wrong_version)
+        with pytest.raises(CheckpointError, match=f"unsupported version {version}"):
+            load_global(vp)
 
 
 def test_kind_mismatch_both_directions(tmp_path):
@@ -178,7 +173,7 @@ def _rewrite_header(path, mutate):
     payload = raw[hlen:]
     mutate(header)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path.write_bytes(struct.pack("<4sIQ", b"FEDH", 1, len(blob)) + blob + payload)
+    path.write_bytes(struct.pack("<4sIQ", b"FEDH", VERSION, len(blob)) + blob + payload)
 
 
 def test_tensor_directory_must_match_architecture(tmp_path):
@@ -243,7 +238,7 @@ def _rewrite_payload(path, mutate):
     mutate(header, payload)
     header["payload_crc32"] = zlib.crc32(payload)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path.write_bytes(struct.pack("<4sIQ", b"FEDH", 1, len(blob)) + blob + bytes(payload))
+    path.write_bytes(struct.pack("<4sIQ", b"FEDH", VERSION, len(blob)) + blob + bytes(payload))
 
 
 def _entry(header, name):
@@ -286,3 +281,108 @@ def test_load_rejects_tensor_offsets_outside_the_payload(tmp_path, where):
     with pytest.raises(CheckpointError, match="tensor global/dec.fc.w: bytes .* outside"):
         load_global(path)
 
+
+
+# --- the strict header schema of format version 2 ---
+
+
+@pytest.mark.parametrize("block", ["arch", "server", "clients", "tensors"])
+def test_load_rejects_a_missing_block(tmp_path, block):
+    path = tmp_path / "g.fedh"
+    save_global(path, make_server())
+    _rewrite_header(path, lambda h: h.pop(block))
+    with pytest.raises(CheckpointError, match=f"'{block}' block is missing"):
+        load_global(path)
+
+
+@pytest.mark.parametrize("mutate", [lambda arch: arch.pop("stages"),
+                                    lambda arch: arch.update(latent_dim=4.0),
+                                    lambda arch: arch.update(mlp_hidden=[6, True])],
+                         ids=["no_stages", "float_size", "bool_width"])
+def test_load_rejects_a_malformed_arch_block(tmp_path, mutate):
+    path = tmp_path / "g.fedh"
+    save_global(path, make_server())
+    _rewrite_header(path, lambda h: mutate(h["arch"]))
+    with pytest.raises(CheckpointError, match="'arch' block is malformed"):
+        load_global(path)
+
+
+def test_load_rejects_a_tensor_without_a_name(tmp_path):
+    path = tmp_path / "g.fedh"
+    save_global(path, make_server())
+    _rewrite_header(path, lambda h: h["tensors"][3].pop("name"))
+    with pytest.raises(CheckpointError, match="tensor #3 has no name"):
+        load_global(path)
+
+
+def test_load_rejects_overlapping_tensors(tmp_path):
+    """Two tensors of one size aliasing the same bytes leave the payload
+    length and checksum intact, so only the range check can object."""
+    path = tmp_path / "g.fedh"
+    save_global(path, make_server())
+
+    def alias(header):
+        _entry(header, "client/2/enc.fc.b")["offset"] = _entry(header, "client/1/enc.fc.b")["offset"]
+
+    _rewrite_header(path, alias)
+    with pytest.raises(CheckpointError, match="client/1/enc.fc.b and client/2/enc.fc.b overlap"):
+        load_global(path)
+
+
+def test_load_rejects_duplicate_client_ids(tmp_path):
+    path = tmp_path / "g.fedh"
+    save_global(path, make_server())
+    _rewrite_header(path, lambda h: h["clients"][2].update(client_id=0))
+    with pytest.raises(CheckpointError, match=r"repeats client ids \[0\]"):
+        load_global(path)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=5,
+)
+
+
+def _paths(node, prefix=()):
+    """Every location inside a decoded JSON header."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_headers_raise_only_checkpoint_errors(tmp_path, data):
+    """Delete or replace up to three values anywhere in a global header; the
+    loader either succeeds or raises CheckpointError, never anything else."""
+    path = tmp_path / "g.fedh"
+    small = ServerState(init_model(ARCH, np.random.default_rng(0)), [
+        ClientState(i, init_model(ARCH, np.random.default_rng(i)), np.array([i]), np.array([5 + i]))
+        for i in range(2)
+    ], rs_test_acc=[0.5], rs_test_auc=[0.5], rs_train_loss=[1.0])
+    save_global(path, small)
+
+    def mutate(header):
+        for _ in range(data.draw(st.integers(1, 3))):
+            where = data.draw(st.sampled_from(list(_paths(header))))
+            parent = header
+            for key in where[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()):
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = data.draw(_JSON_VALUES)
+
+    _rewrite_header(path, mutate)
+    try:
+        load_global(path)
+    except CheckpointError:
+        pass

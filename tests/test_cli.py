@@ -1,12 +1,14 @@
 """Config parsing, deterministic output files, and the console entry point."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from fedbalance import cli
 from fedbalance.crossval import MetricsRecord, MetricsTable
+from fedbalance.federation import TrainHyper
 
 # Tiny datasets hand some clients single-class splits; that path is exercised
 # deliberately in test_crossval, here it is just noise.
@@ -46,18 +48,22 @@ def tiny_config(**over):
 
 def test_minimal_config_fills_defaults():
     cfg = cli.parse_config(minimal_config())
-    assert cfg.num_folds == 5
-    assert cfg.global_rounds == 200
-    assert cfg.personalization_rounds == 200
-    assert cfg.eval_gap == 1
-    assert cfg.concentration == 0.5
-    assert cfg.personalize_full_model is True
-    assert cfg.output_dir == "results"
-    assert cfg.arch is None
-    assert cfg.hyper.learning_rate == 0.01
-    assert cfg.hyper.batch_size == 32
-    assert cfg.sampler_params.k_neighbors == 5
-    assert cfg.sampler_params.svm_epochs == 200
+    assert cfg["num_folds"] == 5
+    assert cfg["global_rounds"] == 200
+    assert cfg["personalization_rounds"] == 200
+    assert cfg["eval_gap"] == 1
+    assert cfg["concentration"] == 0.5
+    assert cfg["personalize_full_model"] is True
+    assert cfg["output_dir"] == "results"
+    assert "arch" not in cfg
+    assert cfg["hyper"] == asdict(TrainHyper())
+    assert cfg["hyper"]["learning_rate"] == 0.01
+    assert cfg["hyper"]["batch_size"] == 32
+    assert cfg["sampler_params"]["k_neighbors"] == 5
+    assert cfg["sampler_params"]["svm_epochs"] == 200
+    arch = cli.parse_config(minimal_config(arch={"latent_dim": 4}))["arch"]
+    assert arch == {"stages": [[8, 5, 2], [16, 5, 2]], "latent_dim": 4, "mlp_hidden": [32],
+                    "recon_weight": 1.0, "pred_weight": 1.0}
 
 
 def test_unknown_top_level_key_is_an_error():
@@ -74,6 +80,9 @@ def test_unknown_nested_keys_are_errors():
         cli.parse_config(minimal_config(sampler_params={"knn": 3}))
     with pytest.raises(ValueError, match="config.arch"):
         cli.parse_config(minimal_config(arch={"stages": [[3, 3, 2]], "depth": 2}))
+    for key in ("train_cost", "send_cost"):  # no simulated deployment costs
+        with pytest.raises(ValueError, match=f"unknown key\\(s\\) in config.hyper: {key}"):
+            cli.parse_config(minimal_config(hyper={key: 0.0}))
 
 
 def test_unknown_sampler_error_lists_valid_names():
@@ -123,15 +132,23 @@ def test_out_of_range_values_rejected():
 
 
 def test_config_round_trips_through_dict():
+    def round_trip(cfg):
+        return cli.parse_config(json.loads(json.dumps(cfg)))
+
     cfg = cli.parse_config(tiny_config(output_dir="out", concentration=0.3))
-    assert cli.parse_config(cli.config_to_dict(cfg)) == cfg
+    assert round_trip(cfg) == cfg
 
     plain = cli.parse_config(minimal_config())
-    assert cli.parse_config(cli.config_to_dict(plain)) == plain
+    assert round_trip(plain) == plain
 
     csv_cfg = cli.parse_config(minimal_config(
         dataset={"kind": "csv", "path": "d.csv", "label_column": 0}))
-    assert cli.parse_config(cli.config_to_dict(csv_cfg)) == csv_cfg
+    assert round_trip(csv_cfg) == csv_cfg
+    assert csv_cfg["dataset"] == {"kind": "csv", "path": "d.csv", "label_column": 0}
+
+    # integers given where numbers are allowed are stored as floats
+    ints = cli.parse_config(minimal_config(concentration=1, hyper={"learning_rate": 1}))
+    assert type(ints["concentration"]) is float and type(ints["hyper"]["learning_rate"]) is float
 
 
 # --- output files ---

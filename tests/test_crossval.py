@@ -100,18 +100,11 @@ def test_round_zero_is_identical_across_samplers(tiny_run):
         assert a.std_test_auc == b.std_test_auc
 
 
-def test_fold_now_tracks_progress(tiny_run):
-    plan, _ = tiny_run
-    assert plan.fold_now == plan.num_folds - 1
-
-
 def test_checkpoints_written_per_fold(tiny_run):
+    """global.fedh holds every client too, so it is the only file a fold writes."""
     plan, _ = tiny_run
     for fold in range(plan.num_folds):
-        d = plan.fold_dir(fold)
-        assert (d / "global.fedh").is_file()
-        for cid in range(plan.num_clients):
-            assert (d / f"client_{cid}.fedh").is_file()
+        assert [p.name for p in plan.fold_dir(fold).iterdir()] == ["global.fedh"]
 
 
 def test_rerun_reproduces_every_record(tiny_run, tmp_path):
@@ -131,23 +124,45 @@ def test_trials_never_read_client_checkpoints(tiny_run, tmp_path, monkeypatch):
     assert again.records == table.records
 
 
-def test_client_files_duplicate_the_global_checkpoint(tiny_run):
-    """Each client_<id>.fedh holds what global.fedh already holds for that
-    client, so building trials from global.fedh alone loses nothing."""
-    from fedbalance.checkpoint import load_client, load_global
+def _record_trials(monkeypatch):
+    """Keep each server a sampler trial reloads, with a copy of its global
+    model as it was loaded."""
+    trials = []
+    load = cv.load_global
 
-    plan, _ = tiny_run
-    for fold in range(plan.num_folds):
-        d = plan.fold_dir(fold)
-        server = load_global(d / "global.fedh")
-        assert [c.client_id for c in server.clients] == list(range(plan.num_clients))
+    def recording_load(path):
+        server = load(path)
+        trials.append((server, server.global_model.copy()))
+        return server
+
+    monkeypatch.setattr(cv, "load_global", recording_load)
+    return trials
+
+
+def _changed(model, reference, names):
+    return any(not np.array_equal(model.params[k], reference.params[k]) for k in names)
+
+
+def test_run_fold_never_mutates_the_global_model(tmp_path, monkeypatch):
+    trials = _record_trials(monkeypatch)
+    run_fold(tiny_plan(tmp_path), 0)
+    assert len(trials) == 2
+    for server, loaded in trials:
+        assert not _changed(server.global_model, loaded, loaded.params)
+        for c in server.clients:  # every client has fold-train rows and trained
+            assert _changed(c.model, loaded, loaded.params)
+
+
+def test_run_fold_head_only_freezes_autoencoder(tmp_path, monkeypatch):
+    trials = _record_trials(monkeypatch)
+    run_fold(tiny_plan(tmp_path, personalize_full_model=False), 0)
+    assert len(trials) == 2
+    for server, loaded in trials:
+        head = [k for k in loaded.params if k.startswith("mlp.")]
+        body = [k for k in loaded.params if not k.startswith("mlp.")]
         for c in server.clients:
-            alone = load_client(d / f"client_{c.client_id}.fedh")
-            assert alone.client_id == c.client_id
-            assert np.array_equal(alone.train_indices, c.train_indices)
-            assert np.array_equal(alone.test_indices, c.test_indices)
-            for name, p in c.model.params.items():
-                assert np.array_equal(alone.model.params[name], p)
+            assert not _changed(c.model, loaded, body)
+            assert _changed(c.model, loaded, head)
 
 
 def test_run_fold_validates_index(tiny_run):

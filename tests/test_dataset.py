@@ -196,6 +196,16 @@ def test_csv_label_column_by_index(tmp_path):
     assert ds.features[:, 0].tolist() == [1.5, 2.5, 3.5]
 
 
+def test_csv_features_parse_as_python_float(tmp_path):
+    cells = ["1.5", " 2 ", "1_000", "-0.0", "1e-320", "\u0663.\u0665", repr(0.1), "+.5", "7"]
+    path = tmp_path / "f.csv"
+    path.write_text("a,label\n" + "".join(f"{c},{i % 2}\n" for i, c in enumerate(cells)),
+                    encoding="utf-8")
+    ds = load_csv(path)  # the label column defaults to "label"
+    assert ds.features.dtype == np.float64
+    assert ds.features[:, 0].tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
 @pytest.mark.parametrize(
     "content,message",
     [
@@ -204,6 +214,8 @@ def test_csv_label_column_by_index(tmp_path):
         ("a,label\n1.0\n", "ragged row"),
         ("a,label\nfoo,0\n2.0,1\n", "non-numeric"),
         ("a,label\ninf,0\n2.0,1\n", "non-finite"),
+        ("a,b,label\n1.0,2.0,0\n3.0,x,1\n", r"bad\.csv:3: non-numeric cell 'x'"),
+        ("a,b,label\n1.0,2.0,0\n3.0,4.0,1\n5,1e999,1\n", r"bad\.csv:4: non-finite cell '1e999'"),
         ("a,label\n1.0,0\n2.0,0\n", "fewer than 2 classes"),
     ],
 )

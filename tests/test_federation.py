@@ -8,13 +8,11 @@ from fedbalance.federation import (
     build_personalization_set,
     evaluate_clients,
     fedavg,
-    personalize_client,
     run_global_round,
     train_on,
 )
 from fedbalance.gcae import ArchSpec, ConvStage, decode, encode, forward, init_model
 from fedbalance.resampling import SamplerSpec
-from fedbalance.seeding import derive_rng
 
 ARCH = ArchSpec(input_len=8, num_classes=3, stages=(ConvStage(3, 3, 2),),
                 latent_dim=4, mlp_hidden=(5,))
@@ -111,10 +109,11 @@ def test_server_state_defaults_and_validation():
     clients = [ClientState(i, make_model(i), np.array([i]), np.array([i + 10]))
                for i in range(3)]
     s = ServerState(make_model(), clients)
-    assert s.selected_clients == [0, 1, 2]
-    assert s.train_slow_clients == [False, False, False]
-    with pytest.raises(ValueError, match="selected_clients"):
-        ServerState(make_model(), clients, selected_clients=[0, 7])
+    assert s.rs_test_acc == s.rs_test_auc == s.rs_train_loss == []
+    other = init_model(ArchSpec(input_len=8, num_classes=4, stages=(ConvStage(3, 3, 2),),
+                                latent_dim=4, mlp_hidden=(5,)), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="arch differs"):
+        ServerState(other, clients)
     with pytest.raises(ValueError, match="aligned"):
         ServerState(make_model(), clients, rs_test_acc=[0.5], rs_test_auc=[])
 
@@ -124,8 +123,6 @@ def test_hyper_validation():
         TrainHyper(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainHyper(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainHyper(send_cost=-1.0)
 
 
 # --- local training and global rounds ---
@@ -163,29 +160,9 @@ def test_global_round_aggregates_client_models():
     mean_loss = run_global_round(server, X, y, hyper, lambda cid: np.random.default_rng(cid))
     assert server.rs_train_loss == [mean_loss]
     expected = fedavg([c.model for c in server.clients],
-                      [c.num_train for c in server.clients])
+                      [len(c.train_indices) for c in server.clients])
     for k in expected.params:
         assert np.array_equal(server.global_model.params[k], expected.params[k])
-
-
-def test_global_round_respects_selected_clients():
-    server, X, y = _toy_server()
-    server.selected_clients = [0, 2]
-    before = {k: v.copy() for k, v in server.clients[1].model.params.items()}
-    run_global_round(server, X, y, TrainHyper(), lambda cid: np.random.default_rng(cid))
-    for k in before:  # the unselected client's model is untouched
-        assert np.array_equal(server.clients[1].model.params[k], before[k])
-
-
-def test_global_round_tracks_simulated_time():
-    server, X, y = _toy_server()
-    server.clients[1].train_slow = True
-    hyper = TrainHyper(train_cost=1.0, send_cost=0.5)
-    run_global_round(server, X, y, hyper, lambda cid: np.random.default_rng(cid))
-    run_global_round(server, X, y, hyper, lambda cid: np.random.default_rng(cid))
-    assert server.clients[0].train_time_cost == 2.0
-    assert server.clients[1].train_time_cost == 4.0  # slow doubles the cost
-    assert server.clients[2].send_time_cost == 1.0
 
 
 def test_global_round_skips_empty_client_with_warning():
@@ -230,59 +207,6 @@ def test_personalization_set_single_class_passthrough():
     assert out.resampled is None
     assert np.array_equal(out.features, X.astype(np.float32))
     assert np.array_equal(out.labels, y)
-
-
-def test_personalize_client_matches_manual_composition():
-    rng = np.random.default_rng(9)
-    X = np.vstack([rng.normal(size=(18, 8)), rng.normal(size=(6, 8)) + 1.5])
-    y = np.array([0] * 18 + [1] * 6)
-    order = rng.permutation(len(y))
-    X, y = X[order], y[order]
-    global_model = make_model(7)
-    hyper = TrainHyper(learning_rate=0.05, batch_size=8)
-    spec = SamplerSpec(kind="smote")
-    tr, te = np.arange(20), np.arange(20, 24)
-
-    client = ClientState(0, global_model.copy(), tr, te)
-    personalize_client(client, global_model, spec, X, y, hyper,
-                       derive_rng(0, "resample", 0), lambda r: derive_rng(0, "ptrain", r),
-                       rounds=3)
-
-    manual = global_model.copy()
-    pers = build_personalization_set(manual, X[tr], y[tr], spec, derive_rng(0, "resample", 0))
-    for r in range(1, 4):
-        train_on(manual, pers.features, pers.labels, hyper, derive_rng(0, "ptrain", r))
-    for k in manual.params:
-        assert np.array_equal(client.model.params[k], manual.params[k])
-
-
-def test_personalize_client_never_mutates_the_global_model():
-    rng = np.random.default_rng(10)
-    X = rng.normal(size=(20, 8))
-    y = np.array([0, 1] * 10)
-    global_model = make_model(3)
-    before = {k: v.copy() for k, v in global_model.params.items()}
-    client = ClientState(0, make_model(99), np.arange(16), np.arange(16, 20))
-    personalize_client(client, global_model, SamplerSpec(kind="random_over"), X, y,
-                       TrainHyper(), derive_rng(1, "resample"),
-                       lambda r: derive_rng(1, "ptrain", r), rounds=2)
-    for k in before:
-        assert np.array_equal(global_model.params[k], before[k])
-    assert any(not np.array_equal(client.model.params[k], before[k]) for k in before)
-
-
-def test_personalize_head_only_freezes_autoencoder():
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(20, 8))
-    y = np.array([0, 1] * 10)
-    global_model = make_model(4)
-    client = ClientState(0, make_model(0), np.arange(18), np.arange(18, 20))
-    personalize_client(client, global_model, SamplerSpec(kind="smote"), X, y,
-                       TrainHyper(), derive_rng(2, "resample"),
-                       lambda r: derive_rng(2, "ptrain", r), rounds=2, full_model=False)
-    for k, v in client.model.params.items():
-        if not k.startswith("mlp."):
-            assert np.array_equal(v, global_model.params[k])
 
 
 # --- evaluation ---

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from fedbalance.metrics import (
-    EvalResult,
+    _average_ranks,
     accuracy,
     aggregate_over_folds,
     roc_auc_macro,
     sample_std,
 )
-from oracles import pairwise_auc
+from oracles import average_rank_ref, pairwise_auc
 
 
 def test_accuracy_basic():
@@ -91,12 +91,17 @@ def test_sample_std_closed_forms():
         sample_std([])
 
 
-def test_eval_result_validation():
-    EvalResult(accuracy=0.5, auc=0.5, sample_count=3)
-    with pytest.raises(ValueError):
-        EvalResult(accuracy=1.5, auc=0.5, sample_count=3)
-    with pytest.raises(ValueError):
-        EvalResult(accuracy=0.5, auc=0.5, sample_count=0)
+def test_average_ranks_match_brute_force_oracle():
+    rng = np.random.default_rng(8)
+    cases = [np.array([]), np.array([0.0, -0.0, 1.0]), np.full(5, 2.5)]
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        cases.append(rng.integers(0, 6, size=n).astype(np.float64) if trial % 2
+                     else rng.normal(size=n))
+    for values in cases:
+        got = _average_ranks(values)
+        assert got.dtype == np.float64
+        assert got.tolist() == average_rank_ref(values.tolist())
 
 
 # --- fold aggregation ---

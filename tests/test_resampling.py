@@ -253,6 +253,9 @@ def test_random_oversample_replicates_own_class_rows():
     minority_rows = {tuple(r) for r in X[y == 1]}
     for row in out.features[out.is_synthetic]:
         assert tuple(row) in minority_rows
+    # one uniform pick per synthetic row, drawn in a single call
+    picks = np.random.default_rng(3).integers(0, 5, size=5)
+    assert np.array_equal(out.features[out.is_synthetic], X[y == 1][picks])
 
 
 def test_random_oversample_already_balanced_is_identity():
@@ -372,5 +375,3 @@ def test_resample_rejects_bad_input():
         SamplerSpec(kind="smoke")
     with pytest.raises(ValueError, match="2 classes"):
         resample(X, np.zeros(4, dtype=int), SamplerSpec(kind="smote"), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="majority"):
-        SamplerSpec(kind="smote", target="minority")
