@@ -39,6 +39,7 @@ from .gcae import (
     evaluate_loss,
     forward,
     grad_check,
+    head_scores,
     init_model,
     loss,
     train_step,
@@ -50,7 +51,7 @@ from .seeding import derive_rng, derive_seed, seed_sequence
 __all__ = [
     "__version__",
     "ArchSpec", "ConvStage", "ModelState",
-    "encode", "decode", "forward", "loss", "evaluate_loss",
+    "encode", "decode", "forward", "head_scores", "loss", "evaluate_loss",
     "init_model", "train_step", "grad_check",
     "Dataset", "FoldPlan", "ClientShard", "SyntheticSpec",
     "make_synthetic_spec", "generate_synthetic", "load_csv", "save_csv",

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import inspect
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -254,6 +257,33 @@ def build_plan(config: dict, ds: Dataset, work_dir) -> ExperimentPlan:
 _METRIC_COLUMNS = ("test_accuracy", "test_auc", "std_test_accuracy", "std_test_auc", "train_loss")
 
 
+# a user who sets any of these has chosen the BLAS thread count
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None when this numpy has no such library."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def blas_threads() -> int | str:
+    """The BLAS thread count in effect, or "unknown" without a known getter."""
+    blas = _openblas()
+    return blas[0]() if blas is not None else "unknown"
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -279,6 +309,7 @@ def write_outputs(table: MetricsTable, config: dict, output_dir: Path):
         "version": __version__,
         "config": config,
         "num_records": len(table),
+        "blas_threads": blas_threads(),
     }
     with open(output_dir / "run_manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -311,6 +342,13 @@ def main(argv=None) -> int:
     run_p.add_argument("--folds", type=int, default=None, help="override config num_folds")
     args = parser.parse_args(argv)
 
+    # metrics depend on the BLAS thread count, so a run uses one thread
+    # unless the user chose a count; the previous count is restored after
+    blas = _openblas()
+    restore = None
+    if blas is not None and not any(os.environ.get(v) for v in _BLAS_ENV):
+        restore = blas[0]()
+        blas[1](1)
     try:
         config = load_config(args.config)
         if args.seed is not None:
@@ -322,6 +360,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, FloatingPointError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if restore is not None:
+            blas[1](restore)
     print(f"wrote {len(table)} metric records to {out_dir}")
     return 0
 

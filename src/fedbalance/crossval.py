@@ -161,29 +161,31 @@ def _eval_sets(clients, features, labels):
 
 
 def _global_eval(server: ServerState, features, labels) -> None:
-    """Score the aggregated model on every client's test split and append to
-    the server's running histories."""
+    """Score the aggregated model on every client's test split and append its
+    accuracy and AUC to the server's running histories."""
     probe = [
         ClientState(c.client_id, server.global_model, c.train_indices, c.test_indices)
         for c in server.clients
     ]
-    train_sets = [(features[c.train_indices], labels[c.train_indices]) for c in probe]
-    summary = evaluate_clients(probe, _eval_sets(probe, features, labels), train_sets)
+    summary = evaluate_clients(probe, _eval_sets(probe, features, labels))
     server.rs_test_acc.append(summary.accuracy)
     server.rs_test_auc.append(summary.auc)
 
 
-def run_fold(plan: ExperimentPlan, fold: int) -> list[MetricsRecord]:
+def run_fold(plan: ExperimentPlan, fold: int, shards=None) -> list[MetricsRecord]:
     """Run one fold end to end and return its metric rows.
 
-    Writes ``global.fedh``, which holds every client's rows and model too,
-    into the fold directory after the global phase.  Every sampler trial
-    starts by reloading it, so trials cannot contaminate each other.
+    ``shards`` is the experiment's client partition; it does not depend on
+    the fold, and is computed here when not given.  Writes ``global.fedh``,
+    which holds every client's rows and model too, into the fold directory
+    after the global phase.  Every sampler trial starts by reloading it, so
+    trials cannot contaminate each other.
     """
     if not 0 <= fold < plan.num_folds:
         raise ValueError(f"fold {fold} outside 0..{plan.num_folds - 1}")
     features, labels = plan.dataset.features, plan.dataset.labels
-    shards = _partition(plan)
+    if shards is None:
+        shards = _partition(plan)
     splits = _split_clients(shards, _fold_plan(plan), fold)
 
     seed0 = plan.master_seed
@@ -265,8 +267,9 @@ def run_experiment(plan: ExperimentPlan) -> MetricsTable:
     """All folds, grid-checked: every (fold, sampler, scheduled round) cell
     must be present exactly once or the run is rejected as inconsistent."""
     table = MetricsTable()
+    shards = _partition(plan)
     for fold in range(plan.num_folds):
-        table.records.extend(run_fold(plan, fold))
+        table.records.extend(run_fold(plan, fold, shards))
     _check_grid(plan, table)
     return table
 

@@ -14,7 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gcae import ModelState, decode, encode, evaluate_loss, forward, train_step
+# forward stays importable here so that callers and tools can patch or wrap
+# it by name, though scoring runs encode and head_scores instead
+from .gcae import (  # noqa: F401
+    ModelState,
+    decode,
+    encode,
+    evaluate_loss,
+    forward,
+    head_scores,
+    train_step,
+)
 from .metrics import accuracy, roc_auc_macro, sample_std
 from .resampling import ResampledSet, SamplerSpec, resample
 
@@ -95,7 +105,9 @@ def fedavg(models: list[ModelState], sample_counts) -> ModelState:
 def train_on(model: ModelState, features, labels, hyper: TrainHyper, rng,
              head_only: bool = False) -> float:
     """Minibatch SGD over seeded shuffled epochs; returns the per-sample
-    mean of the pre-update batch losses.  The trailing partial batch is kept."""
+    mean of the pre-update batch losses that ``train_step`` returns, which
+    for ``head_only`` are beta * cross-entropy alone.  The trailing partial
+    batch is kept."""
     n = len(labels)
     if n == 0:
         raise ValueError("cannot train on an empty set")
@@ -180,11 +192,18 @@ def build_personalization_set(model: ModelState, features, labels,
 
 @dataclass(frozen=True)
 class EvalSummary:
+    """Metrics of one evaluation over clients (see ``evaluate_clients``).
+
+    ``train_loss`` is the sample-weighted mean full loss, alpha * MSE +
+    beta * cross-entropy, on the clients' training material, or None when
+    the evaluation was given no train sets.
+    """
+
     accuracy: float
     auc: float
     std_accuracy: float
     std_auc: float
-    train_loss: float
+    train_loss: float | None
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -194,26 +213,28 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def evaluate_clients(clients: list[ClientState], test_sets, train_sets) -> EvalSummary:
+def evaluate_clients(clients: list[ClientState], test_sets,
+                     train_sets=None) -> EvalSummary:
     """Test metrics over clients, each scored by its own model.
 
     ``test_sets`` / ``train_sets`` are (features, labels) pairs aligned with
-    ``clients``.  Accuracy/AUC are sample-count-weighted means; the std
-    columns are unweighted sample standard deviations across clients (0 for
-    one client).  A client with an empty test split is excluded with a
-    warning; a single-class test split is excluded from AUC only.
-    train_loss is the sample-weighted mean forward loss on the clients'
-    current training material.
+    ``clients``.  Test splits are scored by the encoder and the classifier
+    head; the decoder does not run.  Accuracy/AUC are sample-count-weighted
+    means; the std columns are unweighted sample standard deviations across
+    clients (0 for one client).  A client with an empty test split is
+    excluded with a warning; a single-class test split is excluded from AUC
+    only.  train_loss is the sample-weighted mean full loss on the clients'
+    current training material, or None without ``train_sets``.
     """
     accs, acc_w, aucs, auc_w, losses, loss_w = [], [], [], [], [], []
-    for client, (x_test, y_test), (x_train, y_train) in zip(clients, test_sets, train_sets,
-                                                            strict=True):
+    trains = [None] * len(clients) if train_sets is None else train_sets
+    for client, (x_test, y_test), train in zip(clients, test_sets, trains, strict=True):
         y_test = np.asarray(y_test, dtype=np.int64)
         if len(y_test) == 0:
             warnings.warn(f"client {client.client_id} has an empty test split; excluded",
                           stacklevel=2)
             continue
-        _, scores, _ = forward(client.model, x_test)
+        scores = head_scores(client.model, encode(client.model, x_test))
         accs.append(accuracy(np.argmax(scores, axis=1), y_test))
         acc_w.append(len(y_test))
         if len(np.unique(y_test)) < 2:
@@ -224,19 +245,19 @@ def evaluate_clients(clients: list[ClientState], test_sets, train_sets) -> EvalS
         else:
             aucs.append(roc_auc_macro(_softmax(scores), y_test))
             auc_w.append(len(y_test))
-        if len(np.asarray(y_train)):
-            losses.append(evaluate_loss(client.model, x_train, y_train)[0])
-            loss_w.append(len(y_train))
+        if train is not None and len(np.asarray(train[1])):
+            losses.append(evaluate_loss(client.model, *train)[0])
+            loss_w.append(len(train[1]))
     if not accs:
         raise ValueError("no client had test data")
     if not aucs:
         raise ValueError("no client test split had two classes; AUC undefined")
-    if not losses:
+    if train_sets is not None and not losses:
         raise ValueError("no client had training material to score")
     return EvalSummary(
         accuracy=float(np.average(accs, weights=acc_w)),
         auc=float(np.average(aucs, weights=auc_w)),
         std_accuracy=sample_std(accs),
         std_auc=sample_std(aucs),
-        train_loss=float(np.average(losses, weights=loss_w)),
+        train_loss=float(np.average(losses, weights=loss_w)) if losses else None,
     )

@@ -392,6 +392,15 @@ def decode(model: ModelState, z: np.ndarray) -> np.ndarray:
     return _decode(model.params, _plan(model.arch), z)
 
 
+def head_scores(model: ModelState, z: np.ndarray) -> np.ndarray:
+    """Class scores of the classifier head on latent codes; with
+    ``encode`` it gives the scores of ``forward`` without the decoder."""
+    z = np.asarray(z, dtype=model.dtype)
+    if z.ndim != 2 or z.shape[1] != model.arch.latent_dim:
+        raise ValueError(f"latent must be (n, {model.arch.latent_dim})")
+    return _mlp_cached(model.params, model.arch, z)[0]
+
+
 def forward(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(reconstruction, class scores, latent codes), no gradient bookkeeping."""
     x = _check_input(model, x)
@@ -468,34 +477,41 @@ def _check_labels(model, labels, n):
     return labels
 
 
+def _mlp_bwd(dscores, mlp_cache, grads):
+    """Backward through the classifier head; fills its gradients into
+    ``grads`` and returns the gradient of the latent."""
+    dz = dscores
+    for j in reversed(range(len(mlp_cache))):
+        ctx, mask = mlp_cache[j]
+        if mask is not None:
+            dz = _relu_bwd(dz, mask)
+        dz, grads[f"mlp.fc{j}.w"], grads[f"mlp.fc{j}.b"] = _dense_bwd(dz, ctx)
+    return dz
+
+
 def _compute_grads(model: ModelState, x, labels, alpha, beta, head_only=False):
+    """(loss, gradients).  A head-only pass trains the classifier head
+    alone: nothing it reads depends on the decoder or on encoder
+    gradients, so it encodes without caches, skips the decoder and
+    returns the term it trains, beta * cross-entropy."""
     params, arch = model.params, model.arch
     plan = _plan(arch)
-    # head-only training reads no encoder or decoder gradient, so those
-    # passes run without caches
-    enc_cache = None if head_only else []
-    dec_cache = None if head_only else []
+    dtype = model.dtype
+    grads: dict[str, np.ndarray] = {}
+    if head_only:
+        scores, mlp_cache = _mlp_cached(params, arch, _encode(params, plan, x))
+        ce, dscores = _cross_entropy(np.asarray(scores, dtype=np.float64), labels)
+        _mlp_bwd((beta * dscores).astype(dtype), mlp_cache, grads)
+        return beta * ce, grads
+
+    enc_cache, dec_cache = [], []
     latent = _encode(params, plan, x, enc_cache)
     recon = _decode(params, plan, latent, dec_cache)
     scores, mlp_cache = _mlp_cached(params, arch, latent)
 
     total, drecon, dscores = loss(recon, x, scores, labels, alpha, beta)
-    dtype = model.dtype
     drecon = drecon.astype(dtype)
-    dscores = dscores.astype(dtype)
-
-    grads: dict[str, np.ndarray] = {}
-
-    # classifier head
-    dz_mlp = dscores
-    n_layers = len(arch.mlp_hidden) + 1
-    for j in reversed(range(n_layers)):
-        ctx, mask = mlp_cache[j]
-        if mask is not None:
-            dz_mlp = _relu_bwd(dz_mlp, mask)
-        dz_mlp, grads[f"mlp.fc{j}.w"], grads[f"mlp.fc{j}.b"] = _dense_bwd(dz_mlp, ctx)
-    if head_only:
-        return total, grads
+    dz_mlp = _mlp_bwd(dscores.astype(dtype), mlp_cache, grads)
 
     # decoder
     (fc_ctx, relu_mask), stage_cache = dec_cache[0], dec_cache[1:]
@@ -526,10 +542,13 @@ def _compute_grads(model: ModelState, x, labels, alpha, beta, head_only=False):
 
 def train_step(model: ModelState, x, labels, lr: float, alpha: float | None = None,
                beta: float | None = None, head_only: bool = False) -> float:
-    """One SGD step in place; returns the pre-update loss.
+    """One SGD step in place; returns the pre-update loss it trained on.
 
-    Raises FloatingPointError if the loss is not finite — divergence must
-    stop a run rather than silently poison downstream aggregation.
+    A full step returns alpha * MSE + beta * cross-entropy.  A head-only
+    step updates the classifier head alone and returns the one term that
+    depends on it, beta * cross-entropy; it runs no decoder.  Raises
+    FloatingPointError if the returned loss is not finite — divergence
+    must stop a run rather than silently poison downstream aggregation.
     """
     alpha, beta = _weights(model, alpha, beta)
     x = _check_input(model, x)

@@ -218,3 +218,39 @@ def upsample_grad_ref(dy, p: int, in_len: int):
     for t in range(L):
         dx[:, :, t // p] += dy[:, :, t]
     return dx
+
+
+def head_only_step_ref(model, x, labels, lr: float) -> float:
+    """The head-only SGD step as it ran before it skipped the decoder:
+    encode, decode, the full loss, then the classifier-head update by hand.
+
+    Updates ``model`` in place and returns the full pre-update loss.
+    """
+    from fedbalance.gcae import decode, encode, loss
+
+    arch, params = model.arch, model.params
+    x = np.asarray(x, dtype=model.dtype)
+    labels = np.asarray(labels, dtype=np.int64)
+    latent = encode(model, x)
+    recon = decode(model, latent)
+    h, inputs, masks = latent, [], []
+    n_layers = len(arch.mlp_hidden) + 1
+    for j in range(n_layers):
+        inputs.append(h)
+        h = h @ params[f"mlp.fc{j}.w"] + params[f"mlp.fc{j}.b"]
+        if j < n_layers - 1:
+            masks.append(h > 0)
+            h = np.maximum(h, 0)
+    total, _, dscores = loss(recon, x, h, labels, arch.recon_weight, arch.pred_weight)
+    if not np.isfinite(total):
+        raise FloatingPointError(f"non-finite training loss {total!r}")
+    grads, dz = {}, dscores.astype(model.dtype)
+    for j in reversed(range(n_layers)):
+        if j < n_layers - 1:
+            dz = dz * masks[j]
+        w = params[f"mlp.fc{j}.w"]
+        grads[f"mlp.fc{j}.w"], grads[f"mlp.fc{j}.b"] = inputs[j].T @ dz, dz.sum(axis=0)
+        dz = dz @ w.T
+    for name, g in grads.items():
+        params[name] -= np.multiply(lr, g, out=g)
+    return total

@@ -1,7 +1,11 @@
 """Config parsing, deterministic output files, and the console entry point."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,7 +242,8 @@ def test_manifest_is_deterministic_metadata(cli_run):
     cfg, out, table = cli_run
     text = (out / "run_manifest.json").read_text(encoding="utf-8")
     manifest = json.loads(text)
-    assert set(manifest) == {"tool", "version", "config", "num_records"}
+    assert set(manifest) == {"tool", "version", "config", "num_records", "blas_threads"}
+    assert manifest["blas_threads"] == cli.blas_threads()
     assert manifest["tool"] == "fedbalance"
     assert manifest["num_records"] == len(table)
     assert cli.parse_config(manifest["config"]) == cfg
@@ -309,6 +314,74 @@ def test_main_reports_config_errors(tmp_path, capsys):
     wrong.write_text(json.dumps(minimal_config(eval_gaps=2)), encoding="utf-8")
     assert cli.main(["run", "--config", str(wrong)]) == 1
     assert "eval_gaps" in capsys.readouterr().err
+
+
+# --- BLAS thread count ---
+
+_MAIN = "import sys; from fedbalance.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _env(**env_vars):
+    """This environment without the BLAS thread variables, plus ``env_vars``,
+    with the package importable."""
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_ENV}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    return env
+
+
+def _main_in_subprocess(cfg_path, out, **env_vars):
+    """Run the console entry point in a fresh process; return its manifest."""
+    subprocess.run([sys.executable, "-c", _MAIN, "run", "--config", str(cfg_path),
+                    "--output", str(out)], env=_env(**env_vars), check=True,
+                   capture_output=True)
+    return json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+
+
+def test_main_pins_one_blas_thread_unless_the_user_chose(tmp_path):
+    if cli._openblas() is None:
+        pytest.skip("numpy has no bundled OpenBLAS thread getter")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config()), encoding="utf-8")
+    assert _main_in_subprocess(cfg_path, tmp_path / "auto")["blas_threads"] == 1
+    by_hand = _main_in_subprocess(cfg_path, tmp_path / "hand", OPENBLAS_NUM_THREADS="1")
+    assert by_hand["blas_threads"] == 1
+    for name in ("metrics.csv", "summary.csv", "violin.csv"):
+        assert (tmp_path / "auto" / name).read_bytes() == (tmp_path / "hand" / name).read_bytes()
+    # a count the user set is kept: the manifest shows what OpenBLAS made of it
+    chosen = _main_in_subprocess(cfg_path, tmp_path / "two", OMP_NUM_THREADS="2")
+    probe = subprocess.run(
+        [sys.executable, "-c", "from fedbalance.cli import blas_threads; print(blas_threads())"],
+        env=_env(OMP_NUM_THREADS="2"), check=True, capture_output=True, text=True)
+    assert chosen["blas_threads"] == int(probe.stdout)
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert chosen["blas_threads"] == 2
+
+
+def test_main_restores_the_callers_blas_thread_count(tmp_path, monkeypatch):
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS thread getter")
+    for var in cli._BLAS_ENV:
+        monkeypatch.delenv(var, raising=False)
+    before = cli.blas_threads()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config()), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["blas_threads"] == 1
+    assert cli.blas_threads() == before
+
+
+def test_blas_threads_unknown_without_a_getter(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    assert cli.blas_threads() == "unknown"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config()), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["blas_threads"] == "unknown"
 
 
 def test_main_requires_a_subcommand():

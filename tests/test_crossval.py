@@ -165,6 +165,40 @@ def test_run_fold_head_only_freezes_autoencoder(tmp_path, monkeypatch):
             assert _changed(c.model, loaded, head)
 
 
+def test_global_phase_scores_no_train_loss(tmp_path, monkeypatch):
+    """Global evaluation keeps accuracy and AUC only, so nothing computes a
+    training loss before the checkpoint; personalization still records one."""
+    import fedbalance.federation as fed
+
+    calls = []
+    inner = fed.evaluate_loss
+    monkeypatch.setattr(fed, "evaluate_loss",
+                        lambda *a, **k: calls.append(1) or inner(*a, **k))
+    at_save = []
+    save = cv.save_global
+
+    def saving(path, server):
+        at_save.append(len(calls))
+        save(path, server)
+
+    monkeypatch.setattr(cv, "save_global", saving)
+    run_fold(tiny_plan(tmp_path), 0)
+    assert at_save == [0]
+    assert calls
+
+
+def test_partition_is_computed_once_per_experiment(tmp_path, monkeypatch):
+    calls = []
+    inner = cv.partition_noniid
+    monkeypatch.setattr(cv, "partition_noniid",
+                        lambda *a, **k: calls.append(1) or inner(*a, **k))
+    table = run_experiment(tiny_plan(tmp_path / "all"))
+    assert len(calls) == 1
+    # a fold run on its own computes the same partition itself
+    assert run_fold(tiny_plan(tmp_path / "alone"), 1) == table.select(fold=1)
+    assert len(calls) == 2
+
+
 def test_run_fold_validates_index(tiny_run):
     plan, _ = tiny_run
     with pytest.raises(ValueError):

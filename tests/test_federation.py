@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedbalance import federation
 from fedbalance.federation import (
     ClientState,
     ServerState,
@@ -270,3 +271,19 @@ def test_evaluate_clients_weights_by_sample_count():
     train_sets = [(x2, np.array([0, 1])), (x6, np.array([0, 0, 0, 0, 0, 1]))]
     out = evaluate_clients(clients, test_sets, train_sets)
     assert out.accuracy == pytest.approx((0.5 * 2 + 5 / 6 * 6) / 8)
+
+
+def test_evaluate_clients_without_train_sets_scores_no_loss(monkeypatch):
+    m = make_model(1)
+    x, y = random_batch(10, seed=2)
+    clients = [ClientState(i, m.copy(), np.array([0]), np.array([1])) for i in range(2)]
+    with_loss = evaluate_clients(clients, [(x, y), (x, y)], [(x, y), (x, y)])
+
+    def refuse(*a, **k):
+        raise AssertionError("evaluate_loss ran without train sets")
+
+    monkeypatch.setattr(federation, "evaluate_loss", refuse)
+    out = evaluate_clients(clients, [(x, y), (x, y)])
+    assert out.train_loss is None
+    assert (out.accuracy, out.auc, out.std_accuracy, out.std_auc) == (
+        with_loss.accuracy, with_loss.auc, with_loss.std_accuracy, with_loss.std_auc)

@@ -19,6 +19,7 @@ from fedbalance.gcae import (
     evaluate_loss,
     forward,
     grad_check,
+    head_scores,
     init_model,
     loss,
     train_step,
@@ -26,6 +27,7 @@ from fedbalance.gcae import (
 from oracles import (
     conv1d_grads_ref,
     conv1d_ref,
+    head_only_step_ref,
     maxpool_grad_ref,
     maxpool_ref,
     upsample_grad_ref,
@@ -355,6 +357,72 @@ def test_head_only_updates_classifier_only():
     for k in before:
         changed = not np.array_equal(m.params[k], before[k])
         assert changed == k.startswith("mlp.")
+
+
+# the default architecture; two input channels, a pool of 3 and no hidden
+# head layer; a 1-tap conv, a pool of 4 and two hidden layers
+HEAD_ARCHS = (
+    ArchSpec(input_len=24, num_classes=6),
+    small_arch(input_len=13, input_channels=2, stages=(ConvStage(4, 3, 3),),
+               mlp_hidden=(), recon_weight=0.3, pred_weight=0.7),
+    ArchSpec(input_len=11, num_classes=4, stages=(ConvStage(3, 5, 2), ConvStage(5, 1, 4)),
+             latent_dim=3, mlp_hidden=(7, 5), pred_weight=2.0),
+)
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("arch", HEAD_ARCHS, ids=("default", "2ch-pool3", "k1-pool4"))
+def test_head_only_step_matches_the_decoding_step(arch, dtype):
+    """Skipping the decoder leaves every parameter bit for bit where the
+    step that decoded and took the full loss left it, and the step returns
+    beta * cross-entropy."""
+    rng = np.random.default_rng(31)
+    for batch in BATCHES:
+        model = randomize_biases(init_model(arch, rng, dtype=dtype), rng)
+        ref = model.copy()
+        for _ in range(2):
+            x = rng.normal(size=(batch, arch.input_width)).astype(dtype)
+            y = rng.integers(0, arch.num_classes, size=batch)
+            ce = evaluate_loss(model, x, y)[2]
+            assert train_step(model, x, y, lr=0.05, head_only=True) == arch.pred_weight * ce
+            head_only_step_ref(ref, x, y, lr=0.05)
+            for name, p in ref.params.items():
+                assert np.array_equal(model.params[name], p), (batch, name)
+
+
+def test_head_only_step_returns_the_weighted_cross_entropy():
+    arch = small_arch(recon_weight=0.3, pred_weight=0.7)
+    rng = np.random.default_rng(5)
+    m = init_model(arch, rng)
+    x = rng.normal(size=(9, 12)).astype(np.float32)
+    y = rng.integers(0, 3, size=9)
+    total, _, ce = evaluate_loss(m, x, y)
+    assert train_step(m.copy(), x, y, lr=0.1, head_only=True) == 0.7 * ce
+    assert train_step(m.copy(), x, y, lr=0.1, beta=0.25, head_only=True) == 0.25 * ce
+    assert train_step(m.copy(), x, y, lr=0.1) == total
+
+
+def test_head_only_step_rejects_non_finite_input():
+    m = init_model(small_arch(), np.random.default_rng(0))
+    before = m.copy()
+    x = np.ones((4, 12), dtype=np.float32)
+    x[2, 5] = np.nan
+    with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
+        train_step(m, x, np.array([0, 1, 2, 0]), lr=0.1, head_only=True)
+    for name, p in before.params.items():
+        assert np.array_equal(m.params[name], p)
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("arch", HEAD_ARCHS, ids=("default", "2ch-pool3", "k1-pool4"))
+def test_head_scores_of_encoded_rows_equal_forward_scores(arch, dtype):
+    rng = np.random.default_rng(17)
+    m = randomize_biases(init_model(arch, rng, dtype=dtype), rng)
+    for batch in BATCHES:
+        x = rng.normal(size=(batch, arch.input_width)).astype(dtype)
+        assert np.array_equal(head_scores(m, encode(m, x)), forward(m, x)[1])
+    with pytest.raises(ValueError, match="latent"):
+        head_scores(m, np.zeros((2, arch.latent_dim + 1), dtype=dtype))
 
 
 def test_training_decreases_loss():
