@@ -3,15 +3,17 @@
 Layout: ``b"FEDH" | u32 version | u64 header_len | JSON header | payload``,
 all little-endian.  The header carries the architecture, every non-tensor
 state field, and a tensor directory with explicit byte offsets into the
-payload; the payload is the concatenation of the raw float32 tensors in
-directory order.  A CRC32 of the payload is stored in the header so bit rot
-in the bulk data is caught on load.
+payload; the payload is the concatenation of one model's raw float32
+tensors in directory order.  A CRC32 of the payload is stored in the header
+so bit rot in the bulk data is caught on load.
 
-Two kinds exist: ``global`` (a full ServerState, including every client's
-model and row indices) and ``client`` (one ClientState).  Files are written
-atomically via a temp file + ``os.replace``.  Loads check the whole header
-against the version-2 schema first (:func:`_check_header`), so a malformed
-file raises :class:`CheckpointError` naming the block or tensor at fault.
+Two kinds exist: ``global`` (a ServerState's global model, histories, and
+each client's id and row indices; every loaded client gets a copy of the
+global model, the one each sampler trial starts from) and ``client`` (one
+ClientState).  Files are written atomically via a temp file +
+``os.replace``.  Loads check the whole header against the version-3 schema
+first (:func:`_check_header`), so a malformed file raises
+:class:`CheckpointError` naming the block or tensor at fault.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from dataclasses import asdict, astuple
 import numpy as np
 
 from .federation import ClientState, ServerState
-from .gcae import ArchSpec, ConvStage, ModelState, _param_shapes
+from .gcae import ArchSpec, ModelState, _param_shapes
 
 MAGIC = b"FEDH"
-VERSION = 2
+VERSION = 3
 _HEAD = struct.Struct("<4sIQ")  # magic, version, header_len
 _ARCH_SIZES = ("input_len", "num_classes", "latent_dim", "input_channels")
 _HISTORIES = ("rs_test_acc", "rs_test_auc", "rs_train_loss")
@@ -45,8 +47,7 @@ def _arch_to_dict(arch: ArchSpec) -> dict:
 
 def _arch_from_dict(d: dict) -> ArchSpec:
     try:
-        return ArchSpec(**{**d, "stages": tuple(ConvStage(*s) for s in d["stages"]),
-                           "mlp_hidden": tuple(d["mlp_hidden"])})
+        return ArchSpec(**d)
     except (TypeError, ValueError) as exc:  # TypeError: a field ArchSpec does not have
         raise CheckpointError(f"invalid architecture block: {exc}") from exc
 
@@ -79,18 +80,19 @@ def _is_number(v) -> bool:
     return type(v) in (int, float)
 
 
-def _int_list(v, minimum: int) -> bool:
-    return isinstance(v, list) and all(_is_int(i) and minimum <= i < 2**63 for i in v)
+def _int_list(v, minimum: int | None = None) -> bool:
+    return isinstance(v, list) and all(
+        _is_int(i) and (minimum is None or minimum <= i < 2**63) for i in v)
 
 
 def _check_header(header, kind: str, payload: bytes) -> None:
     """Reject a header that breaks the schema, naming the block or tensor.
 
     Checks, in order: the kind and the blocks it needs; the architecture,
-    client and server fields' types; client ids unique; every tensor named,
-    once, with a byte count; the payload length and checksum; then each
-    tensor's dtype, shape, and byte range, which must lie inside the
-    payload and overlap no other tensor's.
+    client and server fields' types (ArchSpec checks the values); client
+    ids unique; every tensor named, once, with a byte count; the payload
+    length and checksum; then each tensor's dtype, shape, and byte range,
+    which must lie inside the payload and overlap no other tensor's.
     """
     if not isinstance(header, dict):
         raise CheckpointError("header is not a JSON object")
@@ -105,8 +107,8 @@ def _check_header(header, kind: str, payload: bytes) -> None:
     arch = header["arch"]
     stages = arch.get("stages")
     if not (all(_is_int(arch.get(k)) for k in _ARCH_SIZES)
-            and isinstance(stages, list) and all(_int_list(s, 1) and len(s) == 3 for s in stages)
-            and _int_list(arch.get("mlp_hidden"), 1)
+            and isinstance(stages, list) and all(_int_list(s) and len(s) == 3 for s in stages)
+            and _int_list(arch.get("mlp_hidden"))
             and _is_number(arch.get("recon_weight")) and _is_number(arch.get("pred_weight"))):
         raise CheckpointError("'arch' block is malformed")
 
@@ -158,25 +160,24 @@ def _check_header(header, kind: str, payload: bytes) -> None:
             raise CheckpointError(f"tensors {first} and {second} overlap in the payload")
 
 
-def _collect_tensors(named_models: list[tuple[str, ModelState]]):
-    """Flatten models into a (directory, payload) pair with byte offsets."""
+def _collect_tensors(prefix: str, model: ModelState):
+    """Flatten a model into a (directory, payload) pair with byte offsets."""
+    if model.dtype != np.float32:
+        raise CheckpointError(f"only float32 models are supported, got {model.dtype}")
     entries, chunks, offset = [], [], 0
-    for prefix, model in named_models:
-        if model.dtype != np.float32:
-            raise CheckpointError(f"only float32 models are supported, got {model.dtype}")
-        for pname, arr in model.params.items():
-            if not np.all(np.isfinite(arr)):
-                raise CheckpointError(f"tensor {prefix}/{pname} contains non-finite values")
-            raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-            entries.append({
-                "name": f"{prefix}/{pname}",
-                "shape": list(arr.shape),
-                "dtype": "float32",
-                "offset": offset,
-                "nbytes": len(raw),
-            })
-            chunks.append(raw)
-            offset += len(raw)
+    for pname, arr in model.params.items():
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"tensor {prefix}/{pname} contains non-finite values")
+        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        entries.append({
+            "name": f"{prefix}/{pname}",
+            "shape": list(arr.shape),
+            "dtype": "float32",
+            "offset": offset,
+            "nbytes": len(raw),
+        })
+        chunks.append(raw)
+        offset += len(raw)
     return entries, b"".join(chunks)
 
 
@@ -217,11 +218,12 @@ def _read_file(path, kind: str) -> tuple[dict, bytes]:
 
 
 def _extract_model(header: dict, payload: bytes, prefix: str, arch: ArchSpec) -> ModelState:
+    """The file's one model, whose every tensor is named ``prefix/...``."""
     want = f"{prefix}/"
     params: dict[str, np.ndarray] = {}
     for e in header["tensors"]:
         if not e["name"].startswith(want):
-            continue
+            raise CheckpointError(f"tensor {e['name']} is not under {want!r}")
         arr = np.frombuffer(payload, dtype="<f4", count=e["nbytes"] // 4, offset=e["offset"])
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"tensor {e['name']} contains non-finite values")
@@ -237,10 +239,9 @@ def _extract_model(header: dict, payload: bytes, prefix: str, arch: ArchSpec) ->
 
 
 def save_global(path, server: ServerState) -> None:
-    """Serialize a full ServerState (global model, clients, histories)."""
-    named = [("global", server.global_model)]
-    named += [(f"client/{c.client_id}", c.model) for c in server.clients]
-    entries, payload = _collect_tensors(named)
+    """Serialize a ServerState's global model, histories, and each client's
+    id and rows.  The clients' own models are not stored."""
+    entries, payload = _collect_tensors("global", server.global_model)
     header = {
         "kind": "global",
         "arch": _arch_to_dict(server.global_model.arch),
@@ -252,13 +253,11 @@ def save_global(path, server: ServerState) -> None:
 
 
 def load_global(path) -> ServerState:
+    """A saved ServerState whose every client holds a copy of the global model."""
     header, payload = _read_file(path, "global")
     arch = _arch_from_dict(header["arch"])
     global_model = _extract_model(header, payload, "global", arch)
-    clients = [
-        _client_from_meta(meta, _extract_model(header, payload, f"client/{meta['client_id']}", arch))
-        for meta in header["clients"]
-    ]
+    clients = [_client_from_meta(meta, global_model.copy()) for meta in header["clients"]]
     try:
         return ServerState(global_model=global_model, clients=clients,
                            **{key: list(header["server"][key]) for key in _HISTORIES})
@@ -267,7 +266,7 @@ def load_global(path) -> ServerState:
 
 
 def save_client(path, client: ClientState) -> None:
-    entries, payload = _collect_tensors([("model", client.model)])
+    entries, payload = _collect_tensors("model", client.model)
     header = {
         "kind": "client",
         "arch": _arch_to_dict(client.model.arch),

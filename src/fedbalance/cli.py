@@ -2,9 +2,11 @@
 
 Configs are strict: any key the schema does not define is an error, so a
 typo like ``eval_gaps`` fails loudly instead of silently running with the
-default.  Outputs (metrics.csv, summary.csv, violin.csv, run_manifest.json)
-are written with fixed formatting and "\n" newlines, so two runs of the
-same config produce byte-identical files.
+default.  Parsing checks keys and JSON types; the library classes check the
+values, and their errors name the key as ``config.<section>.<key>``.
+Outputs (metrics.csv, summary.csv, violin.csv, run_manifest.json) are
+written with fixed formatting and "\n" newlines, so two runs of the same
+config produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import inspect
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -30,25 +33,26 @@ from .resampling import SAMPLER_NAMES, SamplerSpec, SvmParams
 from .seeding import derive_seed
 
 
-def _positive_ints(v) -> bool:
-    return isinstance(v, list) and all(type(x) is int and x >= 1 for x in v)
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(type(x) is int for x in v)
 
 
-def _counts(v, name):
-    if not _positive_ints(v) or len(v) < 2:
-        raise ValueError(f"{name} must be a list of >= 2 positive integers")
+def _ints(v, name):
+    if not _is_int_list(v):
+        raise ValueError(f"{name} must be a list of integers")
     return v
 
 
 def _stages(v, name):
-    if not isinstance(v, list) or not v or not all(_positive_ints(s) and len(s) == 3 for s in v):
+    if not isinstance(v, list) or not all(_is_int_list(s) and len(s) == 3 for s in v):
         raise ValueError(f"{name} must be a list of [channels, kernel, pool] triples")
     return v
 
 
-def _widths(v, name):
-    if not _positive_ints(v):
-        raise ValueError(f"{name} must be a list of positive integers")
+def _seed(v, name):
+    # no library class owns the master seed's range; numpy is the only other check
+    if _value(v, name, int) < 0:
+        raise ValueError(f"{name} must be >= 0, got {v}")
     return v
 
 
@@ -59,13 +63,8 @@ def _column(v, name):
 
 
 def _samplers(v, name):
-    if not isinstance(v, list) or not v:
-        raise ValueError(f"{name} must be a non-empty list")
-    for kind in v:
-        if kind not in SAMPLER_NAMES:
-            raise ValueError(f"unknown sampler {kind!r}; valid: {', '.join(SAMPLER_NAMES)}")
-    if len(set(v)) != len(v):
-        raise ValueError(f"{name} contains duplicates")
+    if not isinstance(v, list) or not all(isinstance(kind, str) for kind in v):
+        raise ValueError(f"{name} must be a list of sampler names")
     return v
 
 
@@ -78,44 +77,44 @@ def _dataset(v, name):
     return {"kind": kind, **_section(v, kind, name, extra={"kind"})}
 
 
-# Every config key as (section, key, type, minimum).  Section None is the top
+# Every config key as (section, key, JSON type).  Section None is the top
 # level; "synthetic" and "csv" are the two forms of config.dataset; a type of
 # dict is a nested section named by the key.  A key without a default in
 # _DEFAULTS is required.
 _FIELDS = (
-    (None, "seed", int, 0),
-    (None, "dataset", _dataset, None),
-    (None, "num_clients", int, 2),
-    (None, "samplers", _samplers, None),
-    (None, "num_folds", int, 2),
-    (None, "global_rounds", int, 1),
-    (None, "personalization_rounds", int, 1),
-    (None, "eval_gap", int, 1),
-    (None, "concentration", float, None),
-    (None, "personalize_full_model", bool, None),
-    (None, "output_dir", str, None),
-    (None, "hyper", dict, None),
-    (None, "sampler_params", dict, None),
-    (None, "arch", dict, None),
-    ("synthetic", "class_counts", _counts, None),
-    ("synthetic", "dim", int, 1),
-    ("synthetic", "scale", float, None),
-    ("csv", "path", str, None),
-    ("csv", "label_column", _column, None),
-    ("hyper", "learning_rate", float, None),
-    ("hyper", "batch_size", int, 1),
-    ("hyper", "local_epochs", int, 1),
-    ("sampler_params", "k_neighbors", int, 1),
-    ("sampler_params", "m_neighbors", int, 1),
-    ("sampler_params", "enn_k", int, 1),
-    ("sampler_params", "svm_learning_rate", float, None),
-    ("sampler_params", "svm_epochs", int, 1),
-    ("sampler_params", "svm_regularization", float, None),
-    ("arch", "stages", _stages, None),
-    ("arch", "latent_dim", int, 1),
-    ("arch", "mlp_hidden", _widths, None),
-    ("arch", "recon_weight", float, None),
-    ("arch", "pred_weight", float, None),
+    (None, "seed", _seed),
+    (None, "dataset", _dataset),
+    (None, "num_clients", int),
+    (None, "samplers", _samplers),
+    (None, "num_folds", int),
+    (None, "global_rounds", int),
+    (None, "personalization_rounds", int),
+    (None, "eval_gap", int),
+    (None, "concentration", float),
+    (None, "personalize_full_model", bool),
+    (None, "output_dir", str),
+    (None, "hyper", dict),
+    (None, "sampler_params", dict),
+    (None, "arch", dict),
+    ("synthetic", "class_counts", _ints),
+    ("synthetic", "dim", int),
+    ("synthetic", "scale", float),
+    ("csv", "path", str),
+    ("csv", "label_column", _column),
+    ("hyper", "learning_rate", float),
+    ("hyper", "batch_size", int),
+    ("hyper", "local_epochs", int),
+    ("sampler_params", "k_neighbors", int),
+    ("sampler_params", "m_neighbors", int),
+    ("sampler_params", "enn_k", int),
+    ("sampler_params", "svm_learning_rate", float),
+    ("sampler_params", "svm_epochs", int),
+    ("sampler_params", "svm_regularization", float),
+    ("arch", "stages", _stages),
+    ("arch", "latent_dim", int),
+    ("arch", "mlp_hidden", _ints),
+    ("arch", "recon_weight", float),
+    ("arch", "pred_weight", float),
 )
 
 
@@ -145,12 +144,10 @@ _DEFAULTS = {
 }
 
 
-def _value(v, name: str, kind, minimum):
+def _value(v, name: str, kind):
     if kind is int:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ValueError(f"{name} must be an integer, got {v!r}")
-        if minimum is not None and v < minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {v}")
         return v
     if kind is float:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -175,37 +172,31 @@ def _section(obj, section, where: str, extra=frozenset()) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be an object")
     rows = [row for row in _FIELDS if row[0] == section]
-    unknown = set(obj) - {key for _, key, _, _ in rows} - extra
+    unknown = set(obj) - {key for _, key, _ in rows} - extra
     if unknown:
         raise ValueError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
     defaults = _DEFAULTS[section]
     out = {}
-    for _, key, kind, minimum in rows:
+    for _, key, kind in rows:
         if key in obj:
-            out[key] = _value(obj[key], f"{where}.{key}", kind, minimum)
+            out[key] = _value(obj[key], f"{where}.{key}", kind)
         elif key not in defaults:
             raise ValueError(f"{where}: missing required key {key!r}")
         elif defaults[key] is not None:
-            out[key] = _value(_plain(defaults[key]), f"{where}.{key}", kind, minimum)
+            out[key] = _value(_plain(defaults[key]), f"{where}.{key}", kind)
     return out
 
 
 def parse_config(obj) -> dict:
-    """Validate a decoded JSON object into the canonical config: a JSON-ready
-    dict with every default filled in, which parses back to itself."""
+    """Check a decoded JSON object's keys and types into the canonical config:
+    a JSON-ready dict with every default filled in, which parses back to itself."""
     if not isinstance(obj, dict):
         raise ValueError("config root must be a JSON object")
-    config = _section(obj, None, "config")
-    if config["concentration"] <= 0:
-        raise ValueError("config.concentration must be positive")
-    if "arch" in config:
-        recon, pred = config["arch"]["recon_weight"], config["arch"]["pred_weight"]
-        if recon < 0 or pred < 0 or recon + pred <= 0:
-            raise ValueError("arch loss weights must be non-negative with a positive sum")
-    return config
+    return _section(obj, None, "config")
 
 
-def load_config(path) -> dict:
+def load_config(path, **overrides) -> dict:
+    """Parse a JSON config file whose top-level keys ``overrides`` replace."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -214,44 +205,48 @@ def load_config(path) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_config(obj)
+    return parse_config({**obj, **overrides} if isinstance(obj, dict) else obj)
+
+
+def _build(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError's message, which starts with a
+    field's name, gets ``where`` in front to name the config key."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
 
 
 def build_dataset(config: dict) -> Dataset:
     src = config["dataset"]
     if src["kind"] == "synthetic":
-        spec = make_synthetic_spec(src["class_counts"], src["dim"], src["scale"],
-                                   seed=config["seed"])
+        spec = _build("config.dataset.", make_synthetic_spec, src["class_counts"], src["dim"],
+                      src["scale"], seed=config["seed"])
         return generate_synthetic(spec, derive_seed(config["seed"], "data"))
     return load_csv(src["path"], src["label_column"])
 
 
 def build_plan(config: dict, ds: Dataset, work_dir) -> ExperimentPlan:
     # sampler_params holds SamplerSpec's fields, and SvmParams' behind "svm_"
-    spec = {key: v for key, v in config["sampler_params"].items() if not key.startswith("svm_")}
-    svm = SvmParams(**{key[4:]: v for key, v in config["sampler_params"].items()
-                       if key.startswith("svm_")})
+    params = config["sampler_params"]
+    svm = _build("config.sampler_params.svm_", SvmParams,
+                 **{key[4:]: v for key, v in params.items() if key.startswith("svm_")})
+    # the parameters are checked once, on a spec of a known sampler, so the
+    # per-sampler copies below can fail only on a sampler's name
+    template = _build("config.sampler_params.", SamplerSpec, SAMPLER_NAMES[0], svm=svm,
+                      **{key: v for key, v in params.items() if not key.startswith("svm_")})
+    samplers = [_build("config.samplers: ", replace, template, kind=name)
+                for name in config["samplers"]]
     arch = None
     if "arch" in config:
-        a = config["arch"]
-        arch = ArchSpec(input_len=ds.num_features, num_classes=ds.num_classes,
-                        **{**a, "stages": tuple(ConvStage(*s) for s in a["stages"]),
-                           "mlp_hidden": tuple(a["mlp_hidden"])})
-    return ExperimentPlan(
-        dataset=ds,
-        num_clients=config["num_clients"],
-        samplers=tuple(SamplerSpec(kind=name, svm=svm, **spec) for name in config["samplers"]),
-        work_dir=Path(work_dir),
-        num_folds=config["num_folds"],
-        global_rounds=config["global_rounds"],
-        personalization_rounds=config["personalization_rounds"],
-        eval_gap=config["eval_gap"],
-        master_seed=config["seed"],
-        concentration=config["concentration"],
-        arch=arch,
-        hyper=TrainHyper(**config["hyper"]),
-        personalize_full_model=config["personalize_full_model"],
-    )
+        arch = _build("config.arch.", ArchSpec, input_len=ds.num_features,
+                      num_classes=ds.num_classes, **config["arch"])
+    hyper = _build("config.hyper.", TrainHyper, **config["hyper"])
+    same = ("num_clients", "num_folds", "global_rounds", "personalization_rounds", "eval_gap",
+            "concentration", "personalize_full_model")  # keys named as the plan's fields
+    return _build("config.", ExperimentPlan, dataset=ds, samplers=samplers,
+                  work_dir=Path(work_dir), master_seed=config["seed"], arch=arch, hyper=hyper,
+                  **{key: config[key] for key in same})
 
 
 _METRIC_COLUMNS = ("test_accuracy", "test_auc", "std_test_accuracy", "std_test_auc", "train_loss")
@@ -350,11 +345,9 @@ def main(argv=None) -> int:
         restore = blas[0]()
         blas[1](1)
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = {**config, "seed": args.seed}
-        if args.folds is not None:
-            config = {**config, "num_folds": args.folds}
+        overrides = {"seed": args.seed, "num_folds": args.folds}
+        config = load_config(args.config,
+                             **{key: v for key, v in overrides.items() if v is not None})
         out_dir = args.output if args.output is not None else config["output_dir"]
         table = run(config, out_dir)
     except (ValueError, RuntimeError, FloatingPointError, CheckpointError, OSError) as exc:

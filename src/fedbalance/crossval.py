@@ -1,9 +1,10 @@
 """Stratified K-fold orchestration of the federated train/personalize cycle.
 
 Per fold: partition-respecting global FedAvg training, one checkpoint of
-the server (which holds every client), then one personalization pass per
-sampling technique, each starting from the same reloaded server checkpoint
-so techniques are compared from identical bytes.  Metrics are recorded on a
+the global model with each client's rows, then one personalization pass per
+sampling technique.  Each pass reloads that checkpoint, and every client
+starts from its own copy of the global model, so techniques are compared
+from identical bytes.  Metrics are recorded on a
 fixed round schedule and collected into a flat table keyed (fold, sampler,
 round).
 """
@@ -15,9 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-# save_client and load_client stay importable here so that callers and
-# tools can patch or wrap them by name, though a fold writes and reads
-# global.fedh only
+# a fold writes and reads global.fedh only; save_client and load_client
+# stay importable here for the benchmark's tracer, which wraps them by name
 from .checkpoint import load_client, load_global, save_client, save_global  # noqa: F401
 from .dataset import Dataset, partition_noniid, stratified_kfold
 from .federation import (
@@ -107,24 +107,23 @@ class ExperimentPlan:
     def __post_init__(self):
         self.samplers = tuple(_as_spec(s) for s in self.samplers)
         self.work_dir = Path(self.work_dir)
-        if self.num_clients < 2:
-            raise ValueError("need at least 2 clients")
-        if self.num_folds < 2:
-            raise ValueError("need at least 2 folds")
-        if self.global_rounds < 1 or self.personalization_rounds < 1:
-            raise ValueError("round counts must be >= 1")
-        if self.eval_gap < 1:
-            raise ValueError("eval_gap must be >= 1")
-        if not self.samplers:
-            raise ValueError("need at least one sampler")
+        for name, low in (("num_clients", 2), ("num_folds", 2), ("global_rounds", 1),
+                          ("personalization_rounds", 1), ("eval_gap", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.concentration <= 0:
+            raise ValueError(f"concentration must be > 0, got {self.concentration}")
         names = [s.kind for s in self.samplers]
+        if not names:
+            raise ValueError("samplers must name at least one sampler")
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate sampler names: {names}")
+            raise ValueError(f"samplers contains duplicates: {names}")
+        width = self.dataset.num_features
         if self.arch is None:
-            self.arch = ArchSpec(input_len=self.dataset.features.shape[1],
-                                 num_classes=self.dataset.num_classes)
-        if self.arch.input_width != self.dataset.features.shape[1]:
-            raise ValueError("architecture input width does not match the dataset")
+            self.arch = ArchSpec(input_len=width, num_classes=self.dataset.num_classes)
+        if self.arch.input_width != width:
+            raise ValueError(f"arch input width {self.arch.input_width} does not match "
+                             f"the dataset's {width} features")
 
     def eval_schedule(self) -> tuple[int, ...]:
         """Personalization rounds at which metrics are recorded: the round-0
@@ -177,9 +176,10 @@ def run_fold(plan: ExperimentPlan, fold: int, shards=None) -> list[MetricsRecord
 
     ``shards`` is the experiment's client partition; it does not depend on
     the fold, and is computed here when not given.  Writes ``global.fedh``,
-    which holds every client's rows and model too, into the fold directory
-    after the global phase.  Every sampler trial starts by reloading it, so
-    trials cannot contaminate each other.
+    the global model with every client's id and rows, into the fold
+    directory after the global phase.  Every sampler trial starts by
+    reloading it, which gives each client a fresh copy of the global model,
+    so trials cannot contaminate each other.
     """
     if not 0 <= fold < plan.num_folds:
         raise ValueError(f"fold {fold} outside 0..{plan.num_folds - 1}")
@@ -225,10 +225,8 @@ def _run_personalization(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
                          server: ServerState, features, labels) -> list[MetricsRecord]:
     """Personalize every client with one sampler, recording scheduled rounds."""
     seed0 = plan.master_seed
-    base = server.global_model
     train_sets, trainable = [], []
     for c in server.clients:
-        c.model = base.copy()
         tr = c.train_indices
         if len(tr) == 0:
             warnings.warn(f"client {c.client_id} has no fold-train rows; it keeps the "

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -86,12 +86,13 @@ class SyntheticSpec:
     dim: int
 
     def __post_init__(self):
-        if any(c < 1 for c in self.class_counts):
-            raise ValueError("every class count must be >= 1")
+        if len(self.class_counts) < 2 or min(self.class_counts) < 1:
+            raise ValueError("class_counts must be two or more counts >= 1, "
+                             f"got {list(self.class_counts)}")
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if any(s <= 0 for s in self.scales):
-            raise ValueError("scales must be positive")
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if min(self.scales, default=1.0) <= 0:
+            raise ValueError(f"scale must be > 0, got {min(self.scales)}")
         if len(self.class_counts) != len(self.scales) or self.centers.shape != (
             len(self.class_counts),
             self.dim,
@@ -107,7 +108,8 @@ def make_synthetic_spec(
 ) -> SyntheticSpec:
     """Build a SyntheticSpec with seeded random class centers in [-2, 2]^dim."""
     rng = derive_rng(seed, "centers")
-    centers = rng.uniform(-2.0, 2.0, size=(len(class_counts), dim))
+    # a negative dim draws no centers and reaches SyntheticSpec's own check
+    centers = rng.uniform(-2.0, 2.0, size=(len(class_counts), max(dim, 0)))
     return SyntheticSpec(
         class_counts=tuple(int(c) for c in class_counts),
         centers=centers,
@@ -190,8 +192,6 @@ def load_csv(path, label_column="label") -> Dataset:
         if raw not in label_map:
             label_map[raw] = len(label_map)
         labels.append(label_map[raw])
-    if len(label_map) < 2:
-        raise ValueError("fewer than 2 classes")
     return Dataset(
         features=features,
         labels=np.asarray(labels, dtype=np.int64),

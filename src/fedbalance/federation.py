@@ -37,9 +37,10 @@ class TrainHyper:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1 or self.local_epochs < 1:
-            raise ValueError("batch_size and local_epochs must be >= 1")
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("batch_size", "local_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass

@@ -12,7 +12,7 @@ hand-written backpropagation — no autodiff framework anywhere.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -22,10 +22,6 @@ class ConvStage:
     channels: int
     kernel: int
     pool: int
-
-    def __post_init__(self):
-        if self.channels < 1 or self.kernel < 1 or self.pool < 1:
-            raise ValueError("conv stage dimensions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -43,18 +39,23 @@ class ArchSpec:
     pred_weight: float = 1.0
 
     def __post_init__(self):
-        if self.input_len < 1 or self.input_channels < 1:
-            raise ValueError("input_len and input_channels must be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if not self.stages:
-            raise ValueError("need at least one conv stage")
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+        # stages may come as [channels, kernel, pool] triples and widths as any
+        # sequence; both are kept as tuples, so equal specs compare equal
+        stages = tuple(s if isinstance(s, ConvStage) else ConvStage(*s) for s in self.stages)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "mlp_hidden", tuple(self.mlp_hidden))
+        for name, low in (("input_len", 1), ("num_classes", 2), ("latent_dim", 1),
+                          ("input_channels", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not stages or any(min(astuple(s)) < 1 for s in stages):
+            raise ValueError("stages must be one or more [channels, kernel, pool] triples "
+                             f"of integers >= 1, got {[list(astuple(s)) for s in stages]}")
         if any(h < 1 for h in self.mlp_hidden):
-            raise ValueError("mlp hidden widths must be >= 1")
+            raise ValueError(f"mlp_hidden widths must be >= 1, got {list(self.mlp_hidden)}")
         if self.recon_weight < 0 or self.pred_weight < 0 or self.recon_weight + self.pred_weight <= 0:
-            raise ValueError("loss weights must be non-negative with a positive sum")
+            raise ValueError("recon_weight and pred_weight, the loss weights, must be >= 0 with "
+                             f"a positive sum, got {self.recon_weight} and {self.pred_weight}")
 
     @property
     def stage_input_lengths(self) -> tuple[int, ...]:

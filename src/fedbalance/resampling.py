@@ -31,6 +31,14 @@ class SvmParams:
     epochs: int = 200
     regularization: float = 1e-3
 
+    def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.regularization < 0:
+            raise ValueError(f"regularization must be >= 0, got {self.regularization}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+
 
 @dataclass(frozen=True)
 class SamplerSpec:
@@ -45,10 +53,9 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in SAMPLER_NAMES:
             raise ValueError(f"unknown sampler {self.kind!r}; valid: {', '.join(SAMPLER_NAMES)}")
-        if self.k_neighbors < 1 or self.m_neighbors < 1 or self.enn_k < 1:
-            raise ValueError("neighbor counts must be >= 1")
-        if self.svm.epochs < 1:
-            raise ValueError("svm epochs must be >= 1")
+        for name in ("k_neighbors", "m_neighbors", "enn_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass

@@ -155,8 +155,11 @@ def test_criterion_4_checkpoint_roundtrip_and_corruption(tmp_path):
             assert c1.client_id == c0.client_id
             assert np.array_equal(c1.train_indices, c0.train_indices)
             assert np.array_equal(c1.test_indices, c0.test_indices)
-            for name, p in c0.model.params.items():
+            # the file stores no client models: each client starts from the
+            # global model, in a copy of its own
+            for name, p in server.global_model.params.items():
                 assert c1.model.params[name].tobytes() == p.tobytes()
+                assert c1.model.params[name] is not loaded.global_model.params[name]
 
         raw = bytearray(path.read_bytes())
         head = struct.Struct("<4sIQ")

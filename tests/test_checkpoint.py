@@ -55,8 +55,25 @@ def test_global_round_trip_restores_every_field(tmp_path):
         assert rest.client_id == orig.client_id
         assert np.array_equal(rest.train_indices, orig.train_indices)
         assert np.array_equal(rest.test_indices, orig.test_indices)
-        for k in orig.model.params:
-            assert np.array_equal(rest.model.params[k], orig.model.params[k])
+        # format 3 stores no client models: each client restarts from the global one
+        for k in server.global_model.params:
+            assert np.array_equal(rest.model.params[k], server.global_model.params[k])
+
+
+def test_loaded_clients_hold_independent_copies_of_the_global_model(tmp_path):
+    path = tmp_path / "g.fedh"
+    save_global(path, make_server())
+    back = load_global(path)
+    for c in back.clients:
+        for k, p in back.global_model.params.items():
+            assert c.model.params[k].tobytes() == p.tobytes()
+            assert c.model.params[k].dtype == p.dtype and c.model.arch == ARCH
+    others = [back.global_model, back.clients[0].model, back.clients[2].model]
+    before = [m.copy() for m in others]
+    for p in back.clients[1].model.params.values():
+        p += 1.0
+    for m, b in zip(others, before):
+        assert all(np.array_equal(m.params[k], b.params[k]) for k in b.params)
 
 
 def test_client_round_trip(tmp_path):
@@ -91,7 +108,7 @@ def test_forward_pass_bitwise_after_reload(tmp_path):
     back = load_global(path)
     x = np.random.default_rng(5).normal(size=(6, 10)).astype(np.float32)
     for a, b in [(server.global_model, back.global_model),
-                 (server.clients[2].model, back.clients[2].model)]:
+                 (server.global_model, back.clients[2].model)]:
         ra, sa, za = forward(a, x)
         rb, sb, zb = forward(b, x)
         assert np.array_equal(ra, rb) and np.array_equal(sa, sb) and np.array_equal(za, zb)
@@ -147,7 +164,8 @@ def test_bad_magic_and_version(tmp_path):
     wrong_magic.write_bytes(b"NOPE" + bytes(raw[4:]))
     with pytest.raises(CheckpointError, match="magic"):
         load_global(wrong_magic)
-    for version in (1, 99):  # 1 is the format before the strict header
+    # 1 is the format before the strict header; 2 also stored every client's model
+    for version in (1, 2, 99):
         wrong_version = bytearray(raw)
         struct.pack_into("<I", wrong_version, 4, version)
         vp = tmp_path / "v.fedh"
@@ -221,9 +239,10 @@ def test_save_rejects_non_float32_models(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_save_rejects_non_finite_tensors(tmp_path, bad):
     server = make_server()
-    server.clients[1].model.params["enc.fc.b"][0] = bad
-    with pytest.raises(CheckpointError, match="non-finite"):
+    server.global_model.params["enc.fc.b"][0] = bad
+    with pytest.raises(CheckpointError, match="tensor global/enc.fc.b contains non-finite"):
         save_global(tmp_path / "g.fedh", server)
+    server.clients[1].model.params["enc.fc.b"][0] = bad
     with pytest.raises(CheckpointError, match="non-finite"):
         save_client(tmp_path / "c.fedh", server.clients[1])
 
@@ -251,11 +270,11 @@ def test_load_rejects_non_finite_tensors(tmp_path, bad):
     save_global(path, make_server())
 
     def poison(header, payload):
-        e = _entry(header, "client/1/enc.fc.b")
+        e = _entry(header, "global/enc.fc.b")
         struct.pack_into("<f", payload, e["offset"] + 4, bad)
 
     _rewrite_payload(path, poison)
-    with pytest.raises(CheckpointError, match="client/1/enc.fc.b contains non-finite"):
+    with pytest.raises(CheckpointError, match="global/enc.fc.b contains non-finite"):
         load_global(path)
 
     cpath = tmp_path / "c.fedh"
@@ -283,7 +302,15 @@ def test_load_rejects_tensor_offsets_outside_the_payload(tmp_path, where):
 
 
 
-# --- the strict header schema of format version 2 ---
+def test_load_rejects_tensors_outside_the_global_model(tmp_path):
+    path = tmp_path / "g.fedh"
+    save_global(path, make_server())
+    _rewrite_header(path, lambda h: _entry(h, "global/enc.fc.b").update(name="client/0/enc.fc.b"))
+    with pytest.raises(CheckpointError, match="tensor client/0/enc.fc.b is not under 'global/'"):
+        load_global(path)
+
+
+# --- the strict header schema of format version 3 ---
 
 
 @pytest.mark.parametrize("block", ["arch", "server", "clients", "tensors"])
@@ -321,11 +348,11 @@ def test_load_rejects_overlapping_tensors(tmp_path):
     path = tmp_path / "g.fedh"
     save_global(path, make_server())
 
-    def alias(header):
-        _entry(header, "client/2/enc.fc.b")["offset"] = _entry(header, "client/1/enc.fc.b")["offset"]
+    def alias(header):  # both biases hold 4 floats
+        _entry(header, "global/enc.fc.b")["offset"] = _entry(header, "global/enc.conv1.b")["offset"]
 
     _rewrite_header(path, alias)
-    with pytest.raises(CheckpointError, match="client/1/enc.fc.b and client/2/enc.fc.b overlap"):
+    with pytest.raises(CheckpointError, match="global/enc.conv1.b and global/enc.fc.b overlap"):
         load_global(path)
 
 
@@ -369,6 +396,7 @@ def test_mutated_headers_raise_only_checkpoint_errors(tmp_path, data):
         for i in range(2)
     ], rs_test_acc=[0.5], rs_test_auc=[0.5], rs_train_loss=[1.0])
     save_global(path, small)
+    assert struct.unpack_from("<I", path.read_bytes(), 4) == (3,)
 
     def mutate(header):
         for _ in range(data.draw(st.integers(1, 3))):

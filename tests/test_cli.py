@@ -47,6 +47,13 @@ def tiny_config(**over):
     return obj
 
 
+def build(**over):
+    """Parse a minimal config with ``over`` and build its library objects,
+    where the value rules are checked."""
+    cfg = cli.parse_config(minimal_config(**over))
+    return cli.build_plan(cfg, cli.build_dataset(cfg), "unused")
+
+
 # --- config parsing ---
 
 
@@ -90,13 +97,13 @@ def test_unknown_nested_keys_are_errors():
 
 
 def test_unknown_sampler_error_lists_valid_names():
-    with pytest.raises(ValueError, match="smote_tomek"):
-        cli.parse_config(minimal_config(samplers=["smoke"]))
+    with pytest.raises(ValueError, match="config.samplers: unknown sampler 'smoke'.*smote_tomek"):
+        build(samplers=["smoke"])
 
 
 def test_duplicate_samplers_rejected():
-    with pytest.raises(ValueError, match="duplicates"):
-        cli.parse_config(minimal_config(samplers=["smote", "smote"]))
+    with pytest.raises(ValueError, match="config.samplers contains duplicates"):
+        build(samplers=["smote", "smote"])
 
 
 def test_booleans_do_not_pass_as_integers():
@@ -117,22 +124,35 @@ def test_missing_required_keys():
 def test_dataset_source_validation():
     with pytest.raises(ValueError, match="kind"):
         cli.parse_config(minimal_config(dataset={"kind": "parquet"}))
-    with pytest.raises(ValueError, match="class_counts"):
-        cli.parse_config(minimal_config(
-            dataset={"kind": "synthetic", "class_counts": [10]}))
+    with pytest.raises(ValueError, match="config.dataset.class_counts"):
+        build(dataset={"kind": "synthetic", "class_counts": [10]})
+    with pytest.raises(ValueError, match="config.dataset.class_counts must be a list of integers"):
+        cli.parse_config(minimal_config(dataset={"kind": "synthetic", "class_counts": [1.5, 2]}))
     with pytest.raises(ValueError, match="path"):
         cli.parse_config(minimal_config(dataset={"kind": "csv"}))
 
 
 def test_out_of_range_values_rejected():
-    with pytest.raises(ValueError, match="num_clients"):
-        cli.parse_config(minimal_config(num_clients=1))
-    with pytest.raises(ValueError, match="num_folds"):
-        cli.parse_config(minimal_config(num_folds=1))
-    with pytest.raises(ValueError, match="concentration"):
-        cli.parse_config(minimal_config(concentration=0.0))
+    # value ranges are the library's rules, checked as the plan is built
+    with pytest.raises(ValueError, match="config.num_clients must be >= 2, got 1"):
+        build(num_clients=1)
+    with pytest.raises(ValueError, match="config.num_folds must be >= 2, got 1"):
+        build(num_folds=1)
+    with pytest.raises(ValueError, match="config.concentration must be > 0"):
+        build(concentration=0.0)
+    with pytest.raises(ValueError, match="config.hyper.batch_size must be >= 1, got 0"):
+        build(hyper={"batch_size": 0})
+    # no library class owns these two, so parsing checks them
+    with pytest.raises(ValueError, match="config.seed must be >= 0, got -1"):
+        cli.parse_config(minimal_config(seed=-1))
     with pytest.raises(ValueError, match="output_dir"):
         cli.parse_config(minimal_config(output_dir=""))
+
+
+def test_parsing_checks_types_not_ranges():
+    cfg = cli.parse_config(minimal_config(num_clients=1, concentration=-1,
+                                          samplers=["smoke", "smoke"], hyper={"batch_size": 0}))
+    assert cfg["num_clients"] == 1 and cfg["samplers"] == ["smoke", "smoke"]
 
 
 def test_config_round_trips_through_dict():
@@ -298,6 +318,44 @@ def test_main_defaults_to_config_output_dir(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
     assert (out / "metrics.csv").is_file()
+
+
+_SYNTHETIC = {"kind": "synthetic", "class_counts": [30, 20, 8], "dim": 8}
+
+
+@pytest.mark.parametrize("over, key", [
+    ({"num_clients": 1}, "config.num_clients"),
+    ({"concentration": 0}, "config.concentration"),
+    ({"samplers": ["smote", "smote"]}, "config.samplers"),
+    ({"samplers": ["smote", "smoke"]}, "config.samplers: unknown sampler 'smoke'; valid: smote, "),
+    ({"hyper": {"learning_rate": -1}}, "config.hyper.learning_rate"),
+    ({"dataset": {**_SYNTHETIC, "scale": 0}}, "config.dataset.scale"),
+    ({"arch": {"recon_weight": -1}}, "config.arch.recon_weight"),
+    ({"arch": {"stages": [[0, 3, 2]]}}, "config.arch.stages"),
+    ({"sampler_params": {"svm_learning_rate": -1}}, "config.sampler_params.svm_learning_rate"),
+    ({"sampler_params": {"svm_regularization": -5}}, "config.sampler_params.svm_regularization"),
+    ({"sampler_params": {"svm_epochs": 0}}, "config.sampler_params.svm_epochs"),
+    ({"sampler_params": {"enn_k": 0}}, "config.sampler_params.enn_k"),
+])
+def test_main_value_errors_name_their_config_key(tmp_path, capsys, over, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(**over)), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, key", [("--folds", "1", "config.num_folds"),
+                                              ("--seed", "-1", "config.seed")])
+def test_main_overrides_pass_the_config_checks(tmp_path, capsys, flag, value, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config()), encoding="utf-8")
+    rc = cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out"),
+                   flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be >= ") and err.count("\n") == 1
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -101,10 +104,20 @@ def test_round_zero_is_identical_across_samplers(tiny_run):
 
 
 def test_checkpoints_written_per_fold(tiny_run):
-    """global.fedh holds every client too, so it is the only file a fold writes."""
+    """global.fedh, in format 3, is the only file a fold writes.  It holds
+    every client's rows but only the global model's tensors: each sampler
+    trial gives every client a copy of the global model."""
     plan, _ = tiny_run
     for fold in range(plan.num_folds):
+        path = plan.fold_dir(fold) / "global.fedh"
         assert [p.name for p in plan.fold_dir(fold).iterdir()] == ["global.fedh"]
+        raw = path.read_bytes()
+        _, version, header_len = struct.unpack_from("<4sIQ", raw)
+        header = json.loads(raw[16:16 + header_len])
+        assert version == 3
+        assert len(header["clients"]) == plan.num_clients
+        names = [e["name"] for e in header["tensors"]]
+        assert names and all(name.startswith("global/") for name in names)
 
 
 def test_rerun_reproduces_every_record(tiny_run, tmp_path):

@@ -79,6 +79,19 @@ def test_arch_validation():
         ArchSpec(input_len=8, num_classes=3, recon_weight=-1.0)
 
 
+def test_arch_takes_stage_triples_and_names_the_bad_field():
+    a = ArchSpec(input_len=8, num_classes=3, stages=[[3, 3, 2]], mlp_hidden=[5])
+    assert a == ArchSpec(input_len=8, num_classes=3, stages=(ConvStage(3, 3, 2),), mlp_hidden=(5,))
+    assert hash(a) == hash(ArchSpec(input_len=8, num_classes=3, stages=((3, 3, 2),),
+                                    mlp_hidden=(5,)))
+    for kwargs, message in [({"stages": [[3, 0, 2]]}, r"stages must .*, got \[\[3, 0, 2\]\]"),
+                            ({"latent_dim": 0}, "latent_dim must be >= 1, got 0"),
+                            ({"mlp_hidden": [4, 0]}, r"mlp_hidden widths must be >= 1, got \[4, 0\]"),
+                            ({"recon_weight": -1.0}, "recon_weight and pred_weight")]:
+        with pytest.raises(ValueError, match=message):
+            ArchSpec(input_len=8, num_classes=3, **kwargs)
+
+
 def test_init_model_bounds_and_determinism():
     arch = small_arch()
     m1 = init_model(arch, np.random.default_rng(3))

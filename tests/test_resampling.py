@@ -375,3 +375,16 @@ def test_resample_rejects_bad_input():
         SamplerSpec(kind="smoke")
     with pytest.raises(ValueError, match="2 classes"):
         resample(X, np.zeros(4, dtype=int), SamplerSpec(kind="smote"), np.random.default_rng(0))
+
+
+def test_sampler_params_validation():
+    for kwargs, message in [({"learning_rate": -1.0}, "learning_rate must be > 0, got -1.0"),
+                            ({"learning_rate": 0.0}, "learning_rate must be > 0, got 0.0"),
+                            ({"regularization": -5.0}, "regularization must be >= 0, got -5.0"),
+                            ({"epochs": 0}, "epochs must be >= 1, got 0")]:
+        with pytest.raises(ValueError, match=message):
+            SvmParams(**kwargs)
+    assert SvmParams(regularization=0.0).regularization == 0.0  # no penalty is allowed
+    for name in ("k_neighbors", "m_neighbors", "enn_k"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            SamplerSpec(kind="smote", **{name: 0})
