@@ -20,6 +20,7 @@ from .dataset import (
 )
 from .federation import (
     ClientState,
+    EncodedSet,
     EvalSummary,
     PersonalSet,
     ServerState,
@@ -36,12 +37,14 @@ from .gcae import (
     ModelState,
     decode,
     encode,
+    evaluate_head_loss,
     evaluate_loss,
     forward,
     grad_check,
     head_scores,
     init_model,
     loss,
+    train_head_step,
     train_step,
 )
 from .metrics import accuracy, aggregate_over_folds, roc_auc_macro, sample_std
@@ -52,12 +55,12 @@ __all__ = [
     "__version__",
     "ArchSpec", "ConvStage", "ModelState",
     "encode", "decode", "forward", "head_scores", "loss", "evaluate_loss",
-    "init_model", "train_step", "grad_check",
+    "evaluate_head_loss", "init_model", "train_step", "train_head_step", "grad_check",
     "Dataset", "FoldPlan", "ClientShard", "SyntheticSpec",
     "make_synthetic_spec", "generate_synthetic", "load_csv", "save_csv",
     "partition_noniid", "stratified_kfold",
     "SAMPLER_NAMES", "SamplerSpec", "SvmParams", "ResampledSet", "resample",
-    "ClientState", "ServerState", "TrainHyper", "PersonalSet", "EvalSummary",
+    "ClientState", "ServerState", "TrainHyper", "PersonalSet", "EncodedSet", "EvalSummary",
     "fedavg", "train_on", "run_global_round",
     "build_personalization_set", "evaluate_clients",
     "CheckpointError", "save_global", "load_global", "save_client", "load_client",

@@ -22,6 +22,7 @@ from .checkpoint import load_client, load_global, save_client, save_global  # no
 from .dataset import Dataset, partition_noniid, stratified_kfold
 from .federation import (
     ClientState,
+    EncodedSet,
     ServerState,
     TrainHyper,
     build_personalization_set,
@@ -111,6 +112,9 @@ class ExperimentPlan:
                           ("personalization_rounds", 1), ("eval_gap", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.num_folds > len(self.dataset):
+            raise ValueError(f"num_folds must be <= the dataset's {len(self.dataset)} rows, "
+                             f"got {self.num_folds}")
         if self.concentration <= 0:
             raise ValueError(f"concentration must be > 0, got {self.concentration}")
         names = [s.kind for s in self.samplers]
@@ -135,10 +139,19 @@ class ExperimentPlan:
         return Path(self.work_dir) / f"fold_{fold}"
 
 
+class PlanValueError(ValueError):
+    """A plan value that passed the plan's own checks but that its dataset
+    cannot meet; the message starts with the field's name."""
+
+
 def _partition(plan: ExperimentPlan):
-    return partition_noniid(plan.dataset, plan.num_clients,
-                            concentration=plan.concentration,
-                            seed=derive_seed(plan.master_seed, "partition"))
+    try:
+        return partition_noniid(plan.dataset, plan.num_clients,
+                                concentration=plan.concentration,
+                                seed=derive_seed(plan.master_seed, "partition"))
+    except RuntimeError as exc:
+        raise PlanValueError(f"num_clients of {plan.num_clients} cannot be partitioned: "
+                             f"{exc}") from None
 
 
 def _fold_plan(plan: ExperimentPlan):
@@ -223,9 +236,16 @@ def run_fold(plan: ExperimentPlan, fold: int, shards=None) -> list[MetricsRecord
 
 def _run_personalization(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
                          server: ServerState, features, labels) -> list[MetricsRecord]:
-    """Personalize every client with one sampler, recording scheduled rounds."""
+    """Personalize every client with one sampler, recording scheduled rounds.
+
+    A head-only trial never moves an encoder or a decoder, so each client's
+    test split and personalization set are encoded, and the latter decoded
+    for its reconstruction MSE, once: by the round-0 evaluation.  Every
+    step and evaluation after it runs the classifier head on those codes.
+    """
     seed0 = plan.master_seed
-    train_sets, trainable = [], []
+    head_only = not plan.personalize_full_model
+    train_sets = []
     for c in server.clients:
         tr = c.train_indices
         if len(tr) == 0:
@@ -237,9 +257,11 @@ def _run_personalization(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
             c.model, features[tr], labels[tr], spec,
             derive_rng(seed0, "resample", fold, spec.kind, c.client_id))
         train_sets.append((pers.features, pers.labels))
-        trainable.append((c, pers))
 
     test_sets = _eval_sets(server.clients, features, labels)
+    if head_only:
+        test_sets = [EncodedSet(c.model, *s) for c, s in zip(server.clients, test_sets)]
+        train_sets = [EncodedSet(c.model, *s) for c, s in zip(server.clients, train_sets)]
     schedule = set(plan.eval_schedule())
     records: list[MetricsRecord] = []
 
@@ -252,10 +274,13 @@ def _run_personalization(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
 
     record(0)
     for rnd in range(1, plan.personalization_rounds + 1):
-        for c, pers in trainable:
-            train_on(c.model, pers.features, pers.labels, plan.hyper,
+        for c, rows in zip(server.clients, train_sets):
+            if len(c.train_indices) == 0:
+                continue
+            x, y = (rows.codes, rows.labels) if head_only else rows
+            train_on(c.model, x, y, plan.hyper,
                      derive_rng(seed0, "ptrain", fold, spec.kind, rnd, c.client_id),
-                     head_only=not plan.personalize_full_model)
+                     head_only=head_only)
         if rnd in schedule:
             record(rnd)
     return records

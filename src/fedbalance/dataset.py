@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -138,6 +140,29 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     )
 
 
+def _csv_rows(text: str, path) -> tuple[list[str], list[str], int]:
+    """(header, every data cell row by row, data row count) of a CSV text.
+
+    A text without quotes, carriage returns, NULs, blank lines or ragged
+    rows is split on newlines and commas, which is what ``csv.reader`` makes
+    of it; any other text goes through ``csv.reader``.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if (lines and not any(c in text for c in '"\r\0') and "" not in lines
+            and len({line.count(",") for line in lines}) == 1):
+        body = ",".join(lines[1:])
+        return lines[0].split(","), body.split(",") if body else [], len(lines) - 1
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    header = rows[0]
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{lineno}: ragged row ({len(row)} cells, "
+                             f"expected {len(header)})")
+    return header, list(itertools.chain.from_iterable(rows[1:])), len(rows) - 1
+
+
 def load_csv(path, label_column="label") -> Dataset:
     """Load a one-header-row numeric CSV; label column by name or index.
 
@@ -148,44 +173,38 @@ def load_csv(path, label_column="label") -> Dataset:
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        text = fh.read()
+    if not text:
+        raise ValueError(f"{path}: empty file")
+    header, cells, n_rows = _csv_rows(text, path)
+    if isinstance(label_column, int):
+        label_idx = label_column
+        if not 0 <= label_idx < len(header):
+            raise ValueError(f"label column index {label_idx} out of range")
+    else:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if isinstance(label_column, int):
-            label_idx = label_column
-            if not 0 <= label_idx < len(header):
-                raise ValueError(f"label column index {label_idx} out of range")
-        else:
-            try:
-                label_idx = header.index(label_column)
-            except ValueError:
-                raise ValueError(f"label column {label_column!r} not in header") from None
-
-        cells = []
-        raw_labels = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: ragged row ({len(row)} cells, expected {len(header)})")
-            raw_labels.append(row.pop(label_idx))
-            cells.append(row)
-
-    if not cells:
+            label_idx = header.index(label_column)
+        except ValueError:
+            raise ValueError(f"label column {label_column!r} not in header") from None
+    if not n_rows:
         raise ValueError(f"{path}: no data rows")
+
+    width = len(header)
+    raw_labels = cells[label_idx::width]
+    del cells[label_idx::width]
     try:
         features = np.array(cells, dtype=np.float64)
     except ValueError:
         features = None
     if features is None or not np.isfinite(features).all():
-        for lineno, row in enumerate(cells, start=2):  # name the first bad cell
-            for cell in row:
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
-                if not np.isfinite(v):
-                    raise ValueError(f"{path}:{lineno}: non-finite cell {cell!r}")
+        for i, cell in enumerate(cells):  # name the first bad cell
+            lineno = 2 + i // (width - 1)
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
+            if not np.isfinite(v):
+                raise ValueError(f"{path}:{lineno}: non-finite cell {cell!r}")
     label_map: dict[str, int] = {}
     labels = []
     for raw in raw_labels:
@@ -193,7 +212,7 @@ def load_csv(path, label_column="label") -> Dataset:
             label_map[raw] = len(label_map)
         labels.append(label_map[raw])
     return Dataset(
-        features=features,
+        features=features.reshape(n_rows, width - 1),
         labels=np.asarray(labels, dtype=np.int64),
         num_classes=len(label_map),
     )

@@ -9,6 +9,7 @@ client drifts on its own class-balanced data.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,9 +21,11 @@ from .gcae import (  # noqa: F401
     ModelState,
     decode,
     encode,
+    evaluate_head_loss,
     evaluate_loss,
     forward,
     head_scores,
+    train_head_step,
     train_step,
 )
 from .metrics import accuracy, roc_auc_macro, sample_std
@@ -106,9 +109,13 @@ def fedavg(models: list[ModelState], sample_counts) -> ModelState:
 def train_on(model: ModelState, features, labels, hyper: TrainHyper, rng,
              head_only: bool = False) -> float:
     """Minibatch SGD over seeded shuffled epochs; returns the per-sample
-    mean of the pre-update batch losses that ``train_step`` returns, which
-    for ``head_only`` are beta * cross-entropy alone.  The trailing partial
-    batch is kept."""
+    mean of the pre-update batch losses that each step returns.  The
+    trailing partial batch is kept.
+
+    With ``head_only`` the rows are latent codes, as ``encode`` gives them,
+    and each batch is one ``train_head_step``: the classifier head alone
+    trains, and its losses are beta * cross-entropy.
+    """
     n = len(labels)
     if n == 0:
         raise ValueError("cannot train on an empty set")
@@ -117,8 +124,11 @@ def train_on(model: ModelState, features, labels, hyper: TrainHyper, rng,
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch_size):
             idx = order[start:start + hyper.batch_size]
-            batch_loss = train_step(model, features[idx], labels[idx],
-                                    hyper.learning_rate, head_only=head_only)
+            if head_only:
+                batch_loss = train_head_step(model, features[idx], labels[idx],
+                                             hyper.learning_rate)
+            else:
+                batch_loss = train_step(model, features[idx], labels[idx], hyper.learning_rate)
             total += batch_loss * len(idx)
             seen += len(idx)
     return total / seen
@@ -191,6 +201,38 @@ def build_personalization_set(model: ModelState, features, labels,
     return PersonalSet(features=out, labels=rs.labels.copy(), resampled=rs)
 
 
+class EncodedSet:
+    """A client's rows under an encoder and decoder that stay frozen.
+
+    A head-only trial moves only the classifier head, so the latent codes
+    of its rows, and their reconstruction MSE, which the loss adds to the
+    head's cross-entropy, are the same in every round.  Each is computed on
+    first use, by ``encode`` and ``decode`` of ``model``, and then kept;
+    the set is scored by ``model`` alone.
+    """
+
+    def __init__(self, model: ModelState, features, labels):
+        self.model = model
+        self.features = np.asarray(features, dtype=model.dtype)
+        self.labels = np.asarray(labels, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        return encode(self.model, self.features)
+
+    @functools.cached_property
+    def mse(self) -> float:
+        diff = decode(self.model, self.codes) - self.features  # as evaluate_loss takes it
+        return float(np.mean(diff * diff))
+
+    def loss(self) -> float:
+        """``evaluate_loss``'s total on these rows, from the kept codes and MSE."""
+        return evaluate_head_loss(self.model, self.codes, self.labels, self.mse)[0]
+
+
 @dataclass(frozen=True)
 class EvalSummary:
     """Metrics of one evaluation over clients (see ``evaluate_clients``).
@@ -218,24 +260,32 @@ def evaluate_clients(clients: list[ClientState], test_sets,
                      train_sets=None) -> EvalSummary:
     """Test metrics over clients, each scored by its own model.
 
-    ``test_sets`` / ``train_sets`` are (features, labels) pairs aligned with
-    ``clients``.  Test splits are scored by the encoder and the classifier
-    head; the decoder does not run.  Accuracy/AUC are sample-count-weighted
-    means; the std columns are unweighted sample standard deviations across
-    clients (0 for one client).  A client with an empty test split is
-    excluded with a warning; a single-class test split is excluded from AUC
-    only.  train_loss is the sample-weighted mean full loss on the clients'
-    current training material, or None without ``train_sets``.
+    ``test_sets`` / ``train_sets`` are aligned with ``clients``.  Each set
+    is a (features, labels) pair, encoded here, or an ``EncodedSet`` of the
+    client's model, whose kept codes are reused.  Test splits are scored by
+    the encoder and the classifier head; the decoder does not run.
+    Accuracy/AUC are sample-count-weighted means; the std columns are
+    unweighted sample standard deviations across clients (0 for one
+    client).  A client with an empty test split is excluded with a warning;
+    a single-class test split is excluded from AUC only.  train_loss is the
+    sample-weighted mean full loss on the clients' current training
+    material, or None without ``train_sets``.
     """
     accs, acc_w, aucs, auc_w, losses, loss_w = [], [], [], [], [], []
     trains = [None] * len(clients) if train_sets is None else train_sets
-    for client, (x_test, y_test), train in zip(clients, test_sets, trains, strict=True):
-        y_test = np.asarray(y_test, dtype=np.int64)
-        if len(y_test) == 0:
+    for client, test, train in zip(clients, test_sets, trains, strict=True):
+        for s in (test, train):
+            if isinstance(s, EncodedSet) and s.model is not client.model:
+                raise ValueError(f"client {client.client_id} is scored on a set "
+                                 "that another model encoded")
+        if not isinstance(test, EncodedSet):
+            test = EncodedSet(client.model, *test)  # encoded for this evaluation only
+        if len(test) == 0:
             warnings.warn(f"client {client.client_id} has an empty test split; excluded",
                           stacklevel=2)
             continue
-        scores = head_scores(client.model, encode(client.model, x_test))
+        y_test = test.labels
+        scores = head_scores(client.model, test.codes)
         accs.append(accuracy(np.argmax(scores, axis=1), y_test))
         acc_w.append(len(y_test))
         if len(np.unique(y_test)) < 2:
@@ -246,7 +296,10 @@ def evaluate_clients(clients: list[ClientState], test_sets,
         else:
             aucs.append(roc_auc_macro(_softmax(scores), y_test))
             auc_w.append(len(y_test))
-        if train is not None and len(np.asarray(train[1])):
+        if isinstance(train, EncodedSet) and len(train):
+            losses.append(train.loss())
+            loss_w.append(len(train))
+        elif train is not None and len(np.asarray(train[1])):
             losses.append(evaluate_loss(client.model, *train)[0])
             loss_w.append(len(train[1]))
     if not accs:

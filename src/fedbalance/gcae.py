@@ -387,19 +387,13 @@ def encode(model: ModelState, x: np.ndarray) -> np.ndarray:
 
 
 def decode(model: ModelState, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=model.dtype)
-    if z.ndim != 2 or z.shape[1] != model.arch.latent_dim:
-        raise ValueError(f"latent must be (n, {model.arch.latent_dim})")
-    return _decode(model.params, _plan(model.arch), z)
+    return _decode(model.params, _plan(model.arch), _check_codes(model, z))
 
 
 def head_scores(model: ModelState, z: np.ndarray) -> np.ndarray:
     """Class scores of the classifier head on latent codes; with
     ``encode`` it gives the scores of ``forward`` without the decoder."""
-    z = np.asarray(z, dtype=model.dtype)
-    if z.ndim != 2 or z.shape[1] != model.arch.latent_dim:
-        raise ValueError(f"latent must be (n, {model.arch.latent_dim})")
-    return _mlp_cached(model.params, model.arch, z)[0]
+    return _mlp_cached(model.params, model.arch, _check_codes(model, z))[0]
 
 
 def forward(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -417,6 +411,13 @@ def _check_input(model: ModelState, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != model.arch.input_width:
         raise ValueError(f"input must be (n, {model.arch.input_width}), got {x.shape}")
     return x
+
+
+def _check_codes(model: ModelState, z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=model.dtype)
+    if z.ndim != 2 or z.shape[1] != model.arch.latent_dim:
+        raise ValueError(f"latent must be (n, {model.arch.latent_dim})")
+    return z
 
 
 def _weights(model: ModelState, alpha, beta) -> tuple[float, float]:
@@ -460,11 +461,23 @@ def loss(recon, x, scores, labels, alpha: float, beta: float):
 def evaluate_loss(model: ModelState, x, labels, alpha: float | None = None,
                   beta: float | None = None) -> tuple[float, float, float]:
     """(total, mse, cross_entropy) on one batch; weights default to the arch's."""
-    alpha, beta = _weights(model, alpha, beta)
     x = _check_input(model, x)
-    labels = _check_labels(model, labels, len(x))
-    recon, scores, _ = forward(model, x)
-    mse, _ = _mse(recon, x)
+    plan = _plan(model.arch)
+    latent = _encode(model.params, plan, x)
+    mse, _ = _mse(_decode(model.params, plan, latent), x)
+    return evaluate_head_loss(model, latent, labels, mse, alpha, beta)
+
+
+def evaluate_head_loss(model: ModelState, z, labels, mse: float, alpha: float | None = None,
+                       beta: float | None = None) -> tuple[float, float, float]:
+    """``evaluate_loss`` of rows given by their latent codes ``z`` and their
+    reconstruction MSE, which the decoder gave and does not change while it
+    is frozen: the same (total, mse, cross_entropy), with only the classifier
+    head run."""
+    alpha, beta = _weights(model, alpha, beta)
+    z = _check_codes(model, z)
+    labels = _check_labels(model, labels, len(z))
+    scores, _ = _mlp_cached(model.params, model.arch, z)
     ce, _ = _cross_entropy(scores.astype(np.float64), labels)
     return alpha * mse + beta * ce, mse, ce
 
@@ -490,21 +503,12 @@ def _mlp_bwd(dscores, mlp_cache, grads):
     return dz
 
 
-def _compute_grads(model: ModelState, x, labels, alpha, beta, head_only=False):
-    """(loss, gradients).  A head-only pass trains the classifier head
-    alone: nothing it reads depends on the decoder or on encoder
-    gradients, so it encodes without caches, skips the decoder and
-    returns the term it trains, beta * cross-entropy."""
+def _compute_grads(model: ModelState, x, labels, alpha, beta):
+    """(loss, gradients) of a full step."""
     params, arch = model.params, model.arch
     plan = _plan(arch)
     dtype = model.dtype
     grads: dict[str, np.ndarray] = {}
-    if head_only:
-        scores, mlp_cache = _mlp_cached(params, arch, _encode(params, plan, x))
-        ce, dscores = _cross_entropy(np.asarray(scores, dtype=np.float64), labels)
-        _mlp_bwd((beta * dscores).astype(dtype), mlp_cache, grads)
-        return beta * ce, grads
-
     enc_cache, dec_cache = [], []
     latent = _encode(params, plan, x, enc_cache)
     recon = _decode(params, plan, latent, dec_cache)
@@ -546,15 +550,37 @@ def train_step(model: ModelState, x, labels, lr: float, alpha: float | None = No
     """One SGD step in place; returns the pre-update loss it trained on.
 
     A full step returns alpha * MSE + beta * cross-entropy.  A head-only
-    step updates the classifier head alone and returns the one term that
-    depends on it, beta * cross-entropy; it runs no decoder.  Raises
-    FloatingPointError if the returned loss is not finite — divergence
-    must stop a run rather than silently poison downstream aggregation.
+    step is ``encode`` followed by ``train_head_step``: it updates the
+    classifier head alone, returns beta * cross-entropy and runs no
+    decoder.  Raises FloatingPointError if the returned loss is not finite
+    — divergence must stop a run rather than silently poison downstream
+    aggregation.
     """
     alpha, beta = _weights(model, alpha, beta)
     x = _check_input(model, x)
+    if head_only:
+        return train_head_step(model, encode(model, x), labels, lr, beta)
     labels = _check_labels(model, labels, len(x))
-    total, grads = _compute_grads(model, x, labels, alpha, beta, head_only=head_only)
+    return _apply_step(model, *_compute_grads(model, x, labels, alpha, beta), lr)
+
+
+def train_head_step(model: ModelState, z, labels, lr: float, beta: float | None = None) -> float:
+    """One SGD step of the classifier head alone, in place, on latent codes
+    ``z``; returns the pre-update beta * cross-entropy it trained on, and
+    raises FloatingPointError, leaving the model as it was, when that value
+    is not finite.  Nothing else of the model is read or written, so codes
+    encoded once serve every step while the encoder stays frozen."""
+    beta = _weights(model, None, beta)[1]
+    z = _check_codes(model, z)
+    labels = _check_labels(model, labels, len(z))
+    scores, mlp_cache = _mlp_cached(model.params, model.arch, z)
+    ce, dscores = _cross_entropy(np.asarray(scores, dtype=np.float64), labels)
+    grads: dict[str, np.ndarray] = {}
+    _mlp_bwd((beta * dscores).astype(model.dtype), mlp_cache, grads)
+    return _apply_step(model, beta * ce, grads, lr)
+
+
+def _apply_step(model: ModelState, total: float, grads, lr: float) -> float:
     if not np.isfinite(total):
         raise FloatingPointError(f"non-finite training loss {total!r}")
     for name, g in grads.items():

@@ -178,6 +178,74 @@ def test_run_fold_head_only_freezes_autoencoder(tmp_path, monkeypatch):
             assert _changed(c.model, loaded, head)
 
 
+def _log_codes(monkeypatch):
+    """Log every federation.encode and decode call of the personalization
+    phase as (trial, crossval call, evaluation number in the trial, name)."""
+    import fedbalance.federation as fed
+
+    where = {"trial": -1, "call": None, "eval": -1}
+    log = []
+
+    def entering(name, inner):
+        def wrapped(*a, **k):
+            if name == "evaluate_clients":
+                where["eval"] += 1
+            where["call"] = name
+            try:
+                return inner(*a, **k)
+            finally:
+                where["call"] = None
+        return wrapped
+
+    for name in ("build_personalization_set", "train_on", "evaluate_clients"):
+        monkeypatch.setattr(cv, name, entering(name, getattr(cv, name)))
+    load = cv.load_global
+
+    def loading(path):
+        where["trial"] += 1
+        where["eval"] = -1
+        return load(path)
+
+    monkeypatch.setattr(cv, "load_global", loading)
+    for fn in ("encode", "decode"):
+        def logged(*a, _fn=fn, _inner=getattr(fed, fn), **k):
+            if where["trial"] >= 0:
+                log.append((where["trial"], where["call"], where["eval"], _fn))
+            return _inner(*a, **k)
+        monkeypatch.setattr(fed, fn, logged)
+    return log
+
+
+def _nonempty_splits(plan, fold):
+    splits = cv._split_clients(cv._partition(plan), cv._fold_plan(plan), fold)
+    return sum(len(tr) > 0 for tr, _ in splits), sum(len(te) > 0 for _, te in splits)
+
+
+def test_head_only_trial_encodes_and_decodes_each_set_once(tmp_path, monkeypatch):
+    """Per head-only trial, the round-0 evaluation encodes each client's
+    test split and personalization set and decodes the latter; no step and
+    no later evaluation runs the encoder or the decoder."""
+    plan = tiny_plan(tmp_path, personalize_full_model=False)
+    log = _log_codes(monkeypatch)
+    run_fold(plan, 0)
+    n_train, n_test = _nonempty_splits(plan, 0)
+    for trial in range(len(plan.samplers)):
+        calls = [c[1:] for c in log if c[0] == trial and c[1] != "build_personalization_set"]
+        assert sorted(calls) == sorted([("evaluate_clients", 0, "encode")] * (n_train + n_test)
+                                       + [("evaluate_clients", 0, "decode")] * n_train)
+
+
+def test_full_model_trial_encodes_every_scheduled_round(tmp_path, monkeypatch):
+    plan = tiny_plan(tmp_path)
+    log = _log_codes(monkeypatch)
+    run_fold(plan, 0)
+    _, n_test = _nonempty_splits(plan, 0)
+    for trial in range(len(plan.samplers)):
+        calls = [c[1:] for c in log if c[0] == trial and c[1] != "build_personalization_set"]
+        assert sorted(calls) == [("evaluate_clients", e, "encode")
+                                 for e in range(len(plan.eval_schedule())) for _ in range(n_test)]
+
+
 def test_global_phase_scores_no_train_loss(tmp_path, monkeypatch):
     """Global evaluation keeps accuracy and AUC only, so nothing computes a
     training loss before the checkpoint; personalization still records one."""

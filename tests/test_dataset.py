@@ -226,6 +226,30 @@ def test_csv_rejects_malformed_input(tmp_path, content, message):
         load_csv(path, label_column="label")
 
 
+@pytest.mark.parametrize("variant", ["quoted", "crlf", "no final newline"])
+def test_csv_plain_and_csv_module_paths_agree(tmp_path, variant):
+    """Plain text is split without the csv module; quoting and CRLF line
+    ends go through it.  Both give the same dataset."""
+    rng = np.random.default_rng(8)
+    rows = [[repr(v) for v in rng.normal(size=3).tolist()] + [lab] for lab in "abab"]
+    plain = "x,y,z,label\n" + "".join(",".join(r) + "\n" for r in rows)
+    other = {"quoted": plain.replace("a\n", '"a"\n'),
+             "crlf": plain.replace("\n", "\r\n"),
+             "no final newline": plain[:-1]}[variant]
+    (tmp_path / "p.csv").write_text(plain, encoding="utf-8")
+    (tmp_path / "o.csv").write_bytes(other.encode("utf-8"))
+    a, b = load_csv(tmp_path / "p.csv"), load_csv(tmp_path / "o.csv")
+    assert a.features.tobytes() == b.features.tobytes()
+    assert np.array_equal(a.labels, b.labels) and a.num_classes == b.num_classes == 2
+
+
+def test_csv_blank_line_is_a_ragged_row(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("a,label\n1.0,0\n\n2.0,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"blank\.csv:3: ragged row \(0 cells, expected 2\)"):
+        load_csv(path)
+
+
 def test_csv_missing_label_column(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n")

@@ -4,6 +4,7 @@ import pytest
 from fedbalance import federation
 from fedbalance.federation import (
     ClientState,
+    EncodedSet,
     ServerState,
     TrainHyper,
     build_personalization_set,
@@ -12,7 +13,15 @@ from fedbalance.federation import (
     run_global_round,
     train_on,
 )
-from fedbalance.gcae import ArchSpec, ConvStage, decode, encode, forward, init_model
+from fedbalance.gcae import (
+    ArchSpec,
+    ConvStage,
+    decode,
+    encode,
+    forward,
+    init_model,
+    train_head_step,
+)
 from fedbalance.resampling import SamplerSpec
 
 ARCH = ArchSpec(input_len=8, num_classes=3, stages=(ConvStage(3, 3, 2),),
@@ -287,3 +296,63 @@ def test_evaluate_clients_without_train_sets_scores_no_loss(monkeypatch):
     assert out.train_loss is None
     assert (out.accuracy, out.auc, out.std_accuracy, out.std_auc) == (
         with_loss.accuracy, with_loss.auc, with_loss.std_accuracy, with_loss.std_auc)
+
+
+def _counting(monkeypatch, *names):
+    """Wrap federation's ``names`` to count their calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        inner = getattr(federation, name)
+
+        def counted(*a, _name=name, _inner=inner, **k):
+            calls[_name] += 1
+            return _inner(*a, **k)
+
+        monkeypatch.setattr(federation, name, counted)
+    return calls
+
+
+def test_encoded_sets_score_as_fresh_pairs_and_encode_once(monkeypatch):
+    """Scoring on kept codes gives the very summary that encoding the pairs
+    afresh gives; the codes and the MSE are computed by the first
+    evaluation only."""
+    x, y = random_batch(40, seed=4)
+    models = [make_model(3), make_model(4)]
+    clients = [ClientState(i, m, np.array([0]), np.array([1])) for i, m in enumerate(models)]
+    pairs = [(x[:25], y[:25]), (x[25:], y[25:])]
+    fresh = evaluate_clients(clients, pairs, pairs)
+    calls = _counting(monkeypatch, "encode", "decode", "evaluate_loss")
+    tests = [EncodedSet(m, *p) for m, p in zip(models, pairs)]
+    trains = [EncodedSet(m, *p) for m, p in zip(models, pairs)]
+    assert evaluate_clients(clients, tests, trains) == fresh
+    assert calls == {"encode": 4, "decode": 2, "evaluate_loss": 0}
+    assert evaluate_clients(clients, tests, trains) == fresh
+    assert calls == {"encode": 4, "decode": 2, "evaluate_loss": 0}
+
+
+def test_encoded_set_is_scored_by_its_own_model():
+    x, y = random_batch(10, seed=5)
+    clients = [ClientState(0, make_model(1), np.array([0]), np.array([1]))]
+    with pytest.raises(ValueError, match="another model encoded"):
+        evaluate_clients(clients, [EncodedSet(make_model(1), x, y)])
+    with pytest.raises(ValueError, match="another model encoded"):
+        evaluate_clients(clients, [(x, y)], [EncodedSet(clients[0].model.copy(), x, y)])
+
+
+def test_train_on_head_only_steps_the_head_on_codes():
+    """A head-only train_on is one train_head_step per shuffled batch of the
+    codes, the trailing partial batch included."""
+    x, y = random_batch(21, seed=6)
+    hyper = TrainHyper(learning_rate=0.1, batch_size=8, local_epochs=2)
+    model, ref = make_model(2), make_model(2)
+    z = encode(model, x)
+    got = train_on(model, z, y, hyper, np.random.default_rng(9), head_only=True)
+    rng, total = np.random.default_rng(9), 0.0
+    for _ in range(2):
+        order = rng.permutation(21)
+        for start in range(0, 21, 8):
+            idx = order[start:start + 8]
+            total += train_head_step(ref, z[idx], y[idx], 0.1) * len(idx)
+    assert got == total / 42
+    for name, p in ref.params.items():
+        assert np.array_equal(model.params[name], p)

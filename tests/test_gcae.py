@@ -16,12 +16,14 @@ from fedbalance.gcae import (
     _upsample_into,
     decode,
     encode,
+    evaluate_head_loss,
     evaluate_loss,
     forward,
     grad_check,
     head_scores,
     init_model,
     loss,
+    train_head_step,
     train_step,
 )
 from oracles import (
@@ -424,6 +426,64 @@ def test_head_only_step_rejects_non_finite_input():
         train_step(m, x, np.array([0, 1, 2, 0]), lr=0.1, head_only=True)
     for name, p in before.params.items():
         assert np.array_equal(m.params[name], p)
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("arch", HEAD_ARCHS, ids=("default", "2ch-pool3", "k1-pool4"))
+def test_head_only_step_is_encode_then_head_step(arch, dtype):
+    """A head-only train_step, train_head_step on the encoded batch and the
+    decoding oracle leave every parameter with the same bits, and the two
+    steps return the same value."""
+    rng = np.random.default_rng(37)
+    for batch in BATCHES:
+        model = randomize_biases(init_model(arch, rng, dtype=dtype), rng)
+        on_codes, ref = model.copy(), model.copy()
+        for _ in range(2):
+            x = rng.normal(size=(batch, arch.input_width)).astype(dtype)
+            y = rng.integers(0, arch.num_classes, size=batch)
+            z = encode(on_codes, x)
+            assert train_head_step(on_codes, z, y, lr=0.05) == train_step(
+                model, x, y, lr=0.05, head_only=True)
+            head_only_step_ref(ref, x, y, lr=0.05)
+            for name, p in ref.params.items():
+                assert np.array_equal(model.params[name], p), (batch, name)
+                assert np.array_equal(on_codes.params[name], p), (batch, name)
+
+
+def test_head_step_checks_its_codes_and_labels():
+    m = init_model(small_arch(), np.random.default_rng(0))
+    before = m.copy()
+    z = np.ones((4, m.arch.latent_dim), dtype=np.float32)
+    y = np.array([0, 1, 2, 0])
+    assert train_head_step(m.copy(), z, y, lr=0.1, beta=0.5) == 0.5 * train_head_step(
+        m.copy(), z, y, lr=0.1, beta=1.0)
+    with pytest.raises(ValueError, match="latent must be"):
+        train_head_step(m, np.ones((4, m.arch.latent_dim + 1)), y, lr=0.1)
+    with pytest.raises(ValueError, match="labels must be"):
+        train_head_step(m, z, y[:3], lr=0.1)
+    z[1, 0] = np.inf
+    with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
+        train_head_step(m, z, y, lr=0.1)
+    for name, p in before.params.items():
+        assert np.array_equal(m.params[name], p)
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("arch", HEAD_ARCHS, ids=("default", "2ch-pool3", "k1-pool4"))
+def test_head_loss_on_kept_codes_equals_evaluate_loss(arch, dtype):
+    """Given the codes and the reconstruction MSE of a batch, the head alone
+    gives evaluate_loss's three values bit for bit."""
+    rng = np.random.default_rng(41)
+    model = randomize_biases(init_model(arch, rng, dtype=dtype), rng)
+    for batch in BATCHES:
+        x = rng.normal(size=(batch, arch.input_width)).astype(dtype)
+        y = rng.integers(0, arch.num_classes, size=batch)
+        z = encode(model, x)
+        diff = decode(model, z) - x
+        mse = float(np.mean(diff * diff))
+        assert evaluate_head_loss(model, z, y, mse) == evaluate_loss(model, x, y)
+        assert evaluate_head_loss(model, z, y, mse, alpha=0.2, beta=3.0) == evaluate_loss(
+            model, x, y, alpha=0.2, beta=3.0)
 
 
 @pytest.mark.parametrize("dtype", (np.float32, np.float64))
