@@ -44,6 +44,7 @@ from .gcae import (
     head_scores,
     init_model,
     loss,
+    reconstruction_mse,
     train_head_step,
     train_step,
 )
@@ -55,7 +56,8 @@ __all__ = [
     "__version__",
     "ArchSpec", "ConvStage", "ModelState",
     "encode", "decode", "forward", "head_scores", "loss", "evaluate_loss",
-    "evaluate_head_loss", "init_model", "train_step", "train_head_step", "grad_check",
+    "evaluate_head_loss", "reconstruction_mse", "init_model", "train_step", "train_head_step",
+    "grad_check",
     "Dataset", "FoldPlan", "ClientShard", "SyntheticSpec",
     "make_synthetic_spec", "generate_synthetic", "load_csv", "save_csv",
     "partition_noniid", "stratified_kfold",

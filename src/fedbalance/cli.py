@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import CheckpointError
-from .crossval import ExperimentPlan, MetricsTable, PlanValueError, run_experiment
+from .crossval import ExperimentPlan, MetricsTable, partition_clients, run_experiment
 from .dataset import Dataset, generate_synthetic, load_csv, make_synthetic_spec
 from .federation import TrainHyper
 from .gcae import ArchSpec, ConvStage
@@ -317,10 +317,8 @@ def run(config: dict, output_dir=None) -> MetricsTable:
     output_dir = Path(output_dir if output_dir is not None else config["output_dir"])
     ds = build_dataset(config)
     plan = build_plan(config, ds, output_dir / "checkpoints")
-    try:
-        table = run_experiment(plan)
-    except PlanValueError as exc:
-        raise ValueError(f"config.{exc}") from None
+    shards = _build("config.num_clients: ", partition_clients, plan)
+    table = run_experiment(plan, shards)
     write_outputs(table, config, output_dir)
     return table
 

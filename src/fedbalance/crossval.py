@@ -139,19 +139,11 @@ class ExperimentPlan:
         return Path(self.work_dir) / f"fold_{fold}"
 
 
-class PlanValueError(ValueError):
-    """A plan value that passed the plan's own checks but that its dataset
-    cannot meet; the message starts with the field's name."""
-
-
-def _partition(plan: ExperimentPlan):
-    try:
-        return partition_noniid(plan.dataset, plan.num_clients,
-                                concentration=plan.concentration,
-                                seed=derive_seed(plan.master_seed, "partition"))
-    except RuntimeError as exc:
-        raise PlanValueError(f"num_clients of {plan.num_clients} cannot be partitioned: "
-                             f"{exc}") from None
+def partition_clients(plan: ExperimentPlan):
+    """The experiment's client partition; it does not depend on the fold."""
+    return partition_noniid(plan.dataset, plan.num_clients,
+                            concentration=plan.concentration,
+                            seed=derive_seed(plan.master_seed, "partition"))
 
 
 def _fold_plan(plan: ExperimentPlan):
@@ -198,7 +190,7 @@ def run_fold(plan: ExperimentPlan, fold: int, shards=None) -> list[MetricsRecord
         raise ValueError(f"fold {fold} outside 0..{plan.num_folds - 1}")
     features, labels = plan.dataset.features, plan.dataset.labels
     if shards is None:
-        shards = _partition(plan)
+        shards = partition_clients(plan)
     splits = _split_clients(shards, _fold_plan(plan), fold)
 
     seed0 = plan.master_seed
@@ -286,11 +278,13 @@ def _run_personalization(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
     return records
 
 
-def run_experiment(plan: ExperimentPlan) -> MetricsTable:
+def run_experiment(plan: ExperimentPlan, shards=None) -> MetricsTable:
     """All folds, grid-checked: every (fold, sampler, scheduled round) cell
-    must be present exactly once or the run is rejected as inconsistent."""
+    must be present exactly once or the run is rejected as inconsistent.
+    ``shards`` is the client partition, computed here when not given."""
     table = MetricsTable()
-    shards = _partition(plan)
+    if shards is None:
+        shards = partition_clients(plan)
     for fold in range(plan.num_folds):
         table.records.extend(run_fold(plan, fold, shards))
     _check_grid(plan, table)

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
-import itertools
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -140,29 +138,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     )
 
 
-def _csv_rows(text: str, path) -> tuple[list[str], list[str], int]:
-    """(header, every data cell row by row, data row count) of a CSV text.
-
-    A text without quotes, carriage returns, NULs, blank lines or ragged
-    rows is split on newlines and commas, which is what ``csv.reader`` makes
-    of it; any other text goes through ``csv.reader``.
-    """
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if (lines and not any(c in text for c in '"\r\0') and "" not in lines
-            and len({line.count(",") for line in lines}) == 1):
-        body = ",".join(lines[1:])
-        return lines[0].split(","), body.split(",") if body else [], len(lines) - 1
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    header = rows[0]
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{lineno}: ragged row ({len(row)} cells, "
-                             f"expected {len(header)})")
-    return header, list(itertools.chain.from_iterable(rows[1:])), len(rows) - 1
-
-
 def load_csv(path, label_column="label") -> Dataset:
     """Load a one-header-row numeric CSV; label column by name or index.
 
@@ -173,32 +148,39 @@ def load_csv(path, label_column="label") -> Dataset:
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text:
-        raise ValueError(f"{path}: empty file")
-    header, cells, n_rows = _csv_rows(text, path)
-    if isinstance(label_column, int):
-        label_idx = label_column
-        if not 0 <= label_idx < len(header):
-            raise ValueError(f"label column index {label_idx} out of range")
-    else:
+        reader = csv.reader(fh)
         try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise ValueError(f"label column {label_column!r} not in header") from None
-    if not n_rows:
-        raise ValueError(f"{path}: no data rows")
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        if isinstance(label_column, int):
+            label_idx = label_column
+            if not 0 <= label_idx < len(header):
+                raise ValueError(f"label column index {label_idx} out of range")
+        else:
+            try:
+                label_idx = header.index(label_column)
+            except ValueError:
+                raise ValueError(f"label column {label_column!r} not in header") from None
 
-    width = len(header)
-    raw_labels = cells[label_idx::width]
-    del cells[label_idx::width]
+        cells = []  # every feature cell, row after row: one np.array call parses them all
+        raw_labels = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: ragged row ({len(row)} cells, expected {len(header)})")
+            raw_labels.append(row.pop(label_idx))
+            cells += row
+
+    if not raw_labels:
+        raise ValueError(f"{path}: no data rows")
+    width = len(header) - 1
     try:
         features = np.array(cells, dtype=np.float64)
     except ValueError:
         features = None
     if features is None or not np.isfinite(features).all():
         for i, cell in enumerate(cells):  # name the first bad cell
-            lineno = 2 + i // (width - 1)
+            lineno = 2 + i // width
             try:
                 v = float(cell)
             except ValueError:
@@ -212,7 +194,7 @@ def load_csv(path, label_column="label") -> Dataset:
             label_map[raw] = len(label_map)
         labels.append(label_map[raw])
     return Dataset(
-        features=features.reshape(n_rows, width - 1),
+        features=features.reshape(len(raw_labels), width),
         labels=np.asarray(labels, dtype=np.int64),
         num_classes=len(label_map),
     )
@@ -259,9 +241,9 @@ def partition_noniid(
         )
         if ok:
             return [ClientShard(client_id=i, sample_indices=s) for i, s in enumerate(shards)]
-    raise RuntimeError(
-        f"could not satisfy >=2 samples and >=2 classes per client after 100 draws "
-        f"(n_clients={n_clients}, concentration={concentration})"
+    raise ValueError(
+        f"cannot give each of {n_clients} clients >=2 samples and >=2 classes in 100 draws "
+        f"(concentration={concentration})"
     )
 
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# forward stays importable here so that callers and tools can patch or wrap
-# it by name, though scoring runs encode and head_scores instead
+# forward and evaluate_loss stay importable here so that callers and tools
+# can patch or wrap them by name, though scoring runs encode and head_scores,
+# and a training loss evaluate_head_loss, instead
 from .gcae import (  # noqa: F401
     ModelState,
     decode,
@@ -25,6 +26,7 @@ from .gcae import (  # noqa: F401
     evaluate_loss,
     forward,
     head_scores,
+    reconstruction_mse,
     train_head_step,
     train_step,
 )
@@ -225,8 +227,7 @@ class EncodedSet:
 
     @functools.cached_property
     def mse(self) -> float:
-        diff = decode(self.model, self.codes) - self.features  # as evaluate_loss takes it
-        return float(np.mean(diff * diff))
+        return reconstruction_mse(decode(self.model, self.codes), self.features)
 
     def loss(self) -> float:
         """``evaluate_loss``'s total on these rows, from the kept codes and MSE."""
@@ -280,6 +281,8 @@ def evaluate_clients(clients: list[ClientState], test_sets,
                                  "that another model encoded")
         if not isinstance(test, EncodedSet):
             test = EncodedSet(client.model, *test)  # encoded for this evaluation only
+        if train is not None and not isinstance(train, EncodedSet):
+            train = EncodedSet(client.model, *train)
         if len(test) == 0:
             warnings.warn(f"client {client.client_id} has an empty test split; excluded",
                           stacklevel=2)
@@ -296,12 +299,9 @@ def evaluate_clients(clients: list[ClientState], test_sets,
         else:
             aucs.append(roc_auc_macro(_softmax(scores), y_test))
             auc_w.append(len(y_test))
-        if isinstance(train, EncodedSet) and len(train):
+        if train is not None and len(train):
             losses.append(train.loss())
             loss_w.append(len(train))
-        elif train is not None and len(np.asarray(train[1])):
-            losses.append(evaluate_loss(client.model, *train)[0])
-            loss_w.append(len(train[1]))
     if not accs:
         raise ValueError("no client had test data")
     if not aucs:

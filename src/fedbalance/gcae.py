@@ -464,8 +464,13 @@ def evaluate_loss(model: ModelState, x, labels, alpha: float | None = None,
     x = _check_input(model, x)
     plan = _plan(model.arch)
     latent = _encode(model.params, plan, x)
-    mse, _ = _mse(_decode(model.params, plan, latent), x)
+    mse = reconstruction_mse(_decode(model.params, plan, latent), x)
     return evaluate_head_loss(model, latent, labels, mse, alpha, beta)
+
+
+def reconstruction_mse(recon: np.ndarray, x: np.ndarray) -> float:
+    """The loss's MSE term, of a reconstruction ``recon`` of the rows ``x``."""
+    return _mse(recon, x)[0]
 
 
 def evaluate_head_loss(model: ModelState, z, labels, mse: float, alpha: float | None = None,

@@ -336,7 +336,7 @@ _SYNTHETIC = {"kind": "synthetic", "class_counts": [30, 20, 8], "dim": 8}
     ({"sampler_params": {"svm_regularization": -5}}, "config.sampler_params.svm_regularization"),
     ({"sampler_params": {"svm_epochs": 0}}, "config.sampler_params.svm_epochs"),
     ({"sampler_params": {"enn_k": 0}}, "config.sampler_params.enn_k"),
-    ({"num_clients": 40}, "config.num_clients of 40 cannot be partitioned"),
+    ({"num_clients": 40}, "config.num_clients: cannot give each of 40 clients"),
     ({"num_folds": 500}, "config.num_folds must be <= the dataset's 58 rows, got 500"),
 ])
 def test_main_value_errors_name_their_config_key(tmp_path, capsys, over, key):

@@ -217,7 +217,7 @@ def _log_codes(monkeypatch):
 
 
 def _nonempty_splits(plan, fold):
-    splits = cv._split_clients(cv._partition(plan), cv._fold_plan(plan), fold)
+    splits = cv._split_clients(cv.partition_clients(plan), cv._fold_plan(plan), fold)
     return sum(len(tr) > 0 for tr, _ in splits), sum(len(te) > 0 for _, te in splits)
 
 
@@ -239,11 +239,30 @@ def test_full_model_trial_encodes_every_scheduled_round(tmp_path, monkeypatch):
     plan = tiny_plan(tmp_path)
     log = _log_codes(monkeypatch)
     run_fold(plan, 0)
-    _, n_test = _nonempty_splits(plan, 0)
+    n_train, n_test = _nonempty_splits(plan, 0)
     for trial in range(len(plan.samplers)):
         calls = [c[1:] for c in log if c[0] == trial and c[1] != "build_personalization_set"]
-        assert sorted(calls) == [("evaluate_clients", e, "encode")
-                                 for e in range(len(plan.eval_schedule())) for _ in range(n_test)]
+        assert sorted(calls) == sorted(
+            ("evaluate_clients", e, fn) for e in range(len(plan.eval_schedule()))
+            for fn, n in (("encode", n_train + n_test), ("decode", n_train)) for _ in range(n))
+
+
+@pytest.mark.filterwarnings("ignore:client 0 has no fold-train data")
+def test_head_only_fold_scores_a_client_without_train_rows(tmp_path):
+    """A client whose rows all fall in the test fold keeps the global model
+    and adds no training loss; the other clients' losses are still recorded."""
+    from fedbalance.dataset import ClientShard
+
+    plan = tiny_plan(tmp_path, personalize_full_model=False)
+    shards = cv.partition_clients(plan)
+    rows = shards[0].sample_indices
+    in_test = rows[cv._fold_plan(plan).assignment[rows] == 0]
+    assert len(in_test) > 0
+    shards = [ClientShard(client_id=0, sample_indices=in_test)] + shards[1:]
+    with pytest.warns(UserWarning, match="client 0 has no fold-train rows"):
+        records = run_fold(plan, 0, shards)
+    assert len(records) == len(plan.samplers) * len(plan.eval_schedule())
+    assert all(np.isfinite(r.train_loss) for r in records)
 
 
 def test_global_phase_scores_no_train_loss(tmp_path, monkeypatch):
@@ -252,8 +271,8 @@ def test_global_phase_scores_no_train_loss(tmp_path, monkeypatch):
     import fedbalance.federation as fed
 
     calls = []
-    inner = fed.evaluate_loss
-    monkeypatch.setattr(fed, "evaluate_loss",
+    inner = fed.evaluate_head_loss
+    monkeypatch.setattr(fed, "evaluate_head_loss",
                         lambda *a, **k: calls.append(1) or inner(*a, **k))
     at_save = []
     save = cv.save_global

@@ -227,9 +227,9 @@ def test_csv_rejects_malformed_input(tmp_path, content, message):
 
 
 @pytest.mark.parametrize("variant", ["quoted", "crlf", "no final newline"])
-def test_csv_plain_and_csv_module_paths_agree(tmp_path, variant):
-    """Plain text is split without the csv module; quoting and CRLF line
-    ends go through it.  Both give the same dataset."""
+def test_csv_quoting_and_line_ends_do_not_change_the_dataset(tmp_path, variant):
+    """A quoted label, CRLF line ends and a missing final newline give the
+    dataset of the plain file, feature bytes included."""
     rng = np.random.default_rng(8)
     rows = [[repr(v) for v in rng.normal(size=3).tolist()] + [lab] for lab in "abab"]
     plain = "x,y,z,label\n" + "".join(",".join(r) + "\n" for r in rows)

@@ -18,6 +18,7 @@ from fedbalance.gcae import (
     ConvStage,
     decode,
     encode,
+    evaluate_loss,
     forward,
     init_model,
     train_head_step,
@@ -289,9 +290,10 @@ def test_evaluate_clients_without_train_sets_scores_no_loss(monkeypatch):
     with_loss = evaluate_clients(clients, [(x, y), (x, y)], [(x, y), (x, y)])
 
     def refuse(*a, **k):
-        raise AssertionError("evaluate_loss ran without train sets")
+        raise AssertionError("a training loss was computed without train sets")
 
-    monkeypatch.setattr(federation, "evaluate_loss", refuse)
+    for name in ("evaluate_loss", "evaluate_head_loss", "decode"):
+        monkeypatch.setattr(federation, name, refuse)
     out = evaluate_clients(clients, [(x, y), (x, y)])
     assert out.train_loss is None
     assert (out.accuracy, out.auc, out.std_accuracy, out.std_auc) == (
@@ -321,13 +323,27 @@ def test_encoded_sets_score_as_fresh_pairs_and_encode_once(monkeypatch):
     clients = [ClientState(i, m, np.array([0]), np.array([1])) for i, m in enumerate(models)]
     pairs = [(x[:25], y[:25]), (x[25:], y[25:])]
     fresh = evaluate_clients(clients, pairs, pairs)
-    calls = _counting(monkeypatch, "encode", "decode", "evaluate_loss")
+    calls = _counting(monkeypatch, "encode", "decode")
     tests = [EncodedSet(m, *p) for m, p in zip(models, pairs)]
     trains = [EncodedSet(m, *p) for m, p in zip(models, pairs)]
     assert evaluate_clients(clients, tests, trains) == fresh
-    assert calls == {"encode": 4, "decode": 2, "evaluate_loss": 0}
+    assert calls == {"encode": 4, "decode": 2}
     assert evaluate_clients(clients, tests, trains) == fresh
-    assert calls == {"encode": 4, "decode": 2, "evaluate_loss": 0}
+    assert calls == {"encode": 4, "decode": 2}
+
+
+@pytest.mark.parametrize("wrap", (False, True), ids=("pair", "encoded"))
+def test_empty_train_set_adds_no_loss(wrap):
+    """A client with no training rows, given as a pair or as an EncodedSet,
+    is left out of train_loss; the other client's loss is the mean."""
+    x, y = random_batch(20, seed=7)
+    models = [make_model(3), make_model(4)]
+    clients = [ClientState(i, m, np.array([0]), np.array([1])) for i, m in enumerate(models)]
+    trains = [(x[:0], y[:0]), (x, y)]
+    if wrap:
+        trains = [EncodedSet(m, *p) for m, p in zip(models, trains)]
+    out = evaluate_clients(clients, [(x, y), (x, y)], trains)
+    assert out.train_loss == evaluate_loss(models[1], x, y)[0]
 
 
 def test_encoded_set_is_scored_by_its_own_model():
