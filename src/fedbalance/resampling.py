@@ -36,6 +36,10 @@ class SvmParams:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.regularization < 0:
             raise ValueError(f"regularization must be >= 0, got {self.regularization}")
+        if self.learning_rate * self.regularization >= 1:
+            # the per-step shrink 1 - lr * reg must stay positive
+            raise ValueError(f"regularization must be < 1 / learning_rate = {1 / self.learning_rate:g}, "
+                             f"got {self.regularization}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -100,7 +104,8 @@ def knn_indices(points: np.ndarray, query_row: int, k: int, exclude_self: bool =
 
 def _neighbor_table(rows: np.ndarray, seed_positions: np.ndarray, k: int) -> dict[int, np.ndarray]:
     k_eff = min(k, len(rows) - 1)
-    return {int(s): knn_indices(rows, int(s), k_eff, exclude_self=True) for s in np.unique(seed_positions)}
+    points = np.asarray(rows, dtype=np.float64)  # once, not once per query
+    return {int(s): knn_indices(points, int(s), k_eff, exclude_self=True) for s in np.unique(seed_positions)}
 
 
 def _synthesize(rows: np.ndarray, seed_positions: np.ndarray, k: int, n_new: int, rng) -> np.ndarray:
@@ -129,38 +134,38 @@ def smote(minority: np.ndarray, k: int, n_new: int, rng) -> np.ndarray:
     return _synthesize(minority, np.arange(len(minority)), k, n_new, rng)
 
 
-def fit_linear_svm(features: np.ndarray, binary_labels: np.ndarray, params: SvmParams) -> tuple[np.ndarray, float]:
-    """Linear decision function by cyclic subgradient descent on hinge loss.
+def fit_linear_svm(features: np.ndarray, binary_labels: np.ndarray, params: SvmParams):
+    """Linear decision functions by full-batch subgradient descent on hinge loss.
 
-    Labels must be in {-1, +1} with both present.  Samples are visited in
-    fixed order each epoch, so the result is a pure function of the inputs.
+    ``binary_labels`` is ``(n,)`` or ``(n, C)`` in {-1, +1}; each column is
+    one problem and must hold both signs.  Every epoch is one step taken at
+    the epoch's starting weights: with F = X W + b and G = Y * (Y F < 1),
+    W <- (1 - lr reg)**n W + lr X^T G and b <- b + lr sum(G).  That is one
+    cyclic pass over the rows with every margin read before the pass.
+    Returns ``(w, float b)`` for 1-D labels and ``(W (d, C), b (C,))`` for
+    2-D labels.
     """
     X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(binary_labels, dtype=np.float64)
-    present = set(np.unique(y))
-    if present != {-1.0, 1.0}:
-        raise ValueError("binary_labels must contain both -1 and +1")
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    lr, reg = params.learning_rate, params.regularization
-    # Everything that does not depend on w is computed once: the row views,
-    # the hinge steps lr * y_i * x_i and lr * y_i, and the shrink factor.
-    # The updates are the plain per-row loop's operations in its order, so
-    # (w, b) is bit for bit what that loop gives.
-    shrink = 1.0 - lr * reg
-    rows = list(X)
-    signs = y.tolist()
-    b_steps = [lr * yi for yi in signs]
-    w_steps = [lr * yi * xi for yi, xi in zip(signs, X)]
-    multiply, add = np.multiply, np.add
+    Y = np.asarray(binary_labels, dtype=np.float64)
+    single = Y.ndim == 1
+    if single:
+        Y = Y[:, None]
+    if Y.ndim != 2 or len(Y) != len(X):
+        raise ValueError(f"binary_labels must be ({len(X)},) or ({len(X)}, C), got {Y.shape}")
+    for j, column in enumerate(Y.T):
+        if set(np.unique(column)) != {-1.0, 1.0}:
+            raise ValueError(f"binary_labels column {j} must contain both -1 and +1")
+    lr = params.learning_rate
+    shrink = (1.0 - lr * params.regularization) ** len(X)
+    W = np.zeros((X.shape[1], Y.shape[1]))
+    b = np.zeros(Y.shape[1])
     for _ in range(params.epochs):
-        for xi, yi, w_step, b_step in zip(rows, signs, w_steps, b_steps):
-            margin = yi * (xi.dot(w) + b)
-            multiply(w, shrink, out=w)
-            if margin < 1.0:
-                add(w, w_step, out=w)
-                b += b_step
-    return w, float(b)
+        G = Y * (Y * (X @ W + b) < 1.0)
+        W = shrink * W + lr * (X.T @ G)
+        b = b + lr * G.sum(axis=0)
+    if single:
+        return W[:, 0], float(b[0])
+    return W, b
 
 
 def enn_filter(features: np.ndarray, labels: np.ndarray, enn_k: int) -> np.ndarray:
@@ -281,7 +286,7 @@ class _DangerSeeds:
     """
 
     def __init__(self, features, labels, k, m):
-        self.features = np.asarray(features)
+        self.features = np.asarray(features, dtype=np.float64)  # once, not once per query
         self.labels = np.asarray(labels, dtype=np.int64)
         self.k = k
         self.m = m
@@ -301,7 +306,12 @@ class _DangerSeeds:
 
 class _MarginSeeds:
     """SVM-SMOTE seed selection: minority rows inside the margin |f(x)| <= 1
-    of a one-vs-rest linear SVM; if none, the m rows closest to the boundary."""
+    of a one-vs-rest linear SVM; if none, the m rows closest to the boundary.
+
+    The first call fits, in one ``fit_linear_svm`` call, the SVM of every
+    class that ``_balance`` seeds: present, with at least 2 rows, and below
+    the majority count.  Each call then reads its own class's column.
+    """
 
     def __init__(self, features, labels, k, m, svm_params):
         self.features = np.asarray(features)
@@ -309,11 +319,20 @@ class _MarginSeeds:
         self.k = k
         self.m = m
         self.svm_params = svm_params
+        self.columns = None
+
+    def _fit(self):
+        counts = _class_counts(self.labels)
+        classes = np.flatnonzero((counts >= 2) & (counts < counts.max()))
+        Y = np.where(self.labels[:, None] == classes, 1.0, -1.0)
+        self.W, self.b = fit_linear_svm(self.features, Y, self.svm_params)
+        self.columns = {int(c): j for j, c in enumerate(classes)}
 
     def __call__(self, class_rows, class_label, positions):
-        y = np.where(self.labels == class_label, 1.0, -1.0)
-        w, b = fit_linear_svm(self.features, y, self.svm_params)
-        f = np.asarray(class_rows, dtype=np.float64) @ w + b
+        if self.columns is None:
+            self._fit()
+        j = self.columns[class_label]
+        f = np.asarray(class_rows, dtype=np.float64) @ self.W[:, j] + self.b[j]
         in_margin = np.flatnonzero(np.abs(f) <= 1.0)
         if len(in_margin):
             return in_margin

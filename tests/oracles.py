@@ -157,21 +157,37 @@ def upsample_ref(x, p: int, out_len: int):
 
 def linear_svm_ref(features, binary_labels, learning_rate: float, regularization: float,
                    epochs: int):
-    """Cyclic hinge-loss subgradient descent written as the plain loop: one
-    row at a time, every step recomputed in place."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(binary_labels, dtype=np.float64)
-    w = np.zeros(X.shape[1])
+    """Full-batch hinge-loss subgradient descent written as plain loops over
+    epochs, rows and features.  Each epoch reads every row's margin at the
+    epoch's starting (w, b), then shrinks w once per row and adds
+    lr * y_i * x_i for every row inside the margin.
+
+    Returns (w, b, violators), where violators[e] lists the rows inside the
+    margin in epoch e.
+    """
+    X = [[float(v) for v in row] for row in np.asarray(features, dtype=np.float64)]
+    y = [float(v) for v in binary_labels]
+    n, d = len(X), len(X[0])
+    w = [0.0] * d
     b = 0.0
-    lr, reg = learning_rate, regularization
+    violators = []
     for _ in range(epochs):
-        for i in range(len(X)):
-            margin = y[i] * (X[i] @ w + b)
-            w *= 1.0 - lr * reg
-            if margin < 1.0:
-                w += lr * y[i] * X[i]
-                b += lr * y[i]
-    return w, float(b)
+        inside = []
+        for i in range(n):
+            f = b
+            for j in range(d):
+                f += X[i][j] * w[j]
+            if y[i] * f < 1.0:
+                inside.append(i)
+        for _ in range(n):
+            for j in range(d):
+                w[j] *= 1.0 - learning_rate * regularization
+        for i in inside:
+            for j in range(d):
+                w[j] += learning_rate * y[i] * X[i][j]
+            b += learning_rate * y[i]
+        violators.append(inside)
+    return np.array(w), b, violators
 
 
 def conv1d_grads_ref(x, w, dy):

@@ -25,7 +25,6 @@ from fedbalance.gcae import ArchSpec, ConvStage, forward, grad_check, init_model
 from fedbalance.resampling import (
     SAMPLER_NAMES,
     SamplerSpec,
-    SvmParams,
     enn_filter,
     knn_indices,
     resample,
@@ -58,7 +57,6 @@ def test_criterion_1_reference_results_are_documented():
 def test_criterion_2_resampling_matches_oracles():
     title = "resampler internals match brute-force oracles over 200 instances"
     pure = {"smote", "borderline_smote", "random_over", "svm_smote"}
-    fast_svm = SvmParams(epochs=20)
     t0 = time.perf_counter()
     with criterion(2, title):
         for i in range(200):
@@ -80,7 +78,7 @@ def test_criterion_2_resampling_matches_oracles():
                 features, labels)
 
             kind = SAMPLER_NAMES[i % len(SAMPLER_NAMES)]
-            out = resample(features, labels, SamplerSpec(kind=kind, svm=fast_svm),
+            out = resample(features, labels, SamplerSpec(kind=kind),
                            np.random.default_rng(999 + i))
             for c in range(n_classes):
                 synth = out.features[out.is_synthetic & (out.labels == c)]

@@ -338,6 +338,8 @@ _SYNTHETIC = {"kind": "synthetic", "class_counts": [30, 20, 8], "dim": 8}
     ({"sampler_params": {"enn_k": 0}}, "config.sampler_params.enn_k"),
     ({"num_clients": 40}, "config.num_clients: cannot give each of 40 clients"),
     ({"num_folds": 500}, "config.num_folds must be <= the dataset's 58 rows, got 500"),
+    ({"sampler_params": {"svm_regularization": 100}},
+     "config.sampler_params.svm_regularization must be < 1 / learning_rate"),
 ])
 def test_main_value_errors_name_their_config_key(tmp_path, capsys, over, key):
     cfg_path = tmp_path / "cfg.json"

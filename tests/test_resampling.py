@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -195,23 +197,75 @@ def test_linear_svm_is_deterministic_and_validates_labels():
         fit_linear_svm(X, np.ones(3), SvmParams())
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_linear_svm_is_bit_identical_to_the_plain_loop(seed):
+def _svm_instance(seed):
     rng = np.random.default_rng(seed)
     n, dim = int(rng.integers(20, 120)), int(rng.integers(1, 17))
     # float32 rows like the encoder's latent codes, overlapping classes so
     # that some rows stay inside the margin in every epoch
     X = rng.normal(size=(n, dim)).astype(np.float32)
-    y = np.where(rng.random(n) < 0.3, 1.0, -1.0)
-    y[:2] = (1.0, -1.0)
     params = SvmParams(learning_rate=float(rng.uniform(0.001, 0.1)),
                        epochs=int(rng.integers(1, 40)),
                        regularization=float(rng.uniform(0.0, 0.01)))
-    w, b = fit_linear_svm(X, y, params)
-    w_ref, b_ref = linear_svm_ref(X, y, params.learning_rate, params.regularization,
-                                  params.epochs)
-    assert np.array_equal(w, w_ref)
-    assert b == b_ref
+    return rng, X, params
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_linear_svm_matches_the_full_batch_oracle(seed):
+    rng, X, params = _svm_instance(seed)
+    y = np.where(rng.random(len(X)) < 0.3, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    w_ref, b_ref, violators = linear_svm_ref(X, y, params.learning_rate,
+                                             params.regularization, params.epochs)
+    # the fit after e epochs is the state that epoch e + 1 starts from
+    w, b = np.zeros(X.shape[1]), 0.0
+    for epoch in range(params.epochs):
+        inside = np.flatnonzero(y * (X.astype(np.float64) @ w + b) < 1.0)
+        assert inside.tolist() == violators[epoch], f"epoch {epoch}"
+        w, b = fit_linear_svm(X, y, replace(params, epochs=epoch + 1))
+    assert np.allclose(w, w_ref, rtol=1e-12, atol=1e-14)
+    assert b == pytest.approx(b_ref, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6, 7])
+def test_linear_svm_column_is_bit_equal_alone_or_stacked(seed):
+    rng, X, params = _svm_instance(seed)
+    n_classes = int(rng.integers(2, 6))
+    labels = rng.integers(0, n_classes + 1, size=len(X))
+    labels[:n_classes + 1] = np.arange(n_classes + 1)
+    Y = np.where(labels[:, None] == np.arange(n_classes), 1.0, -1.0)
+    W, b = fit_linear_svm(X, Y, params)
+    assert W.shape == (X.shape[1], n_classes) and b.shape == (n_classes,)
+    for j in range(n_classes):
+        w_j, b_j = fit_linear_svm(X, Y[:, j], params)
+        assert np.array_equal(w_j, W[:, j]) and b_j == b[j]
+
+
+def test_linear_svm_validates_every_label_column():
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+    Y = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="column 1 must contain both -1 and \\+1"):
+        fit_linear_svm(X, Y, SvmParams())
+    with pytest.raises(ValueError, match="column 0 must contain both"):
+        fit_linear_svm(X, np.array([[1.0, -1.0], [2.0, 1.0], [1.0, -1.0]]), SvmParams())
+    with pytest.raises(ValueError, match="binary_labels must be \\(3,\\) or \\(3, C\\)"):
+        fit_linear_svm(X, np.array([1.0, -1.0]), SvmParams())
+
+
+def test_svm_smote_fits_once_per_resample(monkeypatch):
+    shapes = []
+
+    def counting_fit(features, labels, params):
+        shapes.append(np.shape(labels))
+        return fit_linear_svm(features, labels, params)
+
+    monkeypatch.setattr(rs, "fit_linear_svm", counting_fit)
+    rng = np.random.default_rng(9)
+    # class 0 is the majority, 1 and 2 are seeded, 3 has one row and is replicated
+    X = rng.normal(size=(30, 3))
+    y = np.array([0] * 18 + [1] * 7 + [2] * 4 + [3])
+    out = resample(X, y, SamplerSpec(kind="svm_smote"), np.random.default_rng(3))
+    assert out.result_counts.tolist() == [18, 18, 18, 18]
+    assert shapes == [(30, 2)]
 
 
 def test_svm_smote_balances_with_segment_property():
@@ -224,14 +278,17 @@ def test_svm_smote_balances_with_segment_property():
 
 
 def test_svm_margin_seed_selection(monkeypatch):
-    """Pin the decision function and check both margin branches."""
-    picked = {}
+    """Pin each class's decision function and check both margin branches."""
+    fitted = []
 
     def fake_fit(features, labels, params):
-        return np.array([1.0]), 0.0  # f(x) = x
+        fitted.append(labels.copy())
+        # column j is f(x) = (j + 1) * x
+        return np.arange(1.0, labels.shape[1] + 1)[None, :], np.zeros(labels.shape[1])
 
     monkeypatch.setattr(rs, "fit_linear_svm", fake_fit)
-    sel = rs._MarginSeeds(features=np.zeros((6, 1)), labels=np.zeros(6, dtype=int),
+    labels = np.array([0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 3])
+    sel = rs._MarginSeeds(features=np.zeros((11, 1)), labels=labels,
                           k=1, m=2, svm_params=SvmParams())
     rows = np.array([[0.5], [3.0], [-0.9], [7.0]])
     picked = sel(rows, 0, np.arange(4))
@@ -239,6 +296,13 @@ def test_svm_margin_seed_selection(monkeypatch):
     rows_far = np.array([[5.0], [3.0], [-4.0], [7.0]])
     fallback = sel(rows_far, 0, np.arange(4))
     assert sorted(fallback.tolist()) == [1, 2]  # the m=2 closest to the boundary
+    # class 2 reads the second column, f(x) = 2x: only 0.5 and -0.25 lie inside
+    picked = sel(np.array([[0.5], [3.0], [-0.25], [0.75]]), 2, np.arange(4))
+    assert sorted(picked.tolist()) == [0, 2]
+    # one fit for both calls, of the two seeded classes: the majority class 1
+    # and the single-row class 3 are left out
+    assert len(fitted) == 1
+    assert np.array_equal(fitted[0], np.where(labels[:, None] == [0, 2], 1.0, -1.0))
 
 
 # --- random oversampling ---
@@ -345,7 +409,7 @@ def test_every_sampler_is_deterministic(kind):
     X = np.vstack([rng.normal(size=(14, 3)), rng.normal(size=(5, 3)) + 1.0,
                    rng.normal(size=(3, 3)) - 1.0])
     y = np.array([0] * 14 + [1] * 5 + [2] * 3)
-    spec = SamplerSpec(kind=kind, svm=SvmParams(epochs=20))
+    spec = SamplerSpec(kind=kind)
     a = resample(X, y, spec, np.random.default_rng(17))
     b = resample(X, y, spec, np.random.default_rng(17))
     assert np.array_equal(a.features, b.features)
@@ -359,7 +423,7 @@ def test_pure_oversamplers_balance_exactly(kind):
     X = np.vstack([rng.normal(size=(16, 2)), rng.normal(size=(4, 2)) + 1.0,
                    rng.normal(size=(2, 2)) - 2.0])
     y = np.array([0] * 16 + [1] * 4 + [2] * 2)
-    spec = SamplerSpec(kind=kind, svm=SvmParams(epochs=20))
+    spec = SamplerSpec(kind=kind)
     out = resample(X, y, spec, np.random.default_rng(2))
     assert out.result_counts.tolist() == [16, 16, 16]
     assert out.source_counts.tolist() == [16, 4, 2]
@@ -381,6 +445,10 @@ def test_sampler_params_validation():
     for kwargs, message in [({"learning_rate": -1.0}, "learning_rate must be > 0, got -1.0"),
                             ({"learning_rate": 0.0}, "learning_rate must be > 0, got 0.0"),
                             ({"regularization": -5.0}, "regularization must be >= 0, got -5.0"),
+                            ({"regularization": 100.0},
+                             "regularization must be < 1 / learning_rate = 100, got 100.0"),
+                            ({"learning_rate": 0.5, "regularization": 3.0},
+                             "regularization must be < 1 / learning_rate = 2, got 3.0"),
                             ({"epochs": 0}, "epochs must be >= 1, got 0")]:
         with pytest.raises(ValueError, match=message):
             SvmParams(**kwargs)
