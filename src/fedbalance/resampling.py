@@ -78,34 +78,103 @@ class ResampledSet:
     result_counts: np.ndarray
 
 
+# float64 values in each (query block, n) temporary of knn_table: 256 KiB
+_BLOCK_VALUES = 1 << 15
+
+
 def _squared_dists(points: np.ndarray, query_row: int) -> np.ndarray:
+    """The defining distance: sums of squared differences to one row."""
     diff = points - points[query_row]
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def knn_indices(points: np.ndarray, query_row: int, k: int, exclude_self: bool = True) -> np.ndarray:
-    """Indices of the k nearest rows to ``points[query_row]``.
+def _pair_dists(points: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Squared distance from ``points[rows[t]]`` to ``points[cols[t]]`` for
+    every t, each with the bits of ``_squared_dists(points, rows[t])[cols[t]]``."""
+    out = np.empty(len(rows))
+    step = max(1, _BLOCK_VALUES // points.shape[1])
+    for lo in range(0, len(rows), step):
+        diff = points[cols[lo:lo + step]] - points[rows[lo:lo + step]]
+        out[lo:lo + step] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
-    Ascending by Euclidean distance, ties broken by lower row index.
+
+def knn_table(points: np.ndarray, k: int, queries: np.ndarray | None = None,
+              exclude_self: bool = True) -> np.ndarray:
+    """The k nearest rows of ``points`` to each query row, as a
+    ``(len(queries), k)`` int64 array; ``queries`` defaults to every row.
+
+    Rows are ordered by (squared distance as ``_squared_dists`` sums it, row
+    index).  Only those exact sums decide the order.  One matrix product per
+    block of queries prunes the rows that cannot reach the k nearest:
+
+        approx = |q|^2 + |x|^2 - 2 q.x,  E = c (eps (|q|^2 + |x|^2) + eta),  c = 8 (d + 2)
+
+    with eps = 2^-52 and eta the smallest subnormal.  Let u = eps / 2 and
+    s = |q|^2 + |x|^2.  The exact sum lies within 2 (d + 1) u s of the true
+    distance, which is at most 2 s; the two norms together within d u s; the
+    doubled product, in any summation order, within d u s; the add and the
+    subtract within 3 u s.  So |approx - exact sum| < (4 d + 5) u s < c eps s / 3,
+    and the rest of the margin covers the rounding of E and of approx +- E;
+    c eta covers products that underflow.  A row whose approx - E exceeds the
+    k-th smallest approx + E is therefore not among the k nearest, and only
+    the other rows, the candidates, get their exact sum.  A non-finite approx
+    or E keeps its row a candidate.  The answer thus never depends on the
+    data's scale or a common offset; a loose bound only costs time.
     """
-    points = np.asarray(points, dtype=np.float64)
-    n = len(points)
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    n, d = points.shape
     candidates = n - 1 if exclude_self else n
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > candidates:
         raise ValueError(f"k={k} exceeds {candidates} candidates")
-    d2 = _squared_dists(points, query_row)
-    order = np.argsort(d2, kind="stable")
-    if exclude_self:
-        order = order[order != query_row]
-    return order[:k]
+    queries = np.arange(n) if queries is None else np.asarray(queries, dtype=np.int64).reshape(-1)
+    outside = np.flatnonzero((queries < 0) | (queries >= n))
+    if len(outside):
+        raise ValueError(f"query row {queries[outside[0]]} is out of range for {n} rows")
+
+    sq = np.einsum("ij,ij->i", points, points)
+    c = 8.0 * (d + 2)
+    eps, eta = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
+    out = np.empty((len(queries), k), dtype=np.int64)
+    step = max(1, _BLOCK_VALUES // n)
+    for lo in range(0, len(queries), step):
+        q = queries[lo:lo + step]
+        block = np.arange(len(q))
+        bound = sq[q, None] + sq  # |q|^2 + |x|^2, in place from here on
+        approx = points[q] @ points.T
+        approx *= -2.0
+        approx += bound
+        bound *= c * eps
+        bound += c * eta
+        upper = approx + bound
+        if exclude_self:
+            upper[block, q] = np.inf
+        upper.partition(k - 1, axis=1)
+        approx -= bound  # the lower bound
+        near = ~(approx > upper[:, k - 1:k])  # NaN compares False: stays a candidate
+        if exclude_self:
+            near[block, q] = False
+        flat = np.flatnonzero(near)
+        rows, cols = np.divmod(flat, n)
+        d2 = _pair_dists(points, q[rows], cols)
+        order = np.lexsort((cols, d2, rows))
+        starts = np.searchsorted(rows, block)
+        out[lo:lo + len(q)] = cols[order][starts[:, None] + np.arange(k)]
+    return out
+
+
+def knn_indices(points: np.ndarray, query_row: int, k: int, exclude_self: bool = True) -> np.ndarray:
+    """Indices of the k nearest rows to ``points[query_row]``, in
+    ``knn_table``'s (distance, index) order."""
+    return knn_table(points, k, [query_row], exclude_self)[0]
 
 
 def _neighbor_table(rows: np.ndarray, seed_positions: np.ndarray, k: int) -> dict[int, np.ndarray]:
     k_eff = min(k, len(rows) - 1)
-    points = np.asarray(rows, dtype=np.float64)  # once, not once per query
-    return {int(s): knn_indices(points, int(s), k_eff, exclude_self=True) for s in np.unique(seed_positions)}
+    seeds = np.unique(seed_positions)
+    return dict(zip(seeds.tolist(), knn_table(rows, k_eff, seeds)))
 
 
 def _synthesize(rows: np.ndarray, seed_positions: np.ndarray, k: int, n_new: int, rng) -> np.ndarray:
@@ -179,15 +248,10 @@ def enn_filter(features: np.ndarray, labels: np.ndarray, enn_k: int) -> np.ndarr
     n = len(X)
     if n <= enn_k:
         raise ValueError(f"need more than enn_k={enn_k} rows, got {n}")
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        neigh = knn_indices(X, i, enn_k, exclude_self=True)
-        counts = np.bincount(labels[neigh])
-        top = counts.max()
-        if np.count_nonzero(counts == top) > 1:
-            continue  # no strict majority
-        keep[i] = int(np.argmax(counts)) == labels[i]
-    return keep
+    votes = labels[knn_table(X, enn_k)]
+    counts = (votes[:, :, None] == np.arange(labels.max() + 1)).sum(axis=1)
+    tied = np.count_nonzero(counts == counts.max(axis=1, keepdims=True), axis=1) > 1
+    return tied | (np.argmax(counts, axis=1) == labels)  # a tie has no strict majority
 
 
 def tomek_links(features: np.ndarray, labels: np.ndarray) -> list[tuple[int, int]]:
@@ -198,15 +262,10 @@ def tomek_links(features: np.ndarray, labels: np.ndarray) -> list[tuple[int, int
     n = len(X)
     if n < 2:
         raise ValueError("need at least 2 rows")
-    nn = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        nn[i] = knn_indices(X, i, 1, exclude_self=True)[0]
-    links = []
-    for i in range(n):
-        j = nn[i]
-        if i < j and nn[j] == i and labels[i] != labels[j]:
-            links.append((i, int(j)))
-    return links
+    nn = knn_table(X, 1)[:, 0]
+    rows = np.arange(n)
+    linked = (rows < nn) & (nn[nn] == rows) & (labels != labels[nn])
+    return [(int(i), int(nn[i])) for i in np.flatnonzero(linked)]
 
 
 def _class_counts(labels: np.ndarray) -> np.ndarray:
@@ -286,22 +345,19 @@ class _DangerSeeds:
     """
 
     def __init__(self, features, labels, k, m):
-        self.features = np.asarray(features, dtype=np.float64)  # once, not once per query
+        self.features = np.asarray(features, dtype=np.float64)  # once, not once per class
         self.labels = np.asarray(labels, dtype=np.int64)
         self.k = k
         self.m = m
 
     def __call__(self, class_rows, class_label, positions):
         m_eff = min(self.m, len(self.features) - 1)
-        danger = []
-        for pos_in_class, i in enumerate(positions):
-            neigh = knn_indices(self.features, int(i), m_eff, exclude_self=True)
-            n_other = int(np.sum(self.labels[neigh] != class_label))
-            if m_eff / 2.0 <= n_other < m_eff:
-                danger.append(pos_in_class)
-        if not danger:
+        neigh = knn_table(self.features, m_eff, positions)
+        n_other = np.count_nonzero(self.labels[neigh] != class_label, axis=1)
+        danger = np.flatnonzero((m_eff / 2.0 <= n_other) & (n_other < m_eff))
+        if not len(danger):
             return np.arange(len(class_rows))
-        return np.asarray(danger, dtype=np.int64)
+        return danger
 
 
 class _MarginSeeds:
@@ -385,6 +441,9 @@ def resample(features: np.ndarray, labels: np.ndarray, spec: SamplerSpec, rng) -
     """
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
+    if not np.isfinite(features).all():
+        row = np.argmin(np.isfinite(features.reshape(len(features), -1)).all(axis=1))
+        raise ValueError(f"features row {row} is not finite")
     counts = _class_counts(labels)
     if len(np.flatnonzero(counts)) < 2:
         raise ValueError("need at least 2 classes")

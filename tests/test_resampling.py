@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedbalance.resampling as rs
 from fedbalance.resampling import (
@@ -11,6 +13,7 @@ from fedbalance.resampling import (
     enn_filter,
     fit_linear_svm,
     knn_indices,
+    knn_table,
     random_oversample,
     resample,
     smote,
@@ -62,6 +65,108 @@ def test_knn_self_handling_and_errors():
         knn_indices(X, 0, 3)  # only 2 candidates once self is excluded
     with pytest.raises(ValueError):
         knn_indices(X, 0, 0, exclude_self=False)
+
+
+def _parent_knn(points, query_row, k, exclude_self=True):
+    """The one-query rule knn_table must reproduce: a stable argsort of the
+    full ``_squared_dists`` row with the query row taken out."""
+    points = np.asarray(points, dtype=np.float64)
+    order = np.argsort(rs._squared_dists(points, query_row), kind="stable")
+    if exclude_self:
+        order = order[order != query_row]
+    return order[:k].tolist()
+
+
+@st.composite
+def _knn_case(draw, exact):
+    """Tie-heavy rows, some duplicated, maybe on a large common offset,
+    with k from 1 to every candidate and a subset of query rows.
+
+    With ``exact`` every coordinate is a small integer, so each squared
+    distance is exact in any summation order and ``brute_knn`` applies;
+    otherwise rows are arbitrary floats."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 5))
+    if exact:
+        cells = st.integers(-3, 3).map(float)
+        offset = draw(st.sampled_from([0.0, 2.0**40, -1e12]))
+    else:
+        cells = st.floats(-1e3, 1e3, allow_nan=False)
+        offset = draw(st.sampled_from([0.0, 1e6, 1e9, -2.5e12]))
+    X = np.array(draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=n, max_size=n)))
+    copies = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    for src, dst in copies:
+        X[dst] = X[src]
+    exclude_self = draw(st.booleans())
+    k = draw(st.integers(1, n - 1 if exclude_self else n))
+    queries = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    return X + offset, k, queries, exclude_self
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_knn_case(exact=True))
+def test_knn_table_matches_brute_force_on_exact_ties(case):
+    X, k, queries, exclude_self = case
+    rows = range(len(X)) if queries is None else queries
+    table = knn_table(X, k, queries, exclude_self)
+    assert table.shape == (len(rows), k) and table.dtype == np.int64
+    for got, q in zip(table, rows):
+        assert got.tolist() == brute_knn(X, q, k, exclude_self)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_knn_case(exact=False))
+def test_knn_table_matches_the_one_query_rule(case):
+    X, k, queries, exclude_self = case
+    rows = range(len(X)) if queries is None else queries
+    table = knn_table(X, k, queries, exclude_self)
+    for got, q in zip(table, rows):
+        assert got.tolist() == _parent_knn(X, q, k, exclude_self)
+        assert knn_indices(X, q, k, exclude_self).tolist() == got.tolist()
+
+
+@pytest.mark.parametrize("block_values", [1, 7, 64])
+def test_knn_table_is_the_same_in_any_block_size(monkeypatch, block_values):
+    rng = np.random.default_rng(block_values)
+    X = np.vstack([rng.normal(size=(25, 5)), np.round(rng.normal(size=(15, 5)))])
+    want = knn_table(X, 6)
+    monkeypatch.setattr(rs, "_BLOCK_VALUES", block_values)
+    assert np.array_equal(knn_table(X, 6), want)
+    assert [row.tolist() for row in want] == [_parent_knn(X, q, 6) for q in range(len(X))]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 17, 33])
+def test_pair_distances_are_bit_equal_to_the_full_row(dim):
+    rng = np.random.default_rng(dim)
+    # float32 values widened to float64, as the samplers see latent codes
+    X = np.ascontiguousarray(rng.normal(size=(60, dim)).astype(np.float32), dtype=np.float64)
+    rows = rng.integers(0, 60, size=500)
+    cols = rng.integers(0, 60, size=500)
+    got = rs._pair_dists(X, rows, cols)
+    want = np.array([rs._squared_dists(X, r)[c] for r, c in zip(rows, cols)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_every_geometry_helper_calls_knn_table_once(monkeypatch):
+    calls = []
+
+    def counting_table(points, k, queries=None, exclude_self=True):
+        calls.append(len(points))
+        return knn_table(points, k, queries, exclude_self)
+
+    monkeypatch.setattr(rs, "knn_table", counting_table)
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(29, 3))
+    y = np.array([0] * 18 + [1] * 7 + [2] * 4)
+    for helper in (lambda: enn_filter(X, y, 3), lambda: tomek_links(X, y),
+                   lambda: knn_indices(X, 4, 3), lambda: smote(X[:7], 3, 10, np.random.default_rng(0))):
+        calls.clear()
+        helper()
+        assert len(calls) == 1
+    calls.clear()
+    resample(X, y, SamplerSpec(kind="borderline_smote"), np.random.default_rng(1))
+    # per seeded class: DANGER over the whole set, then the class's neighbour table
+    assert calls == [29, 7, 29, 4]
 
 
 # --- plain SMOTE ---
@@ -439,6 +544,18 @@ def test_resample_rejects_bad_input():
         SamplerSpec(kind="smoke")
     with pytest.raises(ValueError, match="2 classes"):
         resample(X, np.zeros(4, dtype=int), SamplerSpec(kind="smote"), np.random.default_rng(0))
+    X = np.random.default_rng(0).normal(size=(40, 3))
+    y = np.arange(40) % 2
+    X[3, 1] = np.nan
+    X[7, 0] = np.inf
+    for kind in rs.SAMPLER_NAMES:
+        with pytest.raises(ValueError, match="features row 3 is not finite"):
+            resample(X, y, SamplerSpec(kind=kind), np.random.default_rng(0))
+    for bad in (40, -1):
+        with pytest.raises(ValueError, match=f"query row {bad} is out of range for 40 rows"):
+            knn_indices(X, bad, 3)
+        with pytest.raises(ValueError, match=f"query row {bad} is out of range for 40 rows"):
+            knn_table(X, 3, [0, bad, 2])
 
 
 def test_sampler_params_validation():
