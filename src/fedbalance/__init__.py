@@ -7,9 +7,7 @@ __version__ = "0.1.0"
 from .checkpoint import CheckpointError, load_client, load_global, save_client, save_global
 from .crossval import ExperimentPlan, MetricsRecord, MetricsTable, run_experiment, run_fold
 from .dataset import (
-    ClientShard,
     Dataset,
-    FoldPlan,
     SyntheticSpec,
     generate_synthetic,
     load_csv,
@@ -58,7 +56,7 @@ __all__ = [
     "encode", "decode", "forward", "head_scores", "loss", "evaluate_loss",
     "evaluate_head_loss", "reconstruction_mse", "init_model", "train_step", "train_head_step",
     "grad_check",
-    "Dataset", "FoldPlan", "ClientShard", "SyntheticSpec",
+    "Dataset", "SyntheticSpec",
     "make_synthetic_spec", "generate_synthetic", "load_csv", "save_csv",
     "partition_noniid", "stratified_kfold",
     "SAMPLER_NAMES", "SamplerSpec", "SvmParams", "ResampledSet", "resample",

@@ -11,7 +11,7 @@ Two kinds exist: ``global`` (a ServerState's global model, histories, and
 each client's id and row indices; every loaded client gets a copy of the
 global model, the one each sampler trial starts from) and ``client`` (one
 ClientState).  Files are written atomically via a temp file +
-``os.replace``.  Loads check the whole header against the version-3 schema
+``os.replace``.  Loads check the whole header against the version-4 schema
 first (:func:`_check_header`), so a malformed file raises
 :class:`CheckpointError` naming the block or tensor at fault.
 """
@@ -31,9 +31,9 @@ from .federation import ClientState, ServerState
 from .gcae import ArchSpec, ModelState, _param_shapes
 
 MAGIC = b"FEDH"
-VERSION = 3
+VERSION = 4
 _HEAD = struct.Struct("<4sIQ")  # magic, version, header_len
-_ARCH_SIZES = ("input_len", "num_classes", "latent_dim", "input_channels")
+_ARCH_SIZES = ("input_len", "num_classes", "latent_dim")
 _HISTORIES = ("rs_test_acc", "rs_test_auc", "rs_train_loss")
 
 

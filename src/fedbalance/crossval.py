@@ -125,8 +125,8 @@ class ExperimentPlan:
         width = self.dataset.num_features
         if self.arch is None:
             self.arch = ArchSpec(input_len=width, num_classes=self.dataset.num_classes)
-        if self.arch.input_width != width:
-            raise ValueError(f"arch input width {self.arch.input_width} does not match "
+        if self.arch.input_len != width:
+            raise ValueError(f"arch input width {self.arch.input_len} does not match "
                              f"the dataset's {width} features")
 
     def eval_schedule(self) -> tuple[int, ...]:
@@ -140,25 +140,24 @@ class ExperimentPlan:
 
 
 def partition_clients(plan: ExperimentPlan):
-    """The experiment's client partition; it does not depend on the fold."""
+    """The experiment's client partition, each client's sorted row indices
+    at its id's position; it does not depend on the fold."""
     return partition_noniid(plan.dataset, plan.num_clients,
                             concentration=plan.concentration,
                             seed=derive_seed(plan.master_seed, "partition"))
 
 
-def _fold_plan(plan: ExperimentPlan):
+def _fold_assignment(plan: ExperimentPlan):
+    """Each row's test fold."""
     return stratified_kfold(plan.dataset.labels, plan.num_folds,
                             seed=derive_seed(plan.master_seed, "folds"))
 
 
-def _split_clients(shards, fold_plan, fold: int):
+def _split_clients(shards, folds, fold: int):
     """Per-client (train, test) row indices for one fold."""
-    test_mask = fold_plan.assignment == fold
-    out = []
-    for sh in shards:
-        rows = sh.sample_indices
-        out.append((rows[~test_mask[rows]], rows[test_mask[rows]]))
-    return out
+    test_mask = folds == fold
+    return [(rows[~test_mask[rows]], rows[test_mask[rows]]) for rows in shards]
+
 
 def _eval_sets(clients, features, labels):
     return [(features[c.test_indices], labels[c.test_indices]) for c in clients]
@@ -179,8 +178,9 @@ def _global_eval(server: ServerState, features, labels) -> None:
 def run_fold(plan: ExperimentPlan, fold: int, shards=None) -> list[MetricsRecord]:
     """Run one fold end to end and return its metric rows.
 
-    ``shards`` is the experiment's client partition; it does not depend on
-    the fold, and is computed here when not given.  Writes ``global.fedh``,
+    ``shards`` is the experiment's client partition, as
+    ``partition_clients`` returns it; it does not depend on the fold, and is
+    computed here when not given.  Writes ``global.fedh``,
     the global model with every client's id and rows, into the fold
     directory after the global phase.  Every sampler trial starts by
     reloading it, which gives each client a fresh copy of the global model,
@@ -191,7 +191,7 @@ def run_fold(plan: ExperimentPlan, fold: int, shards=None) -> list[MetricsRecord
     features, labels = plan.dataset.features, plan.dataset.labels
     if shards is None:
         shards = partition_clients(plan)
-    splits = _split_clients(shards, _fold_plan(plan), fold)
+    splits = _split_clients(shards, _fold_assignment(plan), fold)
 
     seed0 = plan.master_seed
     init_rng = derive_rng(seed0, "init", fold)

@@ -54,35 +54,13 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class FoldPlan:
-    """Per-sample fold assignment produced by :func:`stratified_kfold`."""
-
-    k: int
-    assignment: np.ndarray
-    seed: int
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment != fold)
-
-
-@dataclass(frozen=True)
-class ClientShard:
-    """Indices of the samples owned by one simulated client."""
-
-    client_id: int
-    sample_indices: np.ndarray
-
-
-@dataclass(frozen=True)
 class SyntheticSpec:
-    """Per-class Gaussian blobs: counts, centers (C x dim), scales."""
+    """Per-class Gaussian blobs: counts, centers (C x dim), and one
+    standard deviation for every class."""
 
     class_counts: tuple[int, ...]
     centers: np.ndarray
-    scales: tuple[float, ...]
+    scale: float
     dim: int
 
     def __post_init__(self):
@@ -91,13 +69,10 @@ class SyntheticSpec:
                              f"got {list(self.class_counts)}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if min(self.scales, default=1.0) <= 0:
-            raise ValueError(f"scale must be > 0, got {min(self.scales)}")
-        if len(self.class_counts) != len(self.scales) or self.centers.shape != (
-            len(self.class_counts),
-            self.dim,
-        ):
-            raise ValueError("class_counts, centers, and scales disagree on shape")
+        if self.scale <= 0:
+            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if self.centers.shape != (len(self.class_counts), self.dim):
+            raise ValueError("class_counts and centers disagree on shape")
 
 
 def make_synthetic_spec(
@@ -113,7 +88,7 @@ def make_synthetic_spec(
     return SyntheticSpec(
         class_counts=tuple(int(c) for c in class_counts),
         centers=centers,
-        scales=tuple(float(scale) for _ in class_counts),
+        scale=float(scale),
         dim=int(dim),
     )
 
@@ -127,8 +102,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     blocks = []
     labels = []
-    for c, (count, scale) in enumerate(zip(spec.class_counts, spec.scales)):
-        rows = spec.centers[c] + scale * rng.standard_normal((count, spec.dim))
+    for c, count in enumerate(spec.class_counts):
+        rows = spec.centers[c] + spec.scale * rng.standard_normal((count, spec.dim))
         blocks.append(rows)
         labels.extend([c] * count)
     return Dataset(
@@ -143,7 +118,10 @@ def load_csv(path, label_column="label") -> Dataset:
 
     Labels (possibly strings) are mapped to contiguous class indices in
     order of first appearance; feature columns keep their file order and
-    parse as Python's ``float`` does.
+    parse as Python's ``float`` does.  A label column missing from the
+    header or named twice in it, a file with no other column, and a label
+    column with fewer than 2 classes are errors that name the file and
+    the column.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -156,12 +134,19 @@ def load_csv(path, label_column="label") -> Dataset:
         if isinstance(label_column, int):
             label_idx = label_column
             if not 0 <= label_idx < len(header):
-                raise ValueError(f"label column index {label_idx} out of range")
+                raise ValueError(f"{path}: label column index {label_idx} out of range")
         else:
             try:
                 label_idx = header.index(label_column)
             except ValueError:
-                raise ValueError(f"label column {label_column!r} not in header") from None
+                raise ValueError(f"{path}: label column {label_column!r} not in header") from None
+            copies = header.count(label_column)
+            if copies > 1:
+                raise ValueError(f"{path}: label column {label_column!r} appears "
+                                 f"{copies} times in the header")
+        if len(header) == 1:
+            raise ValueError(f"{path}: no feature columns besides the label column "
+                             f"{header[label_idx]!r}")
 
         cells = []  # every feature cell, row after row: one np.array call parses them all
         raw_labels = []
@@ -193,6 +178,9 @@ def load_csv(path, label_column="label") -> Dataset:
         if raw not in label_map:
             label_map[raw] = len(label_map)
         labels.append(label_map[raw])
+    if len(label_map) < 2:
+        raise ValueError(f"{path}: label column {header[label_idx]!r} holds fewer than "
+                         f"2 classes (only {raw_labels[0]!r})")
     return Dataset(
         features=features.reshape(len(raw_labels), width),
         labels=np.asarray(labels, dtype=np.int64),
@@ -200,20 +188,21 @@ def load_csv(path, label_column="label") -> Dataset:
     )
 
 
-def save_csv(ds: Dataset, path, label_names: Sequence[str] | None = None) -> None:
-    """Write a Dataset back to CSV (feature columns f0..fD-1 plus ``label``)."""
-    names = label_names if label_names is not None else [str(c) for c in range(ds.num_classes)]
+def save_csv(ds: Dataset, path) -> None:
+    """Write a Dataset back to CSV (feature columns f0..fD-1 plus ``label``,
+    the class index)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{j}" for j in range(ds.num_features)] + ["label"])
         for row, lab in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [names[lab]])
+            writer.writerow([repr(float(v)) for v in row] + [str(lab)])
 
 
 def partition_noniid(
     ds: Dataset, n_clients: int, concentration: float = 0.5, seed: int = 0
-) -> list[ClientShard]:
-    """Label-skew partition via a seeded per-class Dirichlet draw.
+) -> list[np.ndarray]:
+    """Label-skew partition via a seeded per-class Dirichlet draw; returns
+    client i's sorted row indices at position i.
 
     For each class, client proportions come from Dirichlet(concentration);
     the class's (shuffled) indices are split at the cumulative-proportion
@@ -240,15 +229,16 @@ def partition_noniid(
             len(s) >= 2 and len(np.unique(ds.labels[s])) >= 2 for s in shards
         )
         if ok:
-            return [ClientShard(client_id=i, sample_indices=s) for i, s in enumerate(shards)]
+            return shards
     raise ValueError(
         f"cannot give each of {n_clients} clients >=2 samples and >=2 classes in 100 draws "
         f"(concentration={concentration})"
     )
 
 
-def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldPlan:
+def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Stratified fold assignment: per-class seeded shuffle, round-robin deal.
+    Returns each row's fold, an int64 array as long as ``labels``.
 
     The deal pointer carries over from one class to the next, which keeps
     total fold sizes within 1 of each other as well as per-class counts.
@@ -266,4 +256,4 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldPlan:
         for i in rng.permutation(idx):
             assignment[i] = pointer % k
             pointer += 1
-    return FoldPlan(k=k, assignment=assignment, seed=seed)
+    return assignment

@@ -5,8 +5,9 @@ conv -> ReLU -> max-pool pyramid followed by a dense map to the latent space;
 the decoder mirrors it with nearest-neighbour upsampling (cropped back to the
 encoder's pre-pool lengths, so odd signal lengths round-trip exactly); a small
 MLP on the latent produces class logits.  Training minimises
-alpha * MSE(reconstruction) + beta * cross-entropy(logits) by plain SGD with
-hand-written backpropagation — no autodiff framework anywhere.
+recon_weight * MSE(reconstruction) + pred_weight * cross-entropy(logits),
+with both weights from the ArchSpec, by plain SGD with hand-written
+backpropagation — no autodiff framework anywhere.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class ArchSpec:
     stages: tuple[ConvStage, ...] = (ConvStage(8, 5, 2), ConvStage(16, 5, 2))
     latent_dim: int = 16
     mlp_hidden: tuple[int, ...] = (32,)
-    input_channels: int = 1
     recon_weight: float = 1.0
     pred_weight: float = 1.0
 
@@ -44,8 +44,7 @@ class ArchSpec:
         stages = tuple(s if isinstance(s, ConvStage) else ConvStage(*s) for s in self.stages)
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "mlp_hidden", tuple(self.mlp_hidden))
-        for name, low in (("input_len", 1), ("num_classes", 2), ("latent_dim", 1),
-                          ("input_channels", 1)):
+        for name, low in (("input_len", 1), ("num_classes", 2), ("latent_dim", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not stages or any(min(astuple(s)) < 1 for s in stages):
@@ -78,11 +77,6 @@ class ArchSpec:
     def flat_dim(self) -> int:
         return self.stages[-1].channels * self.pooled_lengths[-1]
 
-    @property
-    def input_width(self) -> int:
-        """Width of a flattened input row."""
-        return self.input_channels * self.input_len
-
 
 @dataclass
 class ModelState:
@@ -99,20 +93,17 @@ class ModelState:
 
 def _param_shapes(arch: ArchSpec) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}
-    in_ch = arch.input_channels
-    for i, st in enumerate(arch.stages):
-        shapes[f"enc.conv{i}.w"] = (st.channels, in_ch, st.kernel)
-        shapes[f"enc.conv{i}.b"] = (st.channels,)
-        in_ch = st.channels
+    plan = _plan(arch)
+    for i, conv in enumerate(plan.enc):
+        shapes[f"enc.conv{i}.w"] = (conv.cout, conv.cin, conv.kernel)
+        shapes[f"enc.conv{i}.b"] = (conv.cout,)
     shapes["enc.fc.w"] = (arch.flat_dim, arch.latent_dim)
     shapes["enc.fc.b"] = (arch.latent_dim,)
     shapes["dec.fc.w"] = (arch.latent_dim, arch.flat_dim)
     shapes["dec.fc.b"] = (arch.flat_dim,)
-    n = len(arch.stages)
-    for d, i in enumerate(reversed(range(n))):
-        out_ch = arch.stages[i - 1].channels if i > 0 else arch.input_channels
-        shapes[f"dec.conv{d}.w"] = (out_ch, arch.stages[i].channels, arch.stages[i].kernel)
-        shapes[f"dec.conv{d}.b"] = (out_ch,)
+    for d, conv in enumerate(plan.dec):
+        shapes[f"dec.conv{d}.w"] = (conv.cout, conv.cin, conv.kernel)
+        shapes[f"dec.conv{d}.b"] = (conv.cout,)
     widths = (arch.latent_dim,) + tuple(arch.mlp_hidden) + (arch.num_classes,)
     for j in range(len(widths) - 1):
         shapes[f"mlp.fc{j}.w"] = (widths[j], widths[j + 1])
@@ -187,13 +178,13 @@ class _Plan:
 def _plan(arch: ArchSpec) -> _Plan:
     """The layer geometry of ``arch``; one per architecture, whatever the batch."""
     lengths = arch.stage_input_lengths
-    enc, in_ch = [], arch.input_channels
+    enc, in_ch = [], 1  # a row is one single-channel signal
     for i, st in enumerate(arch.stages):
         enc.append(_ConvPlan(in_ch, st.channels, st.kernel, lengths[i], need_dx=i > 0))
         in_ch = st.channels
     dec = []
     for i in reversed(range(len(arch.stages))):
-        out_ch = arch.stages[i - 1].channels if i > 0 else arch.input_channels
+        out_ch = arch.stages[i - 1].channels if i > 0 else 1
         st = arch.stages[i]
         dec.append(_ConvPlan(st.channels, out_ch, st.kernel, lengths[i]))
     return _Plan(tuple(enc), tuple(dec), tuple(st.pool for st in arch.stages),
@@ -408,8 +399,8 @@ def forward(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 def _check_input(model: ModelState, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=model.dtype)
-    if x.ndim != 2 or x.shape[1] != model.arch.input_width:
-        raise ValueError(f"input must be (n, {model.arch.input_width}), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != model.arch.input_len:
+        raise ValueError(f"input must be (n, {model.arch.input_len}), got {x.shape}")
     return x
 
 
@@ -418,14 +409,6 @@ def _check_codes(model: ModelState, z: np.ndarray) -> np.ndarray:
     if z.ndim != 2 or z.shape[1] != model.arch.latent_dim:
         raise ValueError(f"latent must be (n, {model.arch.latent_dim})")
     return z
-
-
-def _weights(model: ModelState, alpha, beta) -> tuple[float, float]:
-    if alpha is None:
-        alpha = model.arch.recon_weight
-    if beta is None:
-        beta = model.arch.pred_weight
-    return alpha, beta
 
 
 def _mse(recon, target):
@@ -458,14 +441,14 @@ def loss(recon, x, scores, labels, alpha: float, beta: float):
     return alpha * mse + beta * ce, alpha * drecon, beta * dscores
 
 
-def evaluate_loss(model: ModelState, x, labels, alpha: float | None = None,
-                  beta: float | None = None) -> tuple[float, float, float]:
-    """(total, mse, cross_entropy) on one batch; weights default to the arch's."""
+def evaluate_loss(model: ModelState, x, labels) -> tuple[float, float, float]:
+    """(total, mse, cross_entropy) on one batch, weighted by the arch's
+    ``recon_weight`` and ``pred_weight``."""
     x = _check_input(model, x)
     plan = _plan(model.arch)
     latent = _encode(model.params, plan, x)
     mse = reconstruction_mse(_decode(model.params, plan, latent), x)
-    return evaluate_head_loss(model, latent, labels, mse, alpha, beta)
+    return evaluate_head_loss(model, latent, labels, mse)
 
 
 def reconstruction_mse(recon: np.ndarray, x: np.ndarray) -> float:
@@ -473,18 +456,16 @@ def reconstruction_mse(recon: np.ndarray, x: np.ndarray) -> float:
     return _mse(recon, x)[0]
 
 
-def evaluate_head_loss(model: ModelState, z, labels, mse: float, alpha: float | None = None,
-                       beta: float | None = None) -> tuple[float, float, float]:
+def evaluate_head_loss(model: ModelState, z, labels, mse: float) -> tuple[float, float, float]:
     """``evaluate_loss`` of rows given by their latent codes ``z`` and their
     reconstruction MSE, which the decoder gave and does not change while it
     is frozen: the same (total, mse, cross_entropy), with only the classifier
     head run."""
-    alpha, beta = _weights(model, alpha, beta)
     z = _check_codes(model, z)
     labels = _check_labels(model, labels, len(z))
     scores, _ = _mlp_cached(model.params, model.arch, z)
     ce, _ = _cross_entropy(scores.astype(np.float64), labels)
-    return alpha * mse + beta * ce, mse, ce
+    return model.arch.recon_weight * mse + model.arch.pred_weight * ce, mse, ce
 
 
 def _check_labels(model, labels, n):
@@ -508,7 +489,7 @@ def _mlp_bwd(dscores, mlp_cache, grads):
     return dz
 
 
-def _compute_grads(model: ModelState, x, labels, alpha, beta):
+def _compute_grads(model: ModelState, x, labels):
     """(loss, gradients) of a full step."""
     params, arch = model.params, model.arch
     plan = _plan(arch)
@@ -519,14 +500,14 @@ def _compute_grads(model: ModelState, x, labels, alpha, beta):
     recon = _decode(params, plan, latent, dec_cache)
     scores, mlp_cache = _mlp_cached(params, arch, latent)
 
-    total, drecon, dscores = loss(recon, x, scores, labels, alpha, beta)
+    total, drecon, dscores = loss(recon, x, scores, labels, arch.recon_weight, arch.pred_weight)
     drecon = drecon.astype(dtype)
     dz_mlp = _mlp_bwd(dscores.astype(dtype), mlp_cache, grads)
 
     # decoder
     (fc_ctx, relu_mask), stage_cache = dec_cache[0], dec_cache[1:]
     last = len(plan.dec) - 1
-    dh = drecon.reshape(len(x), arch.input_channels, arch.input_len)
+    dh = drecon.reshape(len(x), 1, arch.input_len)
     for d in reversed(range(len(plan.dec))):
         xp, conv_relu = stage_cache[d]
         if conv_relu is not None:
@@ -550,39 +531,37 @@ def _compute_grads(model: ModelState, x, labels, alpha, beta):
     return total, grads
 
 
-def train_step(model: ModelState, x, labels, lr: float, alpha: float | None = None,
-               beta: float | None = None, head_only: bool = False) -> float:
+def train_step(model: ModelState, x, labels, lr: float, head_only: bool = False) -> float:
     """One SGD step in place; returns the pre-update loss it trained on.
 
-    A full step returns alpha * MSE + beta * cross-entropy.  A head-only
-    step is ``encode`` followed by ``train_head_step``: it updates the
-    classifier head alone, returns beta * cross-entropy and runs no
-    decoder.  Raises FloatingPointError if the returned loss is not finite
-    — divergence must stop a run rather than silently poison downstream
-    aggregation.
+    A full step returns recon_weight * MSE + pred_weight * cross-entropy,
+    with the arch's weights.  A head-only step is ``encode`` followed by
+    ``train_head_step``: it updates the classifier head alone, returns
+    pred_weight * cross-entropy and runs no decoder.  Raises
+    FloatingPointError if the returned loss is not finite — divergence must
+    stop a run rather than silently poison downstream aggregation.
     """
-    alpha, beta = _weights(model, alpha, beta)
     x = _check_input(model, x)
     if head_only:
-        return train_head_step(model, encode(model, x), labels, lr, beta)
+        return train_head_step(model, encode(model, x), labels, lr)
     labels = _check_labels(model, labels, len(x))
-    return _apply_step(model, *_compute_grads(model, x, labels, alpha, beta), lr)
+    return _apply_step(model, *_compute_grads(model, x, labels), lr)
 
 
-def train_head_step(model: ModelState, z, labels, lr: float, beta: float | None = None) -> float:
+def train_head_step(model: ModelState, z, labels, lr: float) -> float:
     """One SGD step of the classifier head alone, in place, on latent codes
-    ``z``; returns the pre-update beta * cross-entropy it trained on, and
-    raises FloatingPointError, leaving the model as it was, when that value
-    is not finite.  Nothing else of the model is read or written, so codes
+    ``z``; returns the pre-update pred_weight * cross-entropy it trained on,
+    and raises FloatingPointError, leaving the model as it was, when that
+    value is not finite.  Nothing else of the model is read or written, so codes
     encoded once serve every step while the encoder stays frozen."""
-    beta = _weights(model, None, beta)[1]
+    weight = model.arch.pred_weight
     z = _check_codes(model, z)
     labels = _check_labels(model, labels, len(z))
     scores, mlp_cache = _mlp_cached(model.params, model.arch, z)
     ce, dscores = _cross_entropy(np.asarray(scores, dtype=np.float64), labels)
     grads: dict[str, np.ndarray] = {}
-    _mlp_bwd((beta * dscores).astype(model.dtype), mlp_cache, grads)
-    return _apply_step(model, beta * ce, grads, lr)
+    _mlp_bwd((weight * dscores).astype(model.dtype), mlp_cache, grads)
+    return _apply_step(model, weight * ce, grads, lr)
 
 
 def _apply_step(model: ModelState, total: float, grads, lr: float) -> float:
@@ -594,14 +573,12 @@ def _apply_step(model: ModelState, total: float, grads, lr: float) -> float:
     return total
 
 
-def grad_check(model: ModelState, x, labels, eps: float = 1e-5,
-               alpha: float | None = None, beta: float | None = None) -> float:
+def grad_check(model: ModelState, x, labels, eps: float = 1e-5) -> float:
     """Max relative error between analytic gradients and central differences,
     over every parameter entry.  Meaningful only on a float64 model."""
-    alpha, beta = _weights(model, alpha, beta)
     x = _check_input(model, x)
     labels = _check_labels(model, labels, len(x))
-    _, grads = _compute_grads(model, x, labels, alpha, beta)
+    _, grads = _compute_grads(model, x, labels)
     worst = 0.0
     for name, g in grads.items():
         p = model.params[name]
@@ -609,9 +586,9 @@ def grad_check(model: ModelState, x, labels, eps: float = 1e-5,
         for idx in range(flat_p.size):
             orig = flat_p[idx]
             flat_p[idx] = orig + eps
-            lp = evaluate_loss(model, x, labels, alpha, beta)[0]
+            lp = evaluate_loss(model, x, labels)[0]
             flat_p[idx] = orig - eps
-            lm = evaluate_loss(model, x, labels, alpha, beta)[0]
+            lm = evaluate_loss(model, x, labels)[0]
             flat_p[idx] = orig
             numeric = (lp - lm) / (2.0 * eps)
             scale = max(abs(numeric), abs(flat_g[idx]), 1e-8)

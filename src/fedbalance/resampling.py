@@ -99,10 +99,10 @@ def _pair_dists(points: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return out
 
 
-def knn_table(points: np.ndarray, k: int, queries: np.ndarray | None = None,
-              exclude_self: bool = True) -> np.ndarray:
-    """The k nearest rows of ``points`` to each query row, as a
+def knn_table(points: np.ndarray, k: int, queries: np.ndarray | None = None) -> np.ndarray:
+    """The k nearest other rows of ``points`` to each query row, as a
     ``(len(queries), k)`` int64 array; ``queries`` defaults to every row.
+    A query row is never its own neighbour.
 
     Rows are ordered by (squared distance as ``_squared_dists`` sums it, row
     index).  Only those exact sums decide the order.  One matrix product per
@@ -124,11 +124,10 @@ def knn_table(points: np.ndarray, k: int, queries: np.ndarray | None = None,
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, d = points.shape
-    candidates = n - 1 if exclude_self else n
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > candidates:
-        raise ValueError(f"k={k} exceeds {candidates} candidates")
+    if k > n - 1:
+        raise ValueError(f"k={k} exceeds {n - 1} candidates")
     queries = np.arange(n) if queries is None else np.asarray(queries, dtype=np.int64).reshape(-1)
     outside = np.flatnonzero((queries < 0) | (queries >= n))
     if len(outside):
@@ -149,13 +148,11 @@ def knn_table(points: np.ndarray, k: int, queries: np.ndarray | None = None,
         bound *= c * eps
         bound += c * eta
         upper = approx + bound
-        if exclude_self:
-            upper[block, q] = np.inf
+        upper[block, q] = np.inf
         upper.partition(k - 1, axis=1)
         approx -= bound  # the lower bound
         near = ~(approx > upper[:, k - 1:k])  # NaN compares False: stays a candidate
-        if exclude_self:
-            near[block, q] = False
+        near[block, q] = False
         flat = np.flatnonzero(near)
         rows, cols = np.divmod(flat, n)
         d2 = _pair_dists(points, q[rows], cols)
@@ -165,10 +162,10 @@ def knn_table(points: np.ndarray, k: int, queries: np.ndarray | None = None,
     return out
 
 
-def knn_indices(points: np.ndarray, query_row: int, k: int, exclude_self: bool = True) -> np.ndarray:
-    """Indices of the k nearest rows to ``points[query_row]``, in
+def knn_indices(points: np.ndarray, query_row: int, k: int) -> np.ndarray:
+    """Indices of the k nearest other rows to ``points[query_row]``, in
     ``knn_table``'s (distance, index) order."""
-    return knn_table(points, k, [query_row], exclude_self)[0]
+    return knn_table(points, k, [query_row])[0]
 
 
 def _neighbor_table(rows: np.ndarray, seed_positions: np.ndarray, k: int) -> dict[int, np.ndarray]:

@@ -226,11 +226,11 @@ def test_criterion_6_stratified_folds():
             n = int(rng.integers(20, 201))
             labels = rng.integers(0, n_classes, size=n)
             labels[:n_classes] = np.arange(n_classes)  # every class present
-            plan = stratified_kfold(labels, k, seed=int(rng.integers(0, 2**31 - 1)))
-            assert plan.assignment.shape == (n,)
-            assert plan.assignment.min() >= 0 and plan.assignment.max() < k
+            folds = stratified_kfold(labels, k, seed=int(rng.integers(0, 2**31 - 1)))
+            assert folds.shape == (n,)
+            assert folds.min() >= 0 and folds.max() < k
             for c in range(n_classes):
-                per_fold = np.bincount(plan.assignment[labels == c], minlength=k)
+                per_fold = np.bincount(folds[labels == c], minlength=k)
                 assert per_fold.sum() == (labels == c).sum()
                 assert per_fold.max() - per_fold.min() <= 1
                 assert per_fold.max() >= 1  # class reaches some test fold

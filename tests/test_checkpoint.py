@@ -55,7 +55,7 @@ def test_global_round_trip_restores_every_field(tmp_path):
         assert rest.client_id == orig.client_id
         assert np.array_equal(rest.train_indices, orig.train_indices)
         assert np.array_equal(rest.test_indices, orig.test_indices)
-        # format 3 stores no client models: each client restarts from the global one
+        # since format 3 no client models are stored: each client restarts from the global one
         for k in server.global_model.params:
             assert np.array_equal(rest.model.params[k], server.global_model.params[k])
 
@@ -164,8 +164,9 @@ def test_bad_magic_and_version(tmp_path):
     wrong_magic.write_bytes(b"NOPE" + bytes(raw[4:]))
     with pytest.raises(CheckpointError, match="magic"):
         load_global(wrong_magic)
-    # 1 is the format before the strict header; 2 also stored every client's model
-    for version in (1, 2, 99):
+    # 1 is the format before the strict header; 2 also stored every client's
+    # model; 3 also stored the arch's input_channels
+    for version in (1, 2, 3, 99):
         wrong_version = bytearray(raw)
         struct.pack_into("<I", wrong_version, 4, version)
         vp = tmp_path / "v.fedh"
@@ -310,7 +311,7 @@ def test_load_rejects_tensors_outside_the_global_model(tmp_path):
         load_global(path)
 
 
-# --- the strict header schema of format version 3 ---
+# --- the strict header schema of the current format version ---
 
 
 @pytest.mark.parametrize("block", ["arch", "server", "clients", "tensors"])
@@ -331,6 +332,18 @@ def test_load_rejects_a_malformed_arch_block(tmp_path, mutate):
     save_global(path, make_server())
     _rewrite_header(path, lambda h: mutate(h["arch"]))
     with pytest.raises(CheckpointError, match="'arch' block is malformed"):
+        load_global(path)
+
+
+def test_arch_block_holds_the_arch_fields_only(tmp_path):
+    path = tmp_path / "g.fedh"
+    save_global(path, make_server())
+    raw = path.read_bytes()
+    arch = json.loads(raw[16:_header_len(raw)])["arch"]
+    assert sorted(arch) == ["input_len", "latent_dim", "mlp_hidden", "num_classes",
+                            "pred_weight", "recon_weight", "stages"]
+    _rewrite_header(path, lambda h: h["arch"].update(input_channels=1))
+    with pytest.raises(CheckpointError, match="invalid architecture block"):
         load_global(path)
 
 
@@ -396,7 +409,7 @@ def test_mutated_headers_raise_only_checkpoint_errors(tmp_path, data):
         for i in range(2)
     ], rs_test_acc=[0.5], rs_test_auc=[0.5], rs_train_loss=[1.0])
     save_global(path, small)
-    assert struct.unpack_from("<I", path.read_bytes(), 4) == (3,)
+    assert struct.unpack_from("<I", path.read_bytes(), 4) == (VERSION,)
 
     def mutate(header):
         for _ in range(data.draw(st.integers(1, 3))):

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,8 @@ import pytest
 from fedbalance import cli
 from fedbalance.crossval import MetricsRecord, MetricsTable
 from fedbalance.federation import TrainHyper
+from fedbalance.gcae import ArchSpec
+from fedbalance.resampling import SamplerSpec, SvmParams
 
 # Tiny datasets hand some clients single-class splits; that path is exercised
 # deliberately in test_crossval, here it is just noise.
@@ -75,6 +77,23 @@ def test_minimal_config_fills_defaults():
     arch = cli.parse_config(minimal_config(arch={"latent_dim": 4}))["arch"]
     assert arch == {"stages": [[8, 5, 2], [16, 5, 2]], "latent_dim": 4, "mlp_hidden": [32],
                     "recon_weight": 1.0, "pred_weight": 1.0}
+
+
+def test_every_library_setting_is_a_config_key():
+    """Each field of a class the config builds is a key of its config
+    section: no value that shapes a run can be set from the library alone.
+    The dataset fixes input_len and num_classes; kind and svm are built
+    from config.samplers and the svm_ keys."""
+    keys = {section: {key for sec, key, _ in cli._FIELDS if sec == section}
+            for section in ("arch", "hyper", "sampler_params")}
+    settings = {
+        "arch": {f.name for f in fields(ArchSpec)} - {"input_len", "num_classes"},
+        "hyper": {f.name for f in fields(TrainHyper)},
+        "sampler_params": ({f.name for f in fields(SamplerSpec)} - {"kind", "svm"})
+        | {f"svm_{f.name}" for f in fields(SvmParams)},
+    }
+    for section, names in settings.items():
+        assert names <= keys[section], f"config.{section} lacks {sorted(names - keys[section])}"
 
 
 def test_unknown_top_level_key_is_an_error():
@@ -376,6 +395,27 @@ def test_main_reports_config_errors(tmp_path, capsys):
     wrong.write_text(json.dumps(minimal_config(eval_gaps=2)), encoding="utf-8")
     assert cli.main(["run", "--config", str(wrong)]) == 1
     assert "eval_gaps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, column, message", [
+    ("label\n0\n1\n0\n1\n", "label", "no feature columns besides the label column 'label'"),
+    ("label,label\n0,0\n1,1\n0,0\n1,1\n", "label",
+     "label column 'label' appears 2 times in the header"),
+    ("a,label\n1.0,x\n2.0,x\n3.0,x\n", "label", "label column 'label' holds fewer than 2 classes"),
+    ("a,y\n1.0,0\n2.0,1\n", "label", "label column 'label' not in header"),
+    ("a,y\n1.0,0\n2.0,1\n", 5, "label column index 5 out of range"),
+], ids=["no_features", "label_twice", "one_class", "no_label", "index_out_of_range"])
+def test_main_csv_errors_name_the_file_and_column(tmp_path, capsys, content, column, message):
+    data = tmp_path / "data.csv"
+    data.write_text(content, encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    dataset = {"kind": "csv", "path": str(data), "label_column": column}
+    cfg_path.write_text(json.dumps(tiny_config(dataset=dataset)), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: {message}")
+    assert err.count("\n") == 1 and "config." not in err
+    assert not (tmp_path / "out").exists()
 
 
 # --- BLAS thread count ---

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fedbalance.crossval as cv
+from fedbalance.checkpoint import VERSION
 from fedbalance.crossval import ExperimentPlan, MetricsTable, run_experiment, run_fold
 from fedbalance.dataset import generate_synthetic, make_synthetic_spec
 from fedbalance.federation import TrainHyper
@@ -104,7 +105,7 @@ def test_round_zero_is_identical_across_samplers(tiny_run):
 
 
 def test_checkpoints_written_per_fold(tiny_run):
-    """global.fedh, in format 3, is the only file a fold writes.  It holds
+    """global.fedh, in the current format, is the only file a fold writes.  It holds
     every client's rows but only the global model's tensors: each sampler
     trial gives every client a copy of the global model."""
     plan, _ = tiny_run
@@ -114,7 +115,7 @@ def test_checkpoints_written_per_fold(tiny_run):
         raw = path.read_bytes()
         _, version, header_len = struct.unpack_from("<4sIQ", raw)
         header = json.loads(raw[16:16 + header_len])
-        assert version == 3
+        assert version == VERSION
         assert len(header["clients"]) == plan.num_clients
         names = [e["name"] for e in header["tensors"]]
         assert names and all(name.startswith("global/") for name in names)
@@ -217,7 +218,7 @@ def _log_codes(monkeypatch):
 
 
 def _nonempty_splits(plan, fold):
-    splits = cv._split_clients(cv.partition_clients(plan), cv._fold_plan(plan), fold)
+    splits = cv._split_clients(cv.partition_clients(plan), cv._fold_assignment(plan), fold)
     return sum(len(tr) > 0 for tr, _ in splits), sum(len(te) > 0 for _, te in splits)
 
 
@@ -251,14 +252,12 @@ def test_full_model_trial_encodes_every_scheduled_round(tmp_path, monkeypatch):
 def test_head_only_fold_scores_a_client_without_train_rows(tmp_path):
     """A client whose rows all fall in the test fold keeps the global model
     and adds no training loss; the other clients' losses are still recorded."""
-    from fedbalance.dataset import ClientShard
-
     plan = tiny_plan(tmp_path, personalize_full_model=False)
     shards = cv.partition_clients(plan)
-    rows = shards[0].sample_indices
-    in_test = rows[cv._fold_plan(plan).assignment[rows] == 0]
+    rows = shards[0]
+    in_test = rows[cv._fold_assignment(plan)[rows] == 0]
     assert len(in_test) > 0
-    shards = [ClientShard(client_id=0, sample_indices=in_test)] + shards[1:]
+    shards = [in_test] + shards[1:]
     with pytest.warns(UserWarning, match="client 0 has no fold-train rows"):
         records = run_fold(plan, 0, shards)
     assert len(records) == len(plan.samplers) * len(plan.eval_schedule())

@@ -94,7 +94,7 @@ def test_partition_matches_independent_reference():
     shards = partition_noniid(ds, n_clients=4, concentration=0.5, seed=13)
     ref = _dirichlet_split_reference(ds, 4, 0.5, 13)
     for shard, expected in zip(shards, ref, strict=True):
-        assert shard.sample_indices.tolist() == expected
+        assert shard.tolist() == expected
 
 
 @pytest.mark.parametrize("n_clients", [2, 3, 5])
@@ -102,11 +102,11 @@ def test_partition_covers_disjointly_with_two_classes_each(n_clients):
     spec = make_synthetic_spec(class_counts=(60, 40, 30), dim=3, seed=4)
     ds = generate_synthetic(spec, seed=4)
     shards = partition_noniid(ds, n_clients, seed=7)
-    all_rows = np.concatenate([s.sample_indices for s in shards])
+    all_rows = np.concatenate(shards)
     assert len(all_rows) == len(np.unique(all_rows)) == len(ds)
     for s in shards:
-        assert len(s.sample_indices) >= 2
-        assert len(np.unique(ds.labels[s.sample_indices])) >= 2
+        assert len(s) >= 2
+        assert len(np.unique(ds.labels[s])) >= 2
 
 
 def test_partition_deterministic_and_seed_sensitive():
@@ -115,8 +115,8 @@ def test_partition_deterministic_and_seed_sensitive():
     a = partition_noniid(ds, 3, seed=5)
     b = partition_noniid(ds, 3, seed=5)
     c = partition_noniid(ds, 3, seed=6)
-    assert all(np.array_equal(x.sample_indices, y.sample_indices) for x, y in zip(a, b))
-    assert any(not np.array_equal(x.sample_indices, y.sample_indices) for x, y in zip(a, c))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_partition_rejects_bad_args():
@@ -134,26 +134,26 @@ def test_kfold_two_class_example_balances_every_fold():
     # 8 of class A and 2 of class B into 5 folds: each fold gets exactly 2
     # rows because the round-robin pointer carries across classes.
     labels = np.array([0] * 8 + [1] * 2)
-    plan = stratified_kfold(labels, k=5, seed=0)
-    sizes = [len(plan.test_indices(f)) for f in range(5)]
+    folds = stratified_kfold(labels, k=5, seed=0)
+    sizes = [np.count_nonzero(folds == f) for f in range(5)]
     assert sizes == [2, 2, 2, 2, 2]
 
 
 def test_kfold_rare_class_lands_in_exactly_one_fold():
     labels = np.array([0] * 90 + [1] * 9 + [2] * 1)
-    plan = stratified_kfold(labels, k=5, seed=3)
-    rare_folds = {plan.assignment[i] for i in np.flatnonzero(labels == 2)}
+    folds = stratified_kfold(labels, k=5, seed=3)
+    rare_folds = {folds[i] for i in np.flatnonzero(labels == 2)}
     assert len(rare_folds) == 1
 
 
 def test_kfold_per_class_counts_within_one():
     rng = np.random.default_rng(11)
     labels = rng.integers(0, 4, size=103)
-    plan = stratified_kfold(labels, k=5, seed=2)
+    folds = stratified_kfold(labels, k=5, seed=2)
     for c in range(4):
-        per_fold = [np.sum((labels == c) & (plan.assignment == f)) for f in range(5)]
+        per_fold = [np.sum((labels == c) & (folds == f)) for f in range(5)]
         assert max(per_fold) - min(per_fold) <= 1
-    totals = [np.sum(plan.assignment == f) for f in range(5)]
+    totals = [np.sum(folds == f) for f in range(5)]
     assert max(totals) - min(totals) <= 1
 
 
@@ -161,9 +161,10 @@ def test_kfold_train_test_partition_and_determinism():
     labels = np.tile([0, 1, 2], 10)
     a = stratified_kfold(labels, 3, seed=9)
     b = stratified_kfold(labels, 3, seed=9)
-    assert np.array_equal(a.assignment, b.assignment)
+    assert np.array_equal(a, b)
+    assert a.dtype == np.int64 and a.shape == labels.shape
     for f in range(3):
-        tr, te = a.train_indices(f), a.test_indices(f)
+        tr, te = np.flatnonzero(a != f), np.flatnonzero(a == f)
         assert len(np.intersect1d(tr, te)) == 0
         assert len(tr) + len(te) == len(labels)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -183,21 +185,20 @@ def test_upsample_matches_reference():
 
 
 def test_plan_depends_on_the_architecture_only():
-    arch = small_arch(input_len=25, input_channels=2,
-                      stages=(ConvStage(4, 3, 2), ConvStage(5, 4, 3)))
+    arch = small_arch(input_len=25, stages=(ConvStage(4, 3, 2), ConvStage(5, 4, 3)))
     plan = _plan(arch)
     assert plan is _plan(ArchSpec(**{f: getattr(arch, f) for f in arch.__dataclass_fields__}))
     assert [(c.cin, c.cout, c.kernel, c.length, c.need_dx) for c in plan.enc] == [
-        (2, 4, 3, 25, False), (4, 5, 4, 13, True)]
+        (1, 4, 3, 25, False), (4, 5, 4, 13, True)]
     assert [(c.cin, c.cout, c.kernel, c.length) for c in plan.dec] == [
-        (5, 4, 4, 13), (4, 2, 3, 25)]
+        (5, 4, 4, 13), (4, 1, 3, 25)]
     assert plan.pools == (2, 3) and plan.pooled == (13, 5)
     # calls at many batch sizes add nothing to the plan cache
     m = init_model(arch, np.random.default_rng(0))
     before = _plan.cache_info().currsize
     rng = np.random.default_rng(1)
     for batch in range(1, 40):
-        x = rng.normal(size=(batch, 50)).astype(np.float32)
+        x = rng.normal(size=(batch, 25)).astype(np.float32)
         train_step(m, x, rng.integers(0, 3, size=batch), lr=0.01)
         forward(m, x)
     assert _plan.cache_info().currsize == before
@@ -239,16 +240,6 @@ def test_encode_decode_compose_to_forward():
         decode(m, z[:, :3])
 
 
-def test_multichannel_input_width():
-    arch = small_arch(input_len=6, input_channels=2)
-    assert arch.input_width == 12
-    m = init_model(arch, np.random.default_rng(0))
-    recon, _, _ = forward(m, np.random.default_rng(1).normal(size=(3, 12)).astype(np.float32))
-    assert recon.shape == (3, 12)
-    assert m.params["enc.conv0.w"].shape == (4, 2, 3)
-    assert m.params["dec.conv0.b"].shape == (2,)
-
-
 # --- loss ---
 
 
@@ -285,8 +276,8 @@ def test_evaluate_loss_uses_arch_weights_by_default():
     y = np.array([0, 1, 2, 0, 1])
     total, mse, ce = evaluate_loss(m, x, y)
     assert total == pytest.approx(2.0 * mse + 0.5 * ce, rel=1e-6)
-    override, _, _ = evaluate_loss(m, x, y, alpha=1.0, beta=1.0)
-    assert override == pytest.approx(mse + ce, rel=1e-6)
+    even = ModelState(replace(arch, recon_weight=1.0, pred_weight=1.0), m.params)
+    assert evaluate_loss(even, x, y)[0] == pytest.approx(mse + ce, rel=1e-6)
 
 
 # --- gradients & training ---
@@ -314,14 +305,14 @@ def test_gradients_with_uneven_loss_weights():
 
 def test_gradients_match_finite_differences_at_a_large_batch():
     """Every kernel runs one path at every batch size; check the float64
-    backward pass well above the batch-32 training size, on a ragged,
-    multi-channel architecture with pool sizes 2 and 3."""
-    arch = ArchSpec(input_len=11, num_classes=3, input_channels=2,
+    backward pass well above the batch-32 training size, on a ragged
+    architecture with pool sizes 2 and 3."""
+    arch = ArchSpec(input_len=11, num_classes=3,
                     stages=(ConvStage(3, 3, 2), ConvStage(4, 2, 3)),
                     latent_dim=4, mlp_hidden=(5,))
     rng = np.random.default_rng(17)
     m = randomize_biases(init_model(arch, rng, dtype=np.float64), rng)
-    x = rng.normal(size=(96, 22))
+    x = rng.normal(size=(96, 11))
     y = rng.integers(0, 3, size=96)
     assert grad_check(m, x, y) < 1e-4
 
@@ -329,11 +320,10 @@ def test_gradients_match_finite_differences_at_a_large_batch():
 def test_interleaved_architectures_train_as_if_alone():
     """Plans are per architecture: alternating steps of two models with
     different shapes gives each the bits it gets when trained alone."""
-    archs = (small_arch(input_len=25), small_arch(input_len=12, input_channels=2,
-                                                  stages=(ConvStage(5, 4, 3),)))
+    archs = (small_arch(input_len=25), small_arch(input_len=12, stages=(ConvStage(5, 4, 3),)))
     rng = np.random.default_rng(21)
     models = [init_model(a, rng) for a in archs]
-    batches = [[(rng.normal(size=(b, a.input_width)).astype(np.float32),
+    batches = [[(rng.normal(size=(b, a.input_len)).astype(np.float32),
                  rng.integers(0, 3, size=b)) for b in (32, 7, 1, 32)] for a in archs]
 
     alone = []
@@ -374,11 +364,11 @@ def test_head_only_updates_classifier_only():
         assert changed == k.startswith("mlp.")
 
 
-# the default architecture; two input channels, a pool of 3 and no hidden
+# the default architecture; a 2-channel conv, a pool of 3 and no hidden
 # head layer; a 1-tap conv, a pool of 4 and two hidden layers
 HEAD_ARCHS = (
     ArchSpec(input_len=24, num_classes=6),
-    small_arch(input_len=13, input_channels=2, stages=(ConvStage(4, 3, 3),),
+    small_arch(input_len=13, stages=(ConvStage(2, 3, 3),),
                mlp_hidden=(), recon_weight=0.3, pred_weight=0.7),
     ArchSpec(input_len=11, num_classes=4, stages=(ConvStage(3, 5, 2), ConvStage(5, 1, 4)),
              latent_dim=3, mlp_hidden=(7, 5), pred_weight=2.0),
@@ -390,13 +380,13 @@ HEAD_ARCHS = (
 def test_head_only_step_matches_the_decoding_step(arch, dtype):
     """Skipping the decoder leaves every parameter bit for bit where the
     step that decoded and took the full loss left it, and the step returns
-    beta * cross-entropy."""
+    pred_weight * cross-entropy."""
     rng = np.random.default_rng(31)
     for batch in BATCHES:
         model = randomize_biases(init_model(arch, rng, dtype=dtype), rng)
         ref = model.copy()
         for _ in range(2):
-            x = rng.normal(size=(batch, arch.input_width)).astype(dtype)
+            x = rng.normal(size=(batch, arch.input_len)).astype(dtype)
             y = rng.integers(0, arch.num_classes, size=batch)
             ce = evaluate_loss(model, x, y)[2]
             assert train_step(model, x, y, lr=0.05, head_only=True) == arch.pred_weight * ce
@@ -413,7 +403,8 @@ def test_head_only_step_returns_the_weighted_cross_entropy():
     y = rng.integers(0, 3, size=9)
     total, _, ce = evaluate_loss(m, x, y)
     assert train_step(m.copy(), x, y, lr=0.1, head_only=True) == 0.7 * ce
-    assert train_step(m.copy(), x, y, lr=0.1, beta=0.25, head_only=True) == 0.25 * ce
+    quarter = ModelState(replace(arch, pred_weight=0.25), m.copy().params)
+    assert train_step(quarter, x, y, lr=0.1, head_only=True) == 0.25 * ce
     assert train_step(m.copy(), x, y, lr=0.1) == total
 
 
@@ -439,7 +430,7 @@ def test_head_only_step_is_encode_then_head_step(arch, dtype):
         model = randomize_biases(init_model(arch, rng, dtype=dtype), rng)
         on_codes, ref = model.copy(), model.copy()
         for _ in range(2):
-            x = rng.normal(size=(batch, arch.input_width)).astype(dtype)
+            x = rng.normal(size=(batch, arch.input_len)).astype(dtype)
             y = rng.integers(0, arch.num_classes, size=batch)
             z = encode(on_codes, x)
             assert train_head_step(on_codes, z, y, lr=0.05) == train_step(
@@ -455,8 +446,8 @@ def test_head_step_checks_its_codes_and_labels():
     before = m.copy()
     z = np.ones((4, m.arch.latent_dim), dtype=np.float32)
     y = np.array([0, 1, 2, 0])
-    assert train_head_step(m.copy(), z, y, lr=0.1, beta=0.5) == 0.5 * train_head_step(
-        m.copy(), z, y, lr=0.1, beta=1.0)
+    half = ModelState(replace(m.arch, pred_weight=0.5), m.copy().params)
+    assert train_head_step(half, z, y, lr=0.1) == 0.5 * train_head_step(m.copy(), z, y, lr=0.1)
     with pytest.raises(ValueError, match="latent must be"):
         train_head_step(m, np.ones((4, m.arch.latent_dim + 1)), y, lr=0.1)
     with pytest.raises(ValueError, match="labels must be"):
@@ -476,14 +467,14 @@ def test_head_loss_on_kept_codes_equals_evaluate_loss(arch, dtype):
     rng = np.random.default_rng(41)
     model = randomize_biases(init_model(arch, rng, dtype=dtype), rng)
     for batch in BATCHES:
-        x = rng.normal(size=(batch, arch.input_width)).astype(dtype)
+        x = rng.normal(size=(batch, arch.input_len)).astype(dtype)
         y = rng.integers(0, arch.num_classes, size=batch)
         z = encode(model, x)
         diff = decode(model, z) - x
         mse = float(np.mean(diff * diff))
         assert evaluate_head_loss(model, z, y, mse) == evaluate_loss(model, x, y)
-        assert evaluate_head_loss(model, z, y, mse, alpha=0.2, beta=3.0) == evaluate_loss(
-            model, x, y, alpha=0.2, beta=3.0)
+        other = ModelState(replace(arch, recon_weight=0.2, pred_weight=3.0), model.params)
+        assert evaluate_head_loss(other, z, y, mse) == evaluate_loss(other, x, y)
 
 
 @pytest.mark.parametrize("dtype", (np.float32, np.float64))
@@ -492,7 +483,7 @@ def test_head_scores_of_encoded_rows_equal_forward_scores(arch, dtype):
     rng = np.random.default_rng(17)
     m = randomize_biases(init_model(arch, rng, dtype=dtype), rng)
     for batch in BATCHES:
-        x = rng.normal(size=(batch, arch.input_width)).astype(dtype)
+        x = rng.normal(size=(batch, arch.input_len)).astype(dtype)
         assert np.array_equal(head_scores(m, encode(m, x)), forward(m, x)[1])
     with pytest.raises(ValueError, match="latent"):
         head_scores(m, np.zeros((2, arch.latent_dim + 1), dtype=dtype))

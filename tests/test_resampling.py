@@ -60,21 +60,19 @@ def test_knn_breaks_ties_toward_lower_index():
 
 def test_knn_self_handling_and_errors():
     X = np.zeros((3, 2))
-    assert knn_indices(X, 1, 3, exclude_self=False).tolist() == [0, 1, 2]
+    assert knn_indices(X, 1, 2).tolist() == [0, 2]
     with pytest.raises(ValueError):
         knn_indices(X, 0, 3)  # only 2 candidates once self is excluded
     with pytest.raises(ValueError):
-        knn_indices(X, 0, 0, exclude_self=False)
+        knn_indices(X, 0, 0)
 
 
-def _parent_knn(points, query_row, k, exclude_self=True):
+def _parent_knn(points, query_row, k):
     """The one-query rule knn_table must reproduce: a stable argsort of the
     full ``_squared_dists`` row with the query row taken out."""
     points = np.asarray(points, dtype=np.float64)
     order = np.argsort(rs._squared_dists(points, query_row), kind="stable")
-    if exclude_self:
-        order = order[order != query_row]
-    return order[:k].tolist()
+    return order[order != query_row][:k].tolist()
 
 
 @st.composite
@@ -97,32 +95,31 @@ def _knn_case(draw, exact):
     copies = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
     for src, dst in copies:
         X[dst] = X[src]
-    exclude_self = draw(st.booleans())
-    k = draw(st.integers(1, n - 1 if exclude_self else n))
+    k = draw(st.integers(1, n - 1))
     queries = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
-    return X + offset, k, queries, exclude_self
+    return X + offset, k, queries
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_knn_case(exact=True))
 def test_knn_table_matches_brute_force_on_exact_ties(case):
-    X, k, queries, exclude_self = case
+    X, k, queries = case
     rows = range(len(X)) if queries is None else queries
-    table = knn_table(X, k, queries, exclude_self)
+    table = knn_table(X, k, queries)
     assert table.shape == (len(rows), k) and table.dtype == np.int64
     for got, q in zip(table, rows):
-        assert got.tolist() == brute_knn(X, q, k, exclude_self)
+        assert got.tolist() == brute_knn(X, q, k)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_knn_case(exact=False))
 def test_knn_table_matches_the_one_query_rule(case):
-    X, k, queries, exclude_self = case
+    X, k, queries = case
     rows = range(len(X)) if queries is None else queries
-    table = knn_table(X, k, queries, exclude_self)
+    table = knn_table(X, k, queries)
     for got, q in zip(table, rows):
-        assert got.tolist() == _parent_knn(X, q, k, exclude_self)
-        assert knn_indices(X, q, k, exclude_self).tolist() == got.tolist()
+        assert got.tolist() == _parent_knn(X, q, k)
+        assert knn_indices(X, q, k).tolist() == got.tolist()
 
 
 @pytest.mark.parametrize("block_values", [1, 7, 64])
@@ -150,9 +147,9 @@ def test_pair_distances_are_bit_equal_to_the_full_row(dim):
 def test_every_geometry_helper_calls_knn_table_once(monkeypatch):
     calls = []
 
-    def counting_table(points, k, queries=None, exclude_self=True):
+    def counting_table(points, k, queries=None):
         calls.append(len(points))
-        return knn_table(points, k, queries, exclude_self)
+        return knn_table(points, k, queries)
 
     monkeypatch.setattr(rs, "knn_table", counting_table)
     rng = np.random.default_rng(5)
