@@ -303,8 +303,9 @@ def _dense_bwd(dy, ctx):
     return dy @ w.T, x.T @ dy, dy.sum(axis=0)
 
 
-def _relu_fwd(x):
-    return np.maximum(x, 0), x > 0
+def _relu_fwd(x, train: bool):
+    """(max(x, 0), the mask of positive inputs if ``train``, else None)."""
+    return np.maximum(x, 0), (x > 0 if train else None)
 
 
 def _relu_bwd(dy, mask):
@@ -314,7 +315,28 @@ def _relu_bwd(dy, mask):
 # --- model passes ---
 #
 # With ``cache=None`` a pass only computes values; given a list, it also
-# appends what the matching backward pass reads.
+# appends what the matching backward pass reads.  A public inference pass
+# runs over consecutive slices of at most _PASS_ROWS rows, so its working
+# memory does not grow with the set; a set of _PASS_ROWS rows or fewer is
+# one pass.  Training steps keep a cache and take their whole batch.
+
+# The largest batch any workload trains on: an inference pass never holds
+# more rows than a training step already does.
+_PASS_ROWS = 512
+
+
+def _in_slices(pass_fn, rows):
+    """pass_fn(rows), run on consecutive slices of at most _PASS_ROWS rows
+    with each slice's result rows written into one array."""
+    n = len(rows)
+    if n <= _PASS_ROWS:
+        return pass_fn(rows)
+    first = pass_fn(rows[:_PASS_ROWS])
+    out = np.empty((n,) + first.shape[1:], dtype=first.dtype)
+    out[:_PASS_ROWS] = first
+    for start in range(_PASS_ROWS, n, _PASS_ROWS):
+        out[start:start + _PASS_ROWS] = pass_fn(rows[start:start + _PASS_ROWS])
+    return out
 
 
 def _encode(params, plan: _Plan, x, cache=None):
@@ -324,7 +346,7 @@ def _encode(params, plan: _Plan, x, cache=None):
     xp = _padded(x.reshape(B, first.cin, first.length), first.pad_left, first.pad_right)
     for i, conv in enumerate(plan.enc):
         h, relu_mask = _relu_fwd(_conv_fwd(xp, params[f"enc.conv{i}.w"],
-                                           params[f"enc.conv{i}.b"], conv))
+                                           params[f"enc.conv{i}.b"], conv), train)
         h, winner = _maxpool_fwd(h, plan.pools[i], train)
         if train:
             cache.append((xp, relu_mask, winner))
@@ -340,10 +362,11 @@ def _encode(params, plan: _Plan, x, cache=None):
 
 def _decode(params, plan: _Plan, z, cache=None):
     B = len(z)
+    train = cache is not None
     pre, fc_ctx = _dense_fwd(z, params["dec.fc.w"], params["dec.fc.b"])
-    h, relu_mask = _relu_fwd(pre)
+    h, relu_mask = _relu_fwd(pre, train)
     h = h.reshape(B, plan.dec[0].cin, plan.pooled[-1])
-    if cache is not None:
+    if train:
         cache.append((fc_ctx, relu_mask))
     last = len(plan.dec) - 1
     for d, conv in enumerate(plan.dec):
@@ -352,49 +375,47 @@ def _decode(params, plan: _Plan, z, cache=None):
         h = _conv_fwd(xp, params[f"dec.conv{d}.w"], params[f"dec.conv{d}.b"], conv)
         conv_relu = None
         if d < last:
-            h, conv_relu = _relu_fwd(h)
-        if cache is not None:
+            h, conv_relu = _relu_fwd(h, train)
+        if train:
             cache.append((xp, conv_relu))
     return h.reshape(B, -1)
 
 
-def _mlp_cached(params, arch, z):
+def _mlp(params, arch, z, cache=None):
+    train = cache is not None
     n_layers = len(arch.mlp_hidden) + 1
     h = z
-    cache = []
     for j in range(n_layers):
         h, ctx = _dense_fwd(h, params[f"mlp.fc{j}.w"], params[f"mlp.fc{j}.b"])
+        mask = None
         if j < n_layers - 1:
-            h, mask = _relu_fwd(h)
-        else:
-            mask = None
-        cache.append((ctx, mask))
-    return h, cache
+            h, mask = _relu_fwd(h, train)
+        if train:
+            cache.append((ctx, mask))
+    return h
 
 
 def encode(model: ModelState, x: np.ndarray) -> np.ndarray:
     x = _check_input(model, x)
-    return _encode(model.params, _plan(model.arch), x)
+    return _in_slices(functools.partial(_encode, model.params, _plan(model.arch)), x)
 
 
 def decode(model: ModelState, z: np.ndarray) -> np.ndarray:
-    return _decode(model.params, _plan(model.arch), _check_codes(model, z))
+    z = _check_codes(model, z)
+    return _in_slices(functools.partial(_decode, model.params, _plan(model.arch)), z)
 
 
 def head_scores(model: ModelState, z: np.ndarray) -> np.ndarray:
     """Class scores of the classifier head on latent codes; with
     ``encode`` it gives the scores of ``forward`` without the decoder."""
-    return _mlp_cached(model.params, model.arch, _check_codes(model, z))[0]
+    z = _check_codes(model, z)
+    return _in_slices(functools.partial(_mlp, model.params, model.arch), z)
 
 
 def forward(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(reconstruction, class scores, latent codes), no gradient bookkeeping."""
-    x = _check_input(model, x)
-    plan = _plan(model.arch)
-    latent = _encode(model.params, plan, x)
-    recon = _decode(model.params, plan, latent)
-    scores, _ = _mlp_cached(model.params, model.arch, latent)
-    return recon, scores, latent
+    latent = encode(model, x)
+    return decode(model, latent), head_scores(model, latent), latent
 
 
 def _check_input(model: ModelState, x: np.ndarray) -> np.ndarray:
@@ -411,17 +432,24 @@ def _check_codes(model: ModelState, z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _mean_square(diff) -> float:
+    return float(np.mean(diff * diff))
+
+
 def _mse(recon, target):
     diff = recon - target
-    val = float(np.mean(diff * diff))
-    grad = (2.0 / diff.size) * diff
-    return val, grad
+    return _mean_square(diff), (2.0 / diff.size) * diff
+
+
+def _cross_entropy_value(scores, labels):
+    """(mean cross-entropy, shifted scores, their log-sum-exp per row)."""
+    z = scores - scores.max(axis=1, keepdims=True)
+    lse = np.log(np.sum(np.exp(z), axis=1))
+    return float(np.mean(lse - z[np.arange(len(labels)), labels])), z, lse
 
 
 def _cross_entropy(scores, labels):
-    z = scores - scores.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(z), axis=1))
-    val = float(np.mean(lse - z[np.arange(len(labels)), labels]))
+    val, z, lse = _cross_entropy_value(scores, labels)
     soft = np.exp(z - lse[:, None])
     soft[np.arange(len(labels)), labels] -= 1.0
     return val, soft / len(labels)
@@ -445,15 +473,14 @@ def evaluate_loss(model: ModelState, x, labels) -> tuple[float, float, float]:
     """(total, mse, cross_entropy) on one batch, weighted by the arch's
     ``recon_weight`` and ``pred_weight``."""
     x = _check_input(model, x)
-    plan = _plan(model.arch)
-    latent = _encode(model.params, plan, x)
-    mse = reconstruction_mse(_decode(model.params, plan, latent), x)
+    latent = encode(model, x)
+    mse = reconstruction_mse(decode(model, latent), x)
     return evaluate_head_loss(model, latent, labels, mse)
 
 
 def reconstruction_mse(recon: np.ndarray, x: np.ndarray) -> float:
     """The loss's MSE term, of a reconstruction ``recon`` of the rows ``x``."""
-    return _mse(recon, x)[0]
+    return _mean_square(recon - x)
 
 
 def evaluate_head_loss(model: ModelState, z, labels, mse: float) -> tuple[float, float, float]:
@@ -463,8 +490,7 @@ def evaluate_head_loss(model: ModelState, z, labels, mse: float) -> tuple[float,
     head run."""
     z = _check_codes(model, z)
     labels = _check_labels(model, labels, len(z))
-    scores, _ = _mlp_cached(model.params, model.arch, z)
-    ce, _ = _cross_entropy(scores.astype(np.float64), labels)
+    ce = _cross_entropy_value(head_scores(model, z).astype(np.float64), labels)[0]
     return model.arch.recon_weight * mse + model.arch.pred_weight * ce, mse, ce
 
 
@@ -498,7 +524,8 @@ def _compute_grads(model: ModelState, x, labels):
     enc_cache, dec_cache = [], []
     latent = _encode(params, plan, x, enc_cache)
     recon = _decode(params, plan, latent, dec_cache)
-    scores, mlp_cache = _mlp_cached(params, arch, latent)
+    mlp_cache = []
+    scores = _mlp(params, arch, latent, mlp_cache)
 
     total, drecon, dscores = loss(recon, x, scores, labels, arch.recon_weight, arch.pred_weight)
     drecon = drecon.astype(dtype)
@@ -557,7 +584,8 @@ def train_head_step(model: ModelState, z, labels, lr: float) -> float:
     weight = model.arch.pred_weight
     z = _check_codes(model, z)
     labels = _check_labels(model, labels, len(z))
-    scores, mlp_cache = _mlp_cached(model.params, model.arch, z)
+    mlp_cache = []
+    scores = _mlp(model.params, model.arch, z, mlp_cache)
     ce, dscores = _cross_entropy(np.asarray(scores, dtype=np.float64), labels)
     grads: dict[str, np.ndarray] = {}
     _mlp_bwd((weight * dscores).astype(model.dtype), mlp_cache, grads)

@@ -1,9 +1,13 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fedbalance import gcae
 from fedbalance.gcae import (
+    _PASS_ROWS,
     ArchSpec,
     ConvStage,
     ModelState,
@@ -39,6 +43,7 @@ from oracles import (
 )
 
 BATCHES = (1, 7, 32, 512)
+SLICED_BATCH = 1100  # three inference slices, the last a partial one
 
 
 def small_arch(input_len=12, **kw):
@@ -466,7 +471,7 @@ def test_head_loss_on_kept_codes_equals_evaluate_loss(arch, dtype):
     gives evaluate_loss's three values bit for bit."""
     rng = np.random.default_rng(41)
     model = randomize_biases(init_model(arch, rng, dtype=dtype), rng)
-    for batch in BATCHES:
+    for batch in BATCHES + (SLICED_BATCH,):
         x = rng.normal(size=(batch, arch.input_len)).astype(dtype)
         y = rng.integers(0, arch.num_classes, size=batch)
         z = encode(model, x)
@@ -482,11 +487,82 @@ def test_head_loss_on_kept_codes_equals_evaluate_loss(arch, dtype):
 def test_head_scores_of_encoded_rows_equal_forward_scores(arch, dtype):
     rng = np.random.default_rng(17)
     m = randomize_biases(init_model(arch, rng, dtype=dtype), rng)
-    for batch in BATCHES:
+    for batch in BATCHES + (SLICED_BATCH,):
         x = rng.normal(size=(batch, arch.input_len)).astype(dtype)
         assert np.array_equal(head_scores(m, encode(m, x)), forward(m, x)[1])
     with pytest.raises(ValueError, match="latent"):
         head_scores(m, np.zeros((2, arch.latent_dim + 1), dtype=dtype))
+
+
+# --- inference slices ---
+
+
+def _count_passes(monkeypatch):
+    """Count the calls of the encoder, decoder and head passes."""
+    calls = {"_encode": 0, "_decode": 0, "_mlp": 0}
+    for name in calls:
+        inner = getattr(gcae, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(gcae, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", (1, _PASS_ROWS, _PASS_ROWS + 1, 2 * _PASS_ROWS, SLICED_BATCH))
+def test_inference_runs_in_slices_of_at_most_pass_rows(n, monkeypatch):
+    """Each inference pass over n rows makes ceil(n / _PASS_ROWS) internal
+    passes, and gives the rows its own passes give on each slice."""
+    arch = HEAD_ARCHS[0]
+    rng = np.random.default_rng(23)
+    m = randomize_biases(init_model(arch, rng), rng)
+    x = rng.normal(size=(n, arch.input_len)).astype(np.float32)
+    y = rng.integers(0, arch.num_classes, size=n)
+    calls = _count_passes(monkeypatch)
+    slices = math.ceil(n / _PASS_ROWS)
+    for run, want in (
+        (lambda: encode(m, x), {"_encode": slices}),
+        (lambda: decode(m, x[:, :arch.latent_dim]), {"_decode": slices}),
+        (lambda: head_scores(m, x[:, :arch.latent_dim]), {"_mlp": slices}),
+        (lambda: forward(m, x), {"_encode": slices, "_decode": slices, "_mlp": slices}),
+        (lambda: evaluate_loss(m, x, y), {"_encode": slices, "_decode": slices, "_mlp": slices}),
+        (lambda: evaluate_head_loss(m, x[:, :arch.latent_dim], y, 0.5), {"_mlp": slices}),
+        (lambda: train_step(m.copy(), x, y, lr=0.01), {"_encode": 1, "_decode": 1, "_mlp": 1}),
+        (lambda: train_head_step(m.copy(), x[:, :arch.latent_dim], y, lr=0.01), {"_mlp": 1}),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert calls == {name: want.get(name, 0) for name in calls}
+    starts = range(0, n, _PASS_ROWS)
+    z = encode(m, x)
+    assert np.array_equal(z, np.concatenate([encode(m, x[s:s + _PASS_ROWS]) for s in starts]))
+    for fn in (decode, head_scores):
+        assert np.array_equal(fn(m, z), np.concatenate([fn(m, z[s:s + _PASS_ROWS])
+                                                        for s in starts]))
+
+
+def test_inference_memory_does_not_grow_with_the_set():
+    """The traced peak of encode, decode and head_scores on 4096 rows stays
+    within 1.5 times their peak on _PASS_ROWS rows; one whole-set pass
+    would hold eight times the activations."""
+    arch = HEAD_ARCHS[0]
+    rng = np.random.default_rng(29)
+    m = init_model(arch, rng)
+    x = rng.normal(size=(4096, arch.input_len)).astype(np.float32)
+
+    def peak_bytes(rows):
+        tracemalloc.start()
+        try:
+            z = encode(m, rows)
+            decode(m, z)
+            head_scores(m, z)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(x) <= 1.5 * peak_bytes(x[:_PASS_ROWS])
 
 
 def test_training_decreases_loss():
