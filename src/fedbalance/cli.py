@@ -12,6 +12,7 @@ config produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import functools
@@ -279,6 +280,55 @@ def blas_threads() -> int | str:
     return blas[0]() if blas is not None else "unknown"
 
 
+# glibc's heap settings for a run: a 16 MiB top pad keeps the memory a train
+# step frees mapped for the next step, which would otherwise fault it in again
+# zeroed, and a fixed mmap threshold keeps the step's arrays on that heap
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3   # mallopt parameter numbers, malloc.h
+_TOP_PAD = 16 << 20
+_MMAP_THRESHOLD = 32 << 20
+_GLIBC_DEFAULT = 128 << 10   # glibc's default for both
+# a user who sets any of these has chosen the allocator's behaviour
+_MALLOC_ENV = ("MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+               "GLIBC_TUNABLES")
+
+
+@functools.cache
+def _mallopt():
+    """glibc's ``mallopt``, or None outside glibc.  Looked up in the running
+    process: ``ctypes.util.find_library`` would start a subprocess."""
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return fn
+
+
+@contextlib.contextmanager
+def _run_settings():
+    """A run's process settings, restored on exit: one BLAS thread, and a
+    glibc heap that keeps freed memory.  Each is left alone when the user
+    chose it through the environment.  Metrics depend on the BLAS thread
+    count, which the manifest records, and not on the heap settings."""
+    blas = None if any(os.environ.get(v) for v in _BLAS_ENV) else _openblas()
+    heap = None if any(v in os.environ for v in _MALLOC_ENV) else _mallopt()
+    threads = None
+    if blas is not None:
+        threads = blas[0]()
+        blas[1](1)
+    if heap is not None:
+        heap(_M_TOP_PAD, _TOP_PAD)
+        heap(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    try:
+        yield
+    finally:
+        if threads is not None:
+            blas[1](threads)
+        if heap is not None:
+            heap(_M_TOP_PAD, _GLIBC_DEFAULT)
+            heap(_M_MMAP_THRESHOLD, _GLIBC_DEFAULT)
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -338,25 +388,16 @@ def main(argv=None) -> int:
     run_p.add_argument("--folds", type=int, default=None, help="override config num_folds")
     args = parser.parse_args(argv)
 
-    # metrics depend on the BLAS thread count, so a run uses one thread
-    # unless the user chose a count; the previous count is restored after
-    blas = _openblas()
-    restore = None
-    if blas is not None and not any(os.environ.get(v) for v in _BLAS_ENV):
-        restore = blas[0]()
-        blas[1](1)
     try:
-        overrides = {"seed": args.seed, "num_folds": args.folds}
-        config = load_config(args.config,
-                             **{key: v for key, v in overrides.items() if v is not None})
-        out_dir = args.output if args.output is not None else config["output_dir"]
-        table = run(config, out_dir)
+        with _run_settings():
+            overrides = {"seed": args.seed, "num_folds": args.folds}
+            config = load_config(args.config,
+                                 **{key: v for key, v in overrides.items() if v is not None})
+            out_dir = args.output if args.output is not None else config["output_dir"]
+            table = run(config, out_dir)
     except (ValueError, RuntimeError, FloatingPointError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if restore is not None:
-            blas[1](restore)
     print(f"wrote {len(table)} metric records to {out_dir}")
     return 0
 

@@ -9,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .metrics import _unique
 from .seeding import derive_rng
 
 #: Default desk-scale benchmark: six classes, two of them minority at 20:1.
@@ -226,7 +227,7 @@ def partition_noniid(
                 per_client[client_id].append(part)
         shards = [np.sort(np.concatenate(parts)) for parts in per_client]
         ok = all(
-            len(s) >= 2 and len(np.unique(ds.labels[s])) >= 2 for s in shards
+            len(s) >= 2 and len(_unique(ds.labels[s])) >= 2 for s in shards
         )
         if ok:
             return shards
@@ -251,9 +252,8 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     assignment = np.empty(len(labels), dtype=np.int64)
     pointer = 0
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        for i in rng.permutation(idx):
-            assignment[i] = pointer % k
-            pointer += 1
+    for c in _unique(labels):
+        perm = rng.permutation(np.flatnonzero(labels == c))
+        assignment[perm] = (pointer + np.arange(len(perm))) % k
+        pointer += len(perm)
     return assignment

@@ -30,7 +30,7 @@ from .gcae import (  # noqa: F401
     train_head_step,
     train_step,
 )
-from .metrics import accuracy, roc_auc_macro, sample_std
+from .metrics import _unique, accuracy, roc_auc_macro, sample_std
 from .resampling import ResampledSet, SamplerSpec, resample
 
 
@@ -60,7 +60,9 @@ class ClientState:
     def __post_init__(self):
         self.train_indices = np.asarray(self.train_indices, dtype=np.int64)
         self.test_indices = np.asarray(self.test_indices, dtype=np.int64)
-        if np.intersect1d(self.train_indices, self.test_indices).size:
+        # what np.intersect1d does, without its numpy.ma import
+        both = np.concatenate([_unique(self.train_indices), _unique(self.test_indices)])
+        if len(_unique(both)) < len(both):
             raise ValueError("train and test indices overlap")
 
 
@@ -190,7 +192,7 @@ def build_personalization_set(model: ModelState, features, labels,
     """
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
-    if len(np.unique(labels)) < 2:
+    if len(_unique(labels)) < 2:
         warnings.warn("single-class training split; resampling skipped", stacklevel=2)
         return PersonalSet(features.astype(model.dtype), labels.copy(), None)
     latent = encode(model, features)
@@ -291,7 +293,7 @@ def evaluate_clients(clients: list[ClientState], test_sets,
         scores = head_scores(client.model, test.codes)
         accs.append(accuracy(np.argmax(scores, axis=1), y_test))
         acc_w.append(len(y_test))
-        if len(np.unique(y_test)) < 2:
+        if len(_unique(y_test)) < 2:
             warnings.warn(
                 f"client {client.client_id} test split is single-class; excluded from AUC",
                 stacklevel=2,

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import _unique
+
 SAMPLER_NAMES = (
     "smote",
     "borderline_smote",
@@ -170,7 +172,7 @@ def knn_indices(points: np.ndarray, query_row: int, k: int) -> np.ndarray:
 
 def _neighbor_table(rows: np.ndarray, seed_positions: np.ndarray, k: int) -> dict[int, np.ndarray]:
     k_eff = min(k, len(rows) - 1)
-    seeds = np.unique(seed_positions)
+    seeds = _unique(seed_positions)
     return dict(zip(seeds.tolist(), knn_table(rows, k_eff, seeds)))
 
 
@@ -219,7 +221,7 @@ def fit_linear_svm(features: np.ndarray, binary_labels: np.ndarray, params: SvmP
     if Y.ndim != 2 or len(Y) != len(X):
         raise ValueError(f"binary_labels must be ({len(X)},) or ({len(X)}, C), got {Y.shape}")
     for j, column in enumerate(Y.T):
-        if set(np.unique(column)) != {-1.0, 1.0}:
+        if set(_unique(column)) != {-1.0, 1.0}:
             raise ValueError(f"binary_labels column {j} must contain both -1 and +1")
     lr = params.learning_rate
     shrink = (1.0 - lr * params.regularization) ** len(X)

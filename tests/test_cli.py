@@ -424,9 +424,9 @@ _MAIN = "import sys; from fedbalance.cli import main; sys.exit(main(sys.argv[1:]
 
 
 def _env(**env_vars):
-    """This environment without the BLAS thread variables, plus ``env_vars``,
-    with the package importable."""
-    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_ENV}
+    """This environment without the BLAS thread and allocator variables, plus
+    ``env_vars``, with the package importable."""
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_ENV + cli._MALLOC_ENV}
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_vars)
@@ -484,6 +484,91 @@ def test_blas_threads_unknown_without_a_getter(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 0
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text(encoding="utf-8"))
     assert manifest["blas_threads"] == "unknown"
+
+
+# --- heap settings and one-time costs ---
+
+
+def _python(code, *args, **env_vars) -> str:
+    """Run ``code`` in a fresh interpreter; return the last line it printed."""
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=_env(**env_vars),
+                         check=True, capture_output=True, text=True).stdout
+    return out.rstrip("\n").rpartition("\n")[2]
+
+
+def _tiny_config_file(tmp_path) -> Path:
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config()), encoding="utf-8")
+    return cfg_path
+
+
+_MAIN_THEN = ("import resource, sys; from fedbalance.cli import main\n"
+              "assert main(['run', '--config', sys.argv[1], '--output', sys.argv[2]]) == 0\n")
+
+
+def test_main_starts_no_process(tmp_path):
+    # a child's peak would count in the benchmark's peak_rss_mb
+    # (ctypes.util.find_library, for one, starts a subprocess)
+    code = _MAIN_THEN + "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    assert _python(code, _tiny_config_file(tmp_path), tmp_path / "out") == "0"
+
+
+def test_a_run_never_imports_numpy_ma(tmp_path):
+    # numpy.ma costs a run about 30 ms of import and first-call time
+    code = _MAIN_THEN + "print('numpy.ma' in sys.modules)"
+    assert _python(code, _tiny_config_file(tmp_path), tmp_path / "out") == "False"
+
+
+_TRAIN_FAULTS = """
+import resource
+import numpy as np
+from fedbalance import cli
+from fedbalance.gcae import ArchSpec, init_model, train_step
+
+rng = np.random.default_rng(0)
+model = init_model(ArchSpec(input_len=24, num_classes=6), rng)
+x = rng.standard_normal((512, 24)).astype(np.float32)
+y = rng.integers(0, 6, 512)
+with cli._run_settings():
+    train_step(model, x, y, 0.01)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        train_step(model, x, y, 0.01)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def test_train_steps_reuse_freed_heap_memory_in_a_run():
+    if cli._mallopt() is None:
+        pytest.skip("no glibc mallopt")
+    # without the settings each batch-512 step faults in about 1000 fresh pages
+    assert float(_python(_TRAIN_FAULTS)) < 100
+
+
+def test_heap_settings_leave_metrics_unchanged(tmp_path):
+    cfg_path = _tiny_config_file(tmp_path)
+    _python(_MAIN_THEN, cfg_path, tmp_path / "main")
+    plain = ("import sys; from fedbalance import cli\n"
+             "cli.run(cli.load_config(sys.argv[1]), sys.argv[2])")
+    _python(plain, cfg_path, tmp_path / "plain", OPENBLAS_NUM_THREADS="1")
+    for name in ("metrics.csv", "summary.csv", "violin.csv"):
+        assert (tmp_path / "main" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("var", [None, *cli._MALLOC_ENV])
+def test_main_sets_and_restores_the_heap_unless_the_user_chose(tmp_path, monkeypatch, var):
+    calls = []
+    monkeypatch.setattr(cli, "_mallopt", lambda: lambda param, value: calls.append((param, value)))
+    for name in cli._MALLOC_ENV:
+        monkeypatch.delenv(name, raising=False)
+    if var is not None:
+        monkeypatch.setenv(var, "1")
+    assert cli.main(["run", "--config", str(_tiny_config_file(tmp_path)),
+                     "--output", str(tmp_path / "out")]) == 0
+    set_and_restored = [(cli._M_TOP_PAD, cli._TOP_PAD), (cli._M_MMAP_THRESHOLD, cli._MMAP_THRESHOLD),
+                        (cli._M_TOP_PAD, cli._GLIBC_DEFAULT),
+                        (cli._M_MMAP_THRESHOLD, cli._GLIBC_DEFAULT)]
+    assert calls == ([] if var else set_and_restored)
 
 
 def test_main_requires_a_subcommand():

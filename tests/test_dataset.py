@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbalance.dataset import (
     Dataset,
@@ -167,6 +169,29 @@ def test_kfold_train_test_partition_and_determinism():
         tr, te = np.flatnonzero(a != f), np.flatnonzero(a == f)
         assert len(np.intersect1d(tr, te)) == 0
         assert len(tr) + len(te) == len(labels)
+
+
+def _kfold_by_row(labels, k, seed):
+    """The row-by-row deal stratified_kfold replaced."""
+    rng = np.random.default_rng(seed)
+    assignment = np.empty(len(labels), dtype=np.int64)
+    pointer = 0
+    for c in np.unique(labels):
+        for i in rng.permutation(np.flatnonzero(labels == c)):
+            assignment[i] = pointer % k
+            pointer += 1
+    return assignment
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.integers(0, 5), min_size=2, max_size=60),
+       k=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+def test_kfold_deals_each_class_as_the_row_by_row_deal(labels, k, seed):
+    labels = np.array(labels, dtype=np.int64)
+    k = min(k, len(labels))
+    got = stratified_kfold(labels, k, seed)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _kfold_by_row(labels, k, seed))
 
 
 def test_kfold_rejects_bad_k():

@@ -114,6 +114,11 @@ def test_fedavg_rejects_bad_input():
 def test_client_state_rejects_overlapping_splits():
     with pytest.raises(ValueError, match="overlap"):
         ClientState(0, make_model(), np.array([0, 1, 2]), np.array([2, 3]))
+    with pytest.raises(ValueError, match="overlap"):
+        ClientState(0, make_model(), np.array([9, 40]), np.array([40]))
+    # disjoint splits, in any order and with an empty side, are accepted
+    ClientState(0, make_model(), np.array([7, 3, 12]), np.array([0, 11, 4]))
+    ClientState(0, make_model(), np.array([5]), np.array([], dtype=np.int64))
 
 
 def test_server_state_defaults_and_validation():

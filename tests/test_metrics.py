@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedbalance.metrics import (
     _average_ranks,
+    _unique,
     accuracy,
     aggregate_over_folds,
     roc_auc_macro,
@@ -17,6 +21,18 @@ def test_accuracy_basic():
         accuracy([], [])
     with pytest.raises(ValueError):
         accuracy([1], [1, 2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.one_of(
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12),
+               elements=st.integers(-4, 4)),
+    hnp.arrays(np.float64, st.integers(0, 30),
+               elements=st.sampled_from([-1.0, 1.0, 0.5, -0.0, 0.0, 2.0]))))
+def test_unique_matches_numpy_unique(values):
+    got, want = _unique(values), np.unique(values)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_binary_auc_matches_pair_counting_oracle():
