@@ -153,6 +153,8 @@ def _value(v, name: str, kind):
     if kind is float:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValueError(f"{name} must be a number, got {v!r}")
+        if not abs(v) <= sys.float_info.max:  # NaN and Infinity, which json reads, fail too
+            raise ValueError(f"{name} must be a finite number, got {v!r}")
         return float(v)
     if kind is bool:
         if not isinstance(v, bool):
@@ -397,6 +399,10 @@ def main(argv=None) -> int:
             table = run(config, out_dir)
     except (ValueError, RuntimeError, FloatingPointError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 1
     print(f"wrote {len(table)} metric records to {out_dir}")
     return 0

@@ -115,7 +115,7 @@ class ExperimentPlan:
         if self.num_folds > len(self.dataset):
             raise ValueError(f"num_folds must be <= the dataset's {len(self.dataset)} rows, "
                              f"got {self.num_folds}")
-        if self.concentration <= 0:
+        if not self.concentration > 0:  # NaN fails too
             raise ValueError(f"concentration must be > 0, got {self.concentration}")
         names = [s.kind for s in self.samplers]
         if not names:

@@ -70,7 +70,7 @@ class SyntheticSpec:
                              f"got {list(self.class_counts)}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.scale <= 0:
+        if not self.scale > 0:  # NaN fails too
             raise ValueError(f"scale must be > 0, got {self.scale}")
         if self.centers.shape != (len(self.class_counts), self.dim):
             raise ValueError("class_counts and centers disagree on shape")
@@ -122,41 +122,76 @@ def load_csv(path, label_column="label") -> Dataset:
     parse as Python's ``float`` does.  A label column missing from the
     header or named twice in it, a file with no other column, and a label
     column with fewer than 2 classes are errors that name the file and
-    the column.
+    the column.  Every other malformed file fails with a ValueError that
+    names the file and, where it is known, the line.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
+    try:
+        parsed = _parse_plain(path, label_column)
+    except UnicodeDecodeError:
+        parsed = None
+    if parsed is None:  # a quoted field, a CR or something malformed somewhere
+        try:
+            parsed = _parse_quoted(path, label_column)
+        except UnicodeDecodeError:
+            raise ValueError(_not_utf8(path)) from None
+    header, label_idx, raw_labels, features = parsed
+    label_map: dict[str, int] = {}
+    labels = []
+    for raw in raw_labels:
+        if raw not in label_map:
+            label_map[raw] = len(label_map)
+        labels.append(label_map[raw])
+    if len(label_map) < 2:
+        raise ValueError(f"{path}: label column {header[label_idx]!r} holds fewer than "
+                         f"2 classes (only {raw_labels[0]!r})")
+    return Dataset(features=features, labels=np.asarray(labels, dtype=np.int64),
+                   num_classes=len(label_map))
+
+
+def _label_index(path, header: list[str], label_column) -> int:
+    """The label column's position in ``header``; raises for a header the
+    label column does not fit."""
+    if isinstance(label_column, int):
+        label_idx = label_column
+        if not 0 <= label_idx < len(header):
+            raise ValueError(f"{path}: label column index {label_idx} out of range")
+    else:
+        try:
+            label_idx = header.index(label_column)
+        except ValueError:
+            raise ValueError(f"{path}: label column {label_column!r} not in header") from None
+        copies = header.count(label_column)
+        if copies > 1:
+            raise ValueError(f"{path}: label column {label_column!r} appears "
+                             f"{copies} times in the header")
+    if len(header) == 1:
+        raise ValueError(f"{path}: no feature columns besides the label column "
+                         f"{header[label_idx]!r}")
+    return label_idx
+
+
+def _parse_quoted(path, label_column):
+    """(header, label index, raw labels, features) of any CSV, through
+    ``csv.reader``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if isinstance(label_column, int):
-            label_idx = label_column
-            if not 0 <= label_idx < len(header):
-                raise ValueError(f"{path}: label column index {label_idx} out of range")
-        else:
-            try:
-                label_idx = header.index(label_column)
-            except ValueError:
-                raise ValueError(f"{path}: label column {label_column!r} not in header") from None
-            copies = header.count(label_column)
-            if copies > 1:
-                raise ValueError(f"{path}: label column {label_column!r} appears "
-                                 f"{copies} times in the header")
-        if len(header) == 1:
-            raise ValueError(f"{path}: no feature columns besides the label column "
-                             f"{header[label_idx]!r}")
-
-        cells = []  # every feature cell, row after row: one np.array call parses them all
-        raw_labels = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: ragged row ({len(row)} cells, expected {len(header)})")
-            raw_labels.append(row.pop(label_idx))
-            cells += row
-
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            label_idx = _label_index(path, header, label_column)
+            cells = []  # every feature cell, row after row: one np.array call parses them all
+            raw_labels = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise ValueError(f"{path}:{lineno}: ragged row ({len(row)} cells, "
+                                     f"expected {len(header)})")
+                raw_labels.append(row.pop(label_idx))
+                cells += row
+        except csv.Error as exc:  # a cell over csv.field_size_limit(), say
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not raw_labels:
         raise ValueError(f"{path}: no data rows")
     width = len(header) - 1
@@ -173,27 +208,81 @@ def load_csv(path, label_column="label") -> Dataset:
                 raise ValueError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
             if not np.isfinite(v):
                 raise ValueError(f"{path}:{lineno}: non-finite cell {cell!r}")
-    label_map: dict[str, int] = {}
-    labels = []
-    for raw in raw_labels:
-        if raw not in label_map:
-            label_map[raw] = len(label_map)
-        labels.append(label_map[raw])
-    if len(label_map) < 2:
-        raise ValueError(f"{path}: label column {header[label_idx]!r} holds fewer than "
-                         f"2 classes (only {raw_labels[0]!r})")
-    return Dataset(
-        features=features.reshape(len(raw_labels), width),
-        labels=np.asarray(labels, dtype=np.int64),
-        num_classes=len(label_map),
-    )
+    return header, label_idx, raw_labels, features.reshape(-1, width)
+
+
+# The plain parse reads about this many bytes of whole lines at a time.
+_CHUNK_BYTES = 256 << 10
+
+
+def _parse_plain(path, label_column):
+    """``_parse_quoted`` of a well-formed file that holds no '"' and no
+    '\\r', where each line is a row and each ',' ends a cell, without
+    ``csv.reader``.  None for any other file, and for a file with a line
+    of the wrong cell count, a line longer than ``csv.field_size_limit()``
+    or a feature cell ``np.loadtxt`` rejects or reads as non-finite:
+    ``_parse_quoted`` then reads it and reports what is wrong.
+
+    ``np.loadtxt`` parses a chunk's feature cells with the parser Python's
+    ``float`` calls, on the same text, so the two give the same bits
+    whenever both succeed.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not first or b'"' in first or b"\r" in first or len(first) > limit:
+            return None
+        line = first.decode("utf-8").removesuffix("\n")
+        header = line.split(",") if line else []
+        label_idx = _label_index(path, header, label_column)
+        ncols = len(header)
+        feature_cols = [j for j in range(ncols) if j != label_idx]
+        after = ncols - 1 - label_idx  # cells after the label's; it is split off the nearer end
+        blocks, raw_labels = [], []
+        while chunk := fh.read(_CHUNK_BYTES):
+            chunk += fh.readline()
+            if b'"' in chunk or b"\r" in chunk:
+                return None
+            lines = chunk.decode("utf-8").split("\n")
+            if not lines[-1]:  # the chunk's final newline
+                lines.pop()
+            counts = list(map(str.count, lines, [","] * len(lines)))
+            if counts.count(ncols - 1) != len(lines) or max(map(len, lines)) > limit:
+                return None
+            if label_idx <= after:
+                raw_labels += [line.split(",", label_idx + 1)[label_idx] for line in lines]
+            else:
+                raw_labels += [line.rsplit(",", after + 1)[-after - 1] for line in lines]
+            try:
+                block = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                                   usecols=feature_cols, ndmin=2)
+            except ValueError:
+                return None
+            if not np.isfinite(block).all():
+                return None
+            blocks.append(block)
+    if not raw_labels:
+        return None
+    return header, label_idx, raw_labels, np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+
+
+def _not_utf8(path) -> str:
+    """The error message for a file that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        return f"{path}:{lineno}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+    return f"{path}: not valid UTF-8"
 
 
 def save_csv(ds: Dataset, path) -> None:
     """Write a Dataset back to CSV (feature columns f0..fD-1 plus ``label``,
     the class index)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"f{j}" for j in range(ds.num_features)] + ["label"])
         for row, lab in zip(ds.features, ds.labels):
             writer.writerow([repr(float(v)) for v in row] + [str(lab)])
@@ -212,7 +301,7 @@ def partition_noniid(
     """
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
-    if concentration <= 0:
+    if not concentration > 0:
         raise ValueError("concentration must be positive")
     rng = np.random.default_rng(seed)
     class_indices = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]

@@ -41,7 +41,7 @@ class TrainHyper:
     local_epochs: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN fails too
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         for name in ("batch_size", "local_epochs"):
             if getattr(self, name) < 1:

@@ -52,7 +52,8 @@ class ArchSpec:
                              f"of integers >= 1, got {[list(astuple(s)) for s in stages]}")
         if any(h < 1 for h in self.mlp_hidden):
             raise ValueError(f"mlp_hidden widths must be >= 1, got {list(self.mlp_hidden)}")
-        if self.recon_weight < 0 or self.pred_weight < 0 or self.recon_weight + self.pred_weight <= 0:
+        if not (self.recon_weight >= 0 and self.pred_weight >= 0  # NaN fails too
+                and self.recon_weight + self.pred_weight > 0):
             raise ValueError("recon_weight and pred_weight, the loss weights, must be >= 0 with "
                              f"a positive sum, got {self.recon_weight} and {self.pred_weight}")
 
@@ -126,15 +127,22 @@ def init_model(arch: ArchSpec, rng, dtype=np.float32) -> ModelState:
 
 # --- kernel plan ---
 #
-# Each convolution product is one im2col copy of a zero-padded buffer and
-# one matmul on C-contiguous operands, in the orientation that
-# np.einsum(optimize=True) chooses for the same contraction:
-#   forward  w (O, C*K)          @ windows of x  (C*K, B*L)
-#   dw       dy (O, B*L)         @ windows of x  (B*L, C*K)
-#   dx       flipped w (C, O*K)  @ windows of dy (O*K, B*L)
-# BLAS rounds differently when an operand is transposed, so fixing the
-# orientation keeps every result bit for bit what the einsum formulation
-# gave.  The shapes come from a plan built once per ArchSpec; a call does
+# Activations are channels-last, (batch, length, channels).  A conv's
+# im2col is then a strided view of its zero-padded input whose rows are
+# contiguous runs of kernel * channels samples, and one copy of it gives
+# ``cols`` of shape (B*L, K*C).  Each product is one matmul:
+#   forward  cols (B*L, K*C)              @ w as (K*C, O)          -> (B*L, O)
+#   dw       cols.T (K*C, B*L)            @ dy (B*L, O)            -> (K*C, O)
+#   dx       cols of dy padded the other way (B*L, K*O) @ flipped w (K*O, C)
+# so outputs come out channels-last with no transpose.  A training step
+# keeps the padded input, K times smaller than ``cols``, and rebuilds
+# ``cols`` from it in the backward pass, and an inference pass holds one
+# layer's ``cols`` at a time, so batch-512 memory does not grow.  The
+# encoder pools before its ReLU: max and ReLU commute, and the ReLU then
+# sees 1/pool of the samples.
+# Parameters keep (O, C, K) shapes and the dense layers read a (channels,
+# length) flattening, so the checkpoint format does not depend on the
+# layout.  The shapes come from a plan built once per ArchSpec; a call does
 # no planning of its own and keeps no buffer between calls.
 
 
@@ -192,71 +200,72 @@ def _plan(arch: ArchSpec) -> _Plan:
 
 
 # --- layer primitives ---
+#
+# Every activation and gradient here is (batch, length, channels).
 
 
 def _padded(h, pad_left: int, pad_right: int):
-    """Copy of h zero-padded along the last axis, C-contiguous."""
-    B, C, L = h.shape
-    xp = np.zeros((B, C, pad_left + L + pad_right), dtype=h.dtype)
-    xp[:, :, pad_left:pad_left + L] = h
+    """Copy of h zero-padded along the length axis, C-contiguous."""
+    B, L, C = h.shape
+    xp = np.zeros((B, pad_left + L + pad_right, C), dtype=h.dtype)
+    xp[:, pad_left:pad_left + L] = h
     return xp
 
 
-def _windows(xp, kernel: int, length: int, batch_major: bool):
-    """Read-only strided view of the ``length`` windows of ``kernel`` taps
-    in a C-contiguous (B, C, length + kernel - 1) buffer: (B, L, C, K) if
-    ``batch_major``, else (C, K, B, L)."""
-    B, C, Lp = xp.shape
+def _im2col(xp, kernel: int, length: int):
+    """(B*length, kernel*C) matrix of the ``length`` windows of ``kernel``
+    taps in a C-contiguous (B, length + kernel - 1, C) buffer; row
+    b*length + l holds xp[b, l:l + kernel] flattened.  It is a copy, except
+    when kernel, B or length is 1, where it may be a view into xp: nothing
+    may write to xp while the result is in use."""
+    B, Lp, C = xp.shape
     s = xp.itemsize
-    if batch_major:
-        shape, strides = (B, length, C, kernel), (C * Lp * s, s, Lp * s, s)
-    else:
-        shape, strides = (C, kernel, B, length), (Lp * s, s, C * Lp * s, s)
-    return np.ndarray(shape, xp.dtype, xp, 0, strides)
+    windows = np.ndarray((B, length, kernel * C), xp.dtype, xp, 0, (Lp * C * s, C * s, s))
+    return windows.reshape(B * length, kernel * C)
 
 
 def _conv_fwd(xp, w, b, conv: _ConvPlan):
-    """y[b, o, l] = sum_{c, k} w[o, c, k] * xp[b, c, l + k] + b[o], for a
-    buffer padded as ``conv`` says.  Returns (B, O, L)."""
-    B, L = len(xp), conv.length
-    cols = _windows(xp, conv.kernel, L, False).reshape(conv.cin * conv.kernel, B * L)
-    y = w.reshape(conv.cout, -1) @ cols
-    return y.reshape(conv.cout, B, L).transpose(1, 0, 2) + b[None, :, None]
+    """y[b, l, o] = sum_{k, c} xp[b, l + k, c] * w[o, c, k] + b[o], (B, L, O),
+    for a buffer padded as ``conv`` says."""
+    y = _im2col(xp, conv.kernel, conv.length) @ w.transpose(2, 1, 0).reshape(
+        conv.kernel * conv.cin, conv.cout)
+    y += b
+    return y.reshape(len(xp), conv.length, conv.cout)
 
 
 def _conv_bwd(dy, xp, w, conv: _ConvPlan):
-    """(dx or None, dw, db) for ``_conv_fwd`` given the output gradient."""
+    """(dx or None, dw, db) for ``_conv_fwd`` given the output gradient and
+    the padded input the forward pass read."""
     B, L, K = len(dy), conv.length, conv.kernel
-    cols = _windows(xp, K, L, True).reshape(B * L, conv.cin * K)
-    dw = (dy.transpose(1, 0, 2).reshape(conv.cout, B * L) @ cols).reshape(w.shape)
-    db = dy.sum(axis=(0, 2))
+    dy2 = dy.reshape(B * L, conv.cout)
+    dw = (_im2col(xp, K, L).T @ dy2).reshape(K, conv.cin, conv.cout).transpose(2, 1, 0)
+    db = dy2.sum(axis=0)
     if not conv.need_dx:
         return None, dw, db
     # dx is the correlation of dy, padded the other way round, with the
     # kernel flipped and its channel axes swapped
-    dyp = _padded(dy, conv.pad_right, conv.pad_left)
-    wf = np.ascontiguousarray(w[:, :, ::-1].transpose(1, 0, 2)).reshape(conv.cin, conv.cout * K)
-    dx = wf @ _windows(dyp, K, L, False).reshape(conv.cout * K, B * L)
-    return dx.reshape(conv.cin, B, L).transpose(1, 0, 2), dw, db
+    wf = w[:, :, ::-1].transpose(2, 0, 1).reshape(K * conv.cout, conv.cin)
+    dx = _im2col(_padded(dy, conv.pad_right, conv.pad_left), K, L) @ wf
+    return dx.reshape(B, L, conv.cin), dw, db
 
 
 def _maxpool_fwd(h, p: int, train: bool):
-    """Ceil-mode max pooling by p over the last axis: (pooled, winner).
+    """Ceil-mode max pooling by p over the length axis: (pooled, winner).
 
     The ragged final window is maxed as-is.  In training mode ``winner``
     holds the position of each window's first maximum; otherwise it is
     None.  A NaN anywhere in a window makes the pooled value NaN, and the
     loss with it, so the winner then goes unread.
     """
-    B, C, L = h.shape
+    B, L, C = h.shape
     if L % p:
-        hp = np.empty((B, C, -(-L // p) * p), dtype=h.dtype)
-        hp[:, :, :L] = h
-        hp[:, :, L:] = -np.inf
+        hp = np.empty((B, -(-L // p) * p, C), dtype=h.dtype)
+        hp[:, :L] = h
+        hp[:, L:] = -np.inf
         h = hp
-    y, winner = h[:, :, 0::p], None
+    y, winner = h[:, 0::p], None
     for j in range(1, p):
-        s = h[:, :, j::p]
+        s = h[:, j::p]
         if train:
             take = s > y
             winner = take if winner is None else np.where(take, j, winner)
@@ -268,29 +277,29 @@ def _maxpool_fwd(h, p: int, train: bool):
 
 def _maxpool_bwd(dy, winner, p: int, length: int):
     """Route each pooled gradient to its window's first maximum; the other
-    slots get dy * 0, as in the ReLU backward.  C-contiguous."""
-    B, C, T = dy.shape
-    dx = np.empty((B, C, T, p), dtype=dy.dtype)
+    slots get dy * 0, as in the ReLU backward."""
+    B, T, C = dy.shape
+    dx = np.empty((B, T, p, C), dtype=dy.dtype)
     for j in range(p):
-        dx[..., j] = dy * (winner == j)
-    return dx.reshape(B, C, T * p)[:, :, :length]
+        dx[:, :, j] = dy * (winner == j)
+    return dx.reshape(B, T * p, C)[:, :length]
 
 
 def _upsample_into(xp, h, p: int, start: int, length: int) -> None:
-    """Write h repeated p times along the last axis, cropped to ``length``,
-    into xp[:, :, start:start + length]."""
+    """Write h repeated p times along the length axis, cropped to
+    ``length``, into xp[:, start:start + length]."""
     for j in range(p):
-        dst = xp[:, :, start + j:start + length:p]
-        dst[...] = h[:, :, :dst.shape[2]]
+        dst = xp[:, start + j:start + length:p]
+        dst[...] = h[:, :dst.shape[1]]
 
 
 def _upsample_bwd(dy, p: int):
     """Sum each group of p gradient samples (the last group may be short),
     in sample order; C-contiguous."""
-    dx = np.ascontiguousarray(dy[:, :, 0::p])
+    dx = np.ascontiguousarray(dy[:, 0::p])
     for j in range(1, p):
-        part = dy[:, :, j::p]
-        dx[:, :, :part.shape[2]] += part
+        part = dy[:, j::p]
+        dx[:, :part.shape[1]] += part
     return dx
 
 
@@ -310,6 +319,16 @@ def _relu_fwd(x, train: bool):
 
 def _relu_bwd(dy, mask):
     return dy * mask
+
+
+def _flatten(h):
+    """(B, L, C) activations as the dense layers' (B, C*L) rows."""
+    return h.transpose(0, 2, 1).reshape(len(h), -1)
+
+
+def _unflatten(flat, channels: int):
+    """Inverse of ``_flatten``: a (B, L, C) view of (B, C*L) rows."""
+    return flat.reshape(len(flat), channels, -1).transpose(0, 2, 1)
 
 
 # --- model passes ---
@@ -343,18 +362,17 @@ def _encode(params, plan: _Plan, x, cache=None):
     B = len(x)
     train = cache is not None
     first = plan.enc[0]
-    xp = _padded(x.reshape(B, first.cin, first.length), first.pad_left, first.pad_right)
+    xp = _padded(x.reshape(B, first.length, first.cin), first.pad_left, first.pad_right)
     for i, conv in enumerate(plan.enc):
-        h, relu_mask = _relu_fwd(_conv_fwd(xp, params[f"enc.conv{i}.w"],
-                                           params[f"enc.conv{i}.b"], conv), train)
+        h = _conv_fwd(xp, params[f"enc.conv{i}.w"], params[f"enc.conv{i}.b"], conv)
         h, winner = _maxpool_fwd(h, plan.pools[i], train)
+        h, relu_mask = _relu_fwd(h, train)
         if train:
             cache.append((xp, relu_mask, winner))
         if i + 1 < len(plan.enc):
             nxt = plan.enc[i + 1]
             xp = _padded(h, nxt.pad_left, nxt.pad_right)
-    flat = h.reshape(B, -1)
-    latent, fc_ctx = _dense_fwd(flat, params["enc.fc.w"], params["enc.fc.b"])
+    latent, fc_ctx = _dense_fwd(_flatten(h), params["enc.fc.w"], params["enc.fc.b"])
     if train:
         cache.append(fc_ctx)
     return latent
@@ -365,12 +383,12 @@ def _decode(params, plan: _Plan, z, cache=None):
     train = cache is not None
     pre, fc_ctx = _dense_fwd(z, params["dec.fc.w"], params["dec.fc.b"])
     h, relu_mask = _relu_fwd(pre, train)
-    h = h.reshape(B, plan.dec[0].cin, plan.pooled[-1])
+    h = _unflatten(h, plan.dec[0].cin)
     if train:
         cache.append((fc_ctx, relu_mask))
     last = len(plan.dec) - 1
     for d, conv in enumerate(plan.dec):
-        xp = np.zeros((B, conv.cin, conv.padded), dtype=h.dtype)
+        xp = np.zeros((B, conv.padded, conv.cin), dtype=h.dtype)
         _upsample_into(xp, h, plan.pools[last - d], conv.pad_left, conv.length)
         h = _conv_fwd(xp, params[f"dec.conv{d}.w"], params[f"dec.conv{d}.b"], conv)
         conv_relu = None
@@ -534,7 +552,7 @@ def _compute_grads(model: ModelState, x, labels):
     # decoder
     (fc_ctx, relu_mask), stage_cache = dec_cache[0], dec_cache[1:]
     last = len(plan.dec) - 1
-    dh = drecon.reshape(len(x), 1, arch.input_len)
+    dh = drecon.reshape(len(x), arch.input_len, 1)
     for d in reversed(range(len(plan.dec))):
         xp, conv_relu = stage_cache[d]
         if conv_relu is not None:
@@ -542,17 +560,17 @@ def _compute_grads(model: ModelState, x, labels):
         dh, grads[f"dec.conv{d}.w"], grads[f"dec.conv{d}.b"] = _conv_bwd(
             dh, xp, params[f"dec.conv{d}.w"], plan.dec[d])
         dh = _upsample_bwd(dh, plan.pools[last - d])
-    dflat = _relu_bwd(dh.reshape(len(x), arch.flat_dim), relu_mask)
+    dflat = _relu_bwd(_flatten(dh), relu_mask)
     dz_dec, grads["dec.fc.w"], grads["dec.fc.b"] = _dense_bwd(dflat, fc_ctx)
 
     # encoder, fed by both latent consumers
     stage_cache, enc_fc_ctx = enc_cache[:-1], enc_cache[-1]
     dflat_enc, grads["enc.fc.w"], grads["enc.fc.b"] = _dense_bwd(dz_dec + dz_mlp, enc_fc_ctx)
-    dh = dflat_enc.reshape(len(x), arch.stages[-1].channels, plan.pooled[-1])
+    dh = _unflatten(dflat_enc, arch.stages[-1].channels)
     for i in reversed(range(len(plan.enc))):
         xp, relu_mask_i, winner = stage_cache[i]
         conv = plan.enc[i]
-        dh = _relu_bwd(_maxpool_bwd(dh, winner, plan.pools[i], conv.length), relu_mask_i)
+        dh = _maxpool_bwd(_relu_bwd(dh, relu_mask_i), winner, plan.pools[i], conv.length)
         dh, grads[f"enc.conv{i}.w"], grads[f"enc.conv{i}.b"] = _conv_bwd(
             dh, xp, params[f"enc.conv{i}.w"], conv)
     return total, grads

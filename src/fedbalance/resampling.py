@@ -34,9 +34,9 @@ class SvmParams:
     regularization: float = 1e-3
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN fails too
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.regularization < 0:
+        if not self.regularization >= 0:
             raise ValueError(f"regularization must be >= 0, got {self.regularization}")
         if self.learning_rate * self.regularization >= 1:
             # the per-step shrink 1 - lr * reg must stay positive

@@ -270,3 +270,37 @@ def head_only_step_ref(model, x, labels, lr: float) -> float:
     for name, g in grads.items():
         params[name] -= np.multiply(lr, g, out=g)
     return total
+
+
+def gcae_forward_ref(model, x):
+    """(reconstruction, class scores, latent codes) of ``gcae.forward``, one
+    row at a time through the (batch, channels, length) layer references
+    above: a conv -> ReLU -> max-pool encoder, a dense map each way, an
+    upsample -> conv decoder with no ReLU after its last conv, and the
+    classifier MLP."""
+    arch, params = model.arch, model.params
+    lengths = arch.stage_input_lengths
+    n_stages = len(arch.stages)
+    n_mlp = len(arch.mlp_hidden) + 1
+    out = ([], [], [])
+    for row in np.asarray(x, dtype=np.float64):
+        h = row.reshape(1, 1, -1)
+        for i, st in enumerate(arch.stages):
+            h = conv1d_ref(h, params[f"enc.conv{i}.w"], params[f"enc.conv{i}.b"])
+            h = maxpool_ref(np.maximum(h, 0.0), st.pool)
+        z = h.reshape(1, -1) @ params["enc.fc.w"] + params["enc.fc.b"]
+        h = np.maximum(z @ params["dec.fc.w"] + params["dec.fc.b"], 0.0)
+        h = h.reshape(1, arch.stages[-1].channels, -1)
+        for d, i in enumerate(reversed(range(n_stages))):
+            h = upsample_ref(h, arch.stages[i].pool, lengths[i])
+            h = conv1d_ref(h, params[f"dec.conv{d}.w"], params[f"dec.conv{d}.b"])
+            if d < n_stages - 1:
+                h = np.maximum(h, 0.0)
+        s = z
+        for j in range(n_mlp):
+            s = s @ params[f"mlp.fc{j}.w"] + params[f"mlp.fc{j}.b"]
+            if j < n_mlp - 1:
+                s = np.maximum(s, 0.0)
+        for acc, value in zip(out, (h.reshape(-1), s.reshape(-1), z.reshape(-1))):
+            acc.append(value)
+    return tuple(np.array(acc) for acc in out)

@@ -359,6 +359,11 @@ _SYNTHETIC = {"kind": "synthetic", "class_counts": [30, 20, 8], "dim": 8}
     ({"num_folds": 500}, "config.num_folds must be <= the dataset's 58 rows, got 500"),
     ({"sampler_params": {"svm_regularization": 100}},
      "config.sampler_params.svm_regularization must be < 1 / learning_rate"),
+    # Python's json reads NaN and Infinity
+    ({"hyper": {"learning_rate": float("nan")}}, "config.hyper.learning_rate must be a finite number"),
+    ({"hyper": {"learning_rate": float("inf")}}, "config.hyper.learning_rate must be a finite number"),
+    ({"concentration": float("nan")}, "config.concentration must be a finite number"),
+    ({"arch": {"pred_weight": float("inf")}}, "config.arch.pred_weight must be a finite number"),
 ])
 def test_main_value_errors_name_their_config_key(tmp_path, capsys, over, key):
     cfg_path = tmp_path / "cfg.json"
@@ -367,6 +372,29 @@ def test_main_value_errors_name_their_config_key(tmp_path, capsys, over, key):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_library_positivity_checks_reject_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="learning_rate must be > 0, got nan"):
+        TrainHyper(learning_rate=nan)
+    with pytest.raises(ValueError, match="recon_weight and pred_weight"):
+        ArchSpec(input_len=8, num_classes=3, pred_weight=nan)
+    with pytest.raises(ValueError, match="config.concentration must be > 0, got nan"):
+        cli.build_plan(cli.parse_config(minimal_config()) | {"concentration": nan},
+                       cli.build_dataset(cli.parse_config(minimal_config())), "unused")
+    with pytest.raises(ValueError, match="learning_rate must be > 0, got nan"):
+        SvmParams(learning_rate=nan)
+
+
+def test_main_reports_an_allocation_that_cannot_succeed(tmp_path, capsys):
+    # a 10^12-wide latent asks numpy for hundreds of TiB, which it refuses at once
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(arch={"latent_dim": 1000000000000})),
+                        encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag, value, key", [("--folds", "1", "config.num_folds"),

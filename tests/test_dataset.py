@@ -1,8 +1,11 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedbalance import dataset
 from fedbalance.dataset import (
     Dataset,
     generate_synthetic,
@@ -202,6 +205,33 @@ def test_kfold_rejects_bad_k():
 
 
 # --- CSV I/O ---
+#
+# load_csv reads a well-formed file with no '"' and no '\r' without
+# csv.reader, in chunks of whole lines, and every other file through
+# csv.reader.  Each CSV test runs on both paths, and on the plain one also
+# with chunks so small that each holds a line or two; the tests of
+# well-formed files check that the plain parse reads them.
+
+PARSE_PATHS = ("plain", "plain-small-chunks", "csv.reader")
+
+
+@contextmanager
+def parse_path(name):
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "csv.reader":
+            mp.setattr(dataset, "_parse_plain", lambda path, label_column: None)
+        elif name == "plain-small-chunks":
+            mp.setattr(dataset, "_CHUNK_BYTES", 5)
+        yield
+
+
+def load_plain(path, label_column="label"):
+    """load_csv of a file the plain parse must read, on each path."""
+    for name in PARSE_PATHS:
+        with parse_path(name):
+            if name != "csv.reader":
+                assert dataset._parse_plain(path, label_column) is not None
+            yield load_csv(path, label_column)
 
 
 def test_csv_round_trip(tmp_path):
@@ -209,47 +239,75 @@ def test_csv_round_trip(tmp_path):
     ds = generate_synthetic(spec, seed=0)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
-    back = load_csv(path, label_column="label")
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.labels, ds.labels)
+    assert b"\r" not in path.read_bytes()
+    for back in load_plain(path):
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.labels, ds.labels)
 
 
 def test_csv_label_column_by_index(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("y,f0\nA,1.5\nB,2.5\nA,3.5\n")
-    ds = load_csv(path, label_column=0)
-    assert ds.labels.tolist() == [0, 1, 0]
-    assert ds.features[:, 0].tolist() == [1.5, 2.5, 3.5]
+    for ds in load_plain(path, label_column=0):
+        assert ds.labels.tolist() == [0, 1, 0]
+        assert ds.features[:, 0].tolist() == [1.5, 2.5, 3.5]
 
 
 def test_csv_features_parse_as_python_float(tmp_path):
-    cells = ["1.5", " 2 ", "1_000", "-0.0", "1e-320", "\u0663.\u0665", repr(0.1), "+.5", "7"]
-    path = tmp_path / "f.csv"
-    path.write_text("a,label\n" + "".join(f"{c},{i % 2}\n" for i, c in enumerate(cells)),
-                    encoding="utf-8")
-    ds = load_csv(path)  # the label column defaults to "label"
-    assert ds.features.dtype == np.float64
-    assert ds.features[:, 0].tobytes() == np.array([float(c) for c in cells]).tobytes()
+    cells = ["1.5", " 2 ", "-0.0", "1e-320", repr(0.1), "+.5", "7"]
+    # np.loadtxt rejects the two cells float reads that the second file
+    # adds, so that file goes to csv.reader
+    for extra, plain in (([], True), (["1_000", "\u0663.\u0665"], False)):
+        path = tmp_path / f"f{len(extra)}.csv"
+        path.write_text("a,label\n" + "".join(f"{c},{i % 2}\n" for i, c in enumerate(cells + extra)),
+                        encoding="utf-8")
+        assert (dataset._parse_plain(path, "label") is not None) == plain
+        want = np.array([float(c) for c in cells + extra]).tobytes()
+        for name in PARSE_PATHS:
+            with parse_path(name):
+                ds = load_csv(path)  # the label column defaults to "label"
+            assert ds.features.dtype == np.float64
+            assert ds.features[:, 0].tobytes() == want
+
+
+BIG = "9" * (131072 + 1)  # one character over csv.field_size_limit()
 
 
 @pytest.mark.parametrize(
     "content,message",
     [
         ("", "empty file"),
+        ("\n1.0,0\n", "label column 'label' not in header"),
         ("a,label\n", "no data rows"),
         ("a,label\n1.0\n", "ragged row"),
+        ("a,label\n1.0,0,5\n2.0,1\n", r"bad\.csv:2: ragged row \(3 cells, expected 2\)"),
         ("a,label\nfoo,0\n2.0,1\n", "non-numeric"),
         ("a,label\ninf,0\n2.0,1\n", "non-finite"),
         ("a,b,label\n1.0,2.0,0\n3.0,x,1\n", r"bad\.csv:3: non-numeric cell 'x'"),
         ("a,b,label\n1.0,2.0,0\n3.0,4.0,1\n5,1e999,1\n", r"bad\.csv:4: non-finite cell '1e999'"),
+        # a ragged row anywhere is reported before a bad cell
+        ("a,label\nfoo,0\n2.0,1\n3.0\n", r"bad\.csv:4: ragged row \(1 cells, expected 2\)"),
         ("a,label\n1.0,0\n2.0,0\n", "fewer than 2 classes"),
+        (f"a,label\n1.0,0\n{BIG},1\n", r"bad\.csv:3: field larger than field limit \(131072\)"),
+        (f"a,label\n1.0,0\n2.0,{BIG}\n3.0\n", r"bad\.csv:3: field larger than field limit"),
+        (f"a,{BIG}\n1.0,0\n", r"bad\.csv:1: field larger than field limit"),
     ],
 )
 def test_csv_rejects_malformed_input(tmp_path, content, message):
     path = tmp_path / "bad.csv"
     path.write_text(content)
-    with pytest.raises(ValueError, match=message):
-        load_csv(path, label_column="label")
+    for name in PARSE_PATHS:
+        with parse_path(name), pytest.raises(ValueError, match=message):
+            load_csv(path, label_column="label")
+
+
+def test_csv_that_is_not_utf8_names_the_file_and_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,label\n1.0,x\n2.0,\xe9\n")
+    for name in PARSE_PATHS:
+        with parse_path(name), pytest.raises(ValueError, match=(
+                r"latin1\.csv:3: not valid UTF-8 \(invalid continuation byte at byte 18\)")):
+            load_csv(path)
 
 
 @pytest.mark.parametrize("variant", ["quoted", "crlf", "no final newline"])
@@ -272,16 +330,19 @@ def test_csv_quoting_and_line_ends_do_not_change_the_dataset(tmp_path, variant):
 def test_csv_blank_line_is_a_ragged_row(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text("a,label\n1.0,0\n\n2.0,1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"blank\.csv:3: ragged row \(0 cells, expected 2\)"):
-        load_csv(path)
+    for name in PARSE_PATHS:
+        with parse_path(name), pytest.raises(
+                ValueError, match=r"blank\.csv:3: ragged row \(0 cells, expected 2\)"):
+            load_csv(path)
 
 
 def test_csv_missing_label_column(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="not in header"):
-        load_csv(path, label_column="label")
-    with pytest.raises(ValueError, match="out of range"):
-        load_csv(path, label_column=5)
+    for name in PARSE_PATHS:
+        with parse_path(name), pytest.raises(ValueError, match="not in header"):
+            load_csv(path, label_column="label")
+        with parse_path(name), pytest.raises(ValueError, match="out of range"):
+            load_csv(path, label_column=5)
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "nope.csv", label_column="label")

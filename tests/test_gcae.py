@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbalance import gcae
 from fedbalance.gcae import (
@@ -35,6 +37,7 @@ from fedbalance.gcae import (
 from oracles import (
     conv1d_grads_ref,
     conv1d_ref,
+    gcae_forward_ref,
     head_only_step_ref,
     maxpool_grad_ref,
     maxpool_ref,
@@ -115,12 +118,21 @@ def test_init_model_bounds_and_determinism():
 
 
 # --- layer primitives against naive references ---
+#
+# The kernels hold activations as (batch, length, channels); the oracles
+# take (batch, channels, length).  ``swap`` converts either way.
+
+
+def swap(a):
+    return np.ascontiguousarray(np.swapaxes(a, 1, 2))
 
 
 def conv_forward(x, w, b):
+    """The kernel's conv of (B, C, L) rows ``x``: (its (B, O, L) output,
+    the padded channels-last buffer it read, the plan)."""
     conv = _ConvPlan(x.shape[1], w.shape[0], w.shape[2], x.shape[2])
-    xp = _padded(x, conv.pad_left, conv.pad_right)
-    return _conv_fwd(xp, w, b, conv), xp, conv
+    xp = _padded(swap(x), conv.pad_left, conv.pad_right)
+    return swap(_conv_fwd(xp, w, b, conv)), xp, conv
 
 
 def test_conv1d_matches_reference():
@@ -141,14 +153,14 @@ def test_conv1d_backward_matches_reference():
         w = rng.normal(size=(4, 3, k))
         dy = rng.normal(size=(batch, 4, 25))
         _, xp, conv = conv_forward(x, w, rng.normal(size=4))
-        dx, dw, db = _conv_bwd(dy, xp, w, conv)
+        dx, dw, db = _conv_bwd(swap(dy), xp, w, conv)
         want_dx, want_dw, want_db = conv1d_grads_ref(x, w, dy)
-        assert np.allclose(dx, want_dx, atol=1e-12)
+        assert np.allclose(swap(dx), want_dx, atol=1e-12)
         assert np.allclose(dw, want_dw, atol=1e-12)
         assert np.allclose(db, want_db, atol=1e-12)
         # the input gradient of the data-facing conv is never computed
         skip = _ConvPlan(3, 4, k, 25, need_dx=False)
-        none_dx, dw_again, _ = _conv_bwd(dy, xp, w, skip)
+        none_dx, dw_again, _ = _conv_bwd(swap(dy), xp, w, skip)
         assert none_dx is None and np.array_equal(dw_again, dw)
 
 
@@ -158,20 +170,20 @@ def test_maxpool_matches_reference_including_ragged_tail():
                           for lp in ((8, 2), (9, 2), (25, 2), (10, 3), (7, 4), (5, 1))):
         x = rng.normal(size=(batch, 3, L))
         want = maxpool_ref(x, p)
-        got, winner = _maxpool_fwd(x, p, train=True)
-        assert np.allclose(got, want)
-        values_only, none = _maxpool_fwd(x, p, train=False)
+        got, winner = _maxpool_fwd(swap(x), p, train=True)
+        assert np.allclose(swap(got), want)
+        values_only, none = _maxpool_fwd(swap(x), p, train=False)
         assert np.array_equal(values_only, got) and none is None
         dy = rng.normal(size=want.shape)
-        assert np.allclose(_maxpool_bwd(dy, winner, p, L), maxpool_grad_ref(x, p, dy))
+        assert np.allclose(swap(_maxpool_bwd(swap(dy), winner, p, L)), maxpool_grad_ref(x, p, dy))
 
 
 def test_maxpool_gradient_goes_to_the_first_of_tied_maxima():
-    x = np.array([[[1.0, 1.0, 0.0, 2.0, 2.0, 2.0]]])
+    x = np.array([[[1.0], [1.0], [0.0], [2.0], [2.0], [2.0]]])
     got, winner = _maxpool_fwd(x, 3, train=True)
-    assert got.tolist() == [[[1.0, 2.0]]]
-    dx = _maxpool_bwd(np.array([[[5.0, 7.0]]]), winner, 3, 6)
-    assert dx.tolist() == [[[5.0, 0.0, 0.0, 7.0, 0.0, 0.0]]]
+    assert got.tolist() == [[[1.0], [2.0]]]
+    dx = _maxpool_bwd(np.array([[[5.0], [7.0]]]), winner, 3, 6)
+    assert dx.tolist() == [[[5.0], [0.0], [0.0], [7.0], [0.0], [0.0]]]
 
 
 def test_upsample_matches_reference():
@@ -180,13 +192,13 @@ def test_upsample_matches_reference():
                                         for shape in ((2, 5, 9), (2, 5, 10), (2, 13, 25),
                                                       (3, 4, 10), (3, 4, 12))):
         x = rng.normal(size=(batch, 3, in_len))
-        # written into the middle of a wider buffer, as the decoder pads it
-        buf = np.full((batch, 3, out_len + 4), 9.0)
-        _upsample_into(buf, x, p, 2, out_len)
-        assert np.allclose(buf[:, :, 2:-2], upsample_ref(x, p, out_len))
-        assert np.all(buf[:, :, :2] == 9.0) and np.all(buf[:, :, -2:] == 9.0)
+        # written into the middle of a longer buffer, as the decoder pads it
+        buf = np.full((batch, out_len + 4, 3), 9.0)
+        _upsample_into(buf, swap(x), p, 2, out_len)
+        assert np.allclose(swap(buf[:, 2:-2]), upsample_ref(x, p, out_len))
+        assert np.all(buf[:, :2] == 9.0) and np.all(buf[:, -2:] == 9.0)
         dy = rng.normal(size=(batch, 3, out_len))
-        assert np.allclose(_upsample_bwd(dy, p), upsample_grad_ref(dy, p, in_len))
+        assert np.allclose(swap(_upsample_bwd(swap(dy), p)), upsample_grad_ref(dy, p, in_len))
 
 
 def test_plan_depends_on_the_architecture_only():
@@ -320,6 +332,51 @@ def test_gradients_match_finite_differences_at_a_large_batch():
     x = rng.normal(size=(96, 11))
     y = rng.integers(0, 3, size=96)
     assert grad_check(m, x, y) < 1e-4
+
+
+@st.composite
+def small_models(draw):
+    """A float64 model of 1-3 stages with kernels 1-6 (even ones included)
+    and pools 1-4 on inputs as short as one sample, which may be shorter
+    than a kernel or not divisible by a pool; a batch of 1-9 rows; labels."""
+    stages = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4)),
+                           min_size=1, max_size=3))
+    arch = ArchSpec(input_len=draw(st.integers(1, 14)), num_classes=draw(st.integers(2, 3)),
+                    stages=stages, latent_dim=draw(st.integers(1, 3)),
+                    mlp_hidden=draw(st.sampled_from([(), (3,)])),
+                    recon_weight=draw(st.sampled_from([0.5, 1.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = randomize_biases(init_model(arch, rng, dtype=np.float64), rng)
+    batch = draw(st.integers(1, 9))
+    return model, rng.normal(size=(batch, arch.input_len)), rng.integers(0, arch.num_classes, batch)
+
+
+def central_differences(model, x, y, eps=1e-6):
+    """The loss gradient of every parameter entry by central differences."""
+    out = {}
+    for name, p in model.params.items():
+        flat, grad = p.reshape(-1), np.empty(p.size)
+        for i, orig in enumerate(flat.tolist()):
+            flat[i] = orig + eps
+            plus = evaluate_loss(model, x, y)[0]
+            flat[i] = orig - eps
+            grad[i] = (plus - evaluate_loss(model, x, y)[0]) / (2 * eps)
+            flat[i] = orig
+        out[name] = grad.reshape(p.shape)
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(small_models())
+def test_kernels_match_finite_differences_and_a_per_row_oracle(case):
+    """An absolute floor keeps gradients near 0, whose differences are
+    rounding noise, from failing a relative test."""
+    model, x, y = case
+    _, grads = gcae._compute_grads(model, x, y)
+    for name, want in central_differences(model, x, y).items():
+        assert np.allclose(grads[name], want, rtol=1e-4, atol=1e-7), name
+    for got, want in zip(forward(model, x), gcae_forward_ref(model, x)):
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def test_interleaved_architectures_train_as_if_alone():
@@ -563,6 +620,30 @@ def test_inference_memory_does_not_grow_with_the_set():
             tracemalloc.stop()
 
     assert peak_bytes(x) <= 1.5 * peak_bytes(x[:_PASS_ROWS])
+
+
+def test_batch_512_peak_memory():
+    """On the default architecture, a 512-row decode and a batch-512 train
+    step peak under tracemalloc at no more than the 3.28 MB and 6.70 MB
+    that (batch, channels, length) kernels took."""
+    arch = HEAD_ARCHS[0]
+    rng = np.random.default_rng(43)
+    m = init_model(arch, rng)
+    x = rng.normal(size=(_PASS_ROWS, arch.input_len)).astype(np.float32)
+    y = rng.integers(0, arch.num_classes, size=_PASS_ROWS)
+    z = encode(m, x)
+    train_step(m, x, y, lr=0.01)  # a warm-up step
+
+    def peak_bytes(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(lambda: decode(m, z)) <= 3.28e6
+    assert peak_bytes(lambda: train_step(m, x, y, lr=0.01)) <= 6.70e6
 
 
 def test_training_decreases_loss():
