@@ -5,7 +5,8 @@ personalization, and stratified cross-validated evaluation."""
 __version__ = "0.1.0"
 
 from .checkpoint import CheckpointError, load_client, load_global, save_client, save_global
-from .crossval import ExperimentPlan, MetricsRecord, MetricsTable, run_experiment, run_fold
+from .crossval import (ExperimentPlan, MetricsRecord, run_experiment, run_fold,
+                       run_global_phase, run_trial)
 from .dataset import (
     Dataset,
     SyntheticSpec,
@@ -64,7 +65,8 @@ __all__ = [
     "fedavg", "train_on", "run_global_round",
     "build_personalization_set", "evaluate_clients",
     "CheckpointError", "save_global", "load_global", "save_client", "load_client",
-    "ExperimentPlan", "MetricsRecord", "MetricsTable", "run_fold", "run_experiment",
+    "ExperimentPlan", "MetricsRecord", "run_global_phase", "run_trial", "run_fold",
+    "run_experiment",
     "accuracy", "roc_auc_macro", "sample_std", "aggregate_over_folds",
     "seed_sequence", "derive_rng", "derive_seed",
 ]

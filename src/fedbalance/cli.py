@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import CheckpointError
-from .crossval import ExperimentPlan, MetricsTable, partition_clients, run_experiment
+from .crossval import ExperimentPlan, MetricsRecord, partition_clients, run_experiment
 from .dataset import Dataset, generate_synthetic, load_csv, make_synthetic_spec
 from .federation import TrainHyper
 from .gcae import ArchSpec, ConvStage
@@ -74,7 +74,7 @@ def _dataset(v, name):
         raise ValueError(f"{name} must be an object")
     kind = v.get("kind")
     if kind not in ("synthetic", "csv"):
-        raise ValueError(f"dataset.kind must be 'synthetic' or 'csv', got {kind!r}")
+        raise ValueError(f"{name}.kind must be 'synthetic' or 'csv', got {kind!r}")
     return {"kind": kind, **_section(v, kind, name, extra={"kind"})}
 
 
@@ -338,9 +338,8 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_outputs(table: MetricsTable, config: dict, output_dir: Path):
+def write_outputs(records: list[MetricsRecord], config: dict, output_dir: Path):
     output_dir.mkdir(parents=True, exist_ok=True)
-    records = table.records
     _write_csv(output_dir / "metrics.csv", ("fold", "sampler", "round") + _METRIC_COLUMNS,
                ([r.fold, r.sampler, r.round] + [f"{getattr(r, c):.6f}" for c in _METRIC_COLUMNS]
                 for r in records))
@@ -355,14 +354,14 @@ def write_outputs(table: MetricsTable, config: dict, output_dir: Path):
         "tool": "fedbalance",
         "version": __version__,
         "config": config,
-        "num_records": len(table),
+        "num_records": len(records),
         "blas_threads": blas_threads(),
     }
     with open(output_dir / "run_manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def run(config: dict, output_dir=None) -> MetricsTable:
+def run(config: dict, output_dir=None) -> list[MetricsRecord]:
     """Execute the full experiment and write all output files.
 
     ``output_dir`` overrides the config's own ``output_dir`` when given."""
@@ -370,9 +369,9 @@ def run(config: dict, output_dir=None) -> MetricsTable:
     ds = build_dataset(config)
     plan = build_plan(config, ds, output_dir / "checkpoints")
     shards = _build("config.num_clients: ", partition_clients, plan)
-    table = run_experiment(plan, shards)
-    write_outputs(table, config, output_dir)
-    return table
+    records = run_experiment(plan, shards)
+    write_outputs(records, config, output_dir)
+    return records
 
 
 def main(argv=None) -> int:
@@ -396,7 +395,7 @@ def main(argv=None) -> int:
             config = load_config(args.config,
                                  **{key: v for key, v in overrides.items() if v is not None})
             out_dir = args.output if args.output is not None else config["output_dir"]
-            table = run(config, out_dir)
+            records = run(config, out_dir)
     except (ValueError, RuntimeError, FloatingPointError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -404,7 +403,7 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
               file=sys.stderr)
         return 1
-    print(f"wrote {len(table)} metric records to {out_dir}")
+    print(f"wrote {len(records)} metric records to {out_dir}")
     return 0
 
 

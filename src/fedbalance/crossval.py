@@ -1,16 +1,17 @@
 """Stratified K-fold orchestration of the federated train/personalize cycle.
 
-Per fold: partition-respecting global FedAvg training, one checkpoint of
-the global model with each client's rows, then one personalization pass per
-sampling technique.  Each pass reloads that checkpoint, and every client
-starts from its own copy of the global model, so techniques are compared
-from identical bytes.  Metrics are recorded on a
-fixed round schedule and collected into a flat table keyed (fold, sampler,
-round).
+Per fold, ``run_global_phase`` runs partition-respecting global FedAvg
+training and checkpoints the global model with each client's rows.  Then
+``run_trial`` runs once per sampling technique from that checkpoint, which
+gives every client its own copy of the global model: a trial's records
+depend only on the plan, the fold, the sampler spec and the checkpoint's
+bytes.  Metrics are recorded on a fixed round schedule and returned as one
+flat list of (fold, sampler, round) records.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,42 +48,6 @@ class MetricsRecord:
     train_loss: float
 
 
-@dataclass
-class MetricsTable:
-    """Flat (fold, sampler, round) metric rows plus small query helpers."""
-
-    records: list[MetricsRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def samplers(self) -> list[str]:
-        seen: list[str] = []
-        for r in self.records:
-            if r.sampler not in seen:
-                seen.append(r.sampler)
-        return seen
-
-    def folds(self) -> list[int]:
-        return sorted({r.fold for r in self.records})
-
-    def rounds(self) -> list[int]:
-        return sorted({r.round for r in self.records})
-
-    def select(self, sampler=None, fold=None, round=None) -> list[MetricsRecord]:
-        out = self.records
-        if sampler is not None:
-            out = [r for r in out if r.sampler == sampler]
-        if fold is not None:
-            out = [r for r in out if r.fold == fold]
-        if round is not None:
-            out = [r for r in out if r.round == round]
-        return out
-
-
 def _as_spec(s) -> SamplerSpec:
     return s if isinstance(s, SamplerSpec) else SamplerSpec(kind=s)
 
@@ -115,8 +80,8 @@ class ExperimentPlan:
         if self.num_folds > len(self.dataset):
             raise ValueError(f"num_folds must be <= the dataset's {len(self.dataset)} rows, "
                              f"got {self.num_folds}")
-        if not self.concentration > 0:  # NaN fails too
-            raise ValueError(f"concentration must be > 0, got {self.concentration}")
+        if not 0 < self.concentration < math.inf:  # NaN fails too
+            raise ValueError(f"concentration must be finite and > 0, got {self.concentration}")
         names = [s.kind for s in self.samplers]
         if not names:
             raise ValueError("samplers must name at least one sampler")
@@ -175,17 +140,11 @@ def _global_eval(server: ServerState, features, labels) -> None:
     server.rs_test_auc.append(summary.auc)
 
 
-def run_fold(plan: ExperimentPlan, fold: int, shards=None) -> list[MetricsRecord]:
-    """Run one fold end to end and return its metric rows.
-
-    ``shards`` is the experiment's client partition, as
-    ``partition_clients`` returns it; it does not depend on the fold, and is
-    computed here when not given.  Writes ``global.fedh``,
-    the global model with every client's id and rows, into the fold
-    directory after the global phase.  Every sampler trial starts by
-    reloading it, which gives each client a fresh copy of the global model,
-    so trials cannot contaminate each other.
-    """
+def run_global_phase(plan: ExperimentPlan, fold: int, shards=None) -> Path:
+    """Train and evaluate one fold's global model, and write it with every
+    client's id and rows to the fold directory's ``global.fedh``, whose path
+    is returned.  ``shards`` is the client partition, as
+    ``partition_clients`` returns it; it is computed here when not given."""
     if not 0 <= fold < plan.num_folds:
         raise ValueError(f"fold {fold} outside 0..{plan.num_folds - 1}")
     features, labels = plan.dataset.features, plan.dataset.labels
@@ -212,91 +171,90 @@ def run_fold(plan: ExperimentPlan, fold: int, shards=None) -> list[MetricsRecord
         if rnd % plan.eval_gap == 0:
             _global_eval(server, features, labels)
 
-    fold_dir = plan.fold_dir(fold)
-    fold_dir.mkdir(parents=True, exist_ok=True)
-    save_global(fold_dir / "global.fedh", server)
-
-    records: list[MetricsRecord] = []
-    for spec in plan.samplers:
-        reloaded = load_global(fold_dir / "global.fedh")
-        try:
-            records.extend(_run_personalization(plan, fold, spec, reloaded, features, labels))
-        except Exception as exc:
-            raise RuntimeError(f"fold {fold}, sampler {spec.kind!r}: {exc}") from exc
-    return records
+    path = plan.fold_dir(fold) / "global.fedh"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_global(path, server)
+    return path
 
 
-def _run_personalization(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
-                         server: ServerState, features, labels) -> list[MetricsRecord]:
-    """Personalize every client with one sampler, recording scheduled rounds.
+def run_trial(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
+              path: Path) -> list[MetricsRecord]:
+    """Personalize every client with one sampler from the fold's checkpoint
+    at ``path``, recording scheduled rounds; a failure is raised as a
+    RuntimeError that names the fold and the sampler.
 
     A head-only trial never moves an encoder or a decoder, so each client's
     test split and personalization set are encoded, and the latter decoded
     for its reconstruction MSE, once: by the round-0 evaluation.  Every
     step and evaluation after it runs the classifier head on those codes.
     """
-    seed0 = plan.master_seed
-    head_only = not plan.personalize_full_model
-    train_sets = []
-    for c in server.clients:
-        tr = c.train_indices
-        if len(tr) == 0:
-            warnings.warn(f"client {c.client_id} has no fold-train rows; it keeps the "
-                          "global model", stacklevel=2)
-            train_sets.append((features[:0], labels[:0]))
-            continue
-        pers = build_personalization_set(
-            c.model, features[tr], labels[tr], spec,
-            derive_rng(seed0, "resample", fold, spec.kind, c.client_id))
-        train_sets.append((pers.features, pers.labels))
-
-    test_sets = _eval_sets(server.clients, features, labels)
-    if head_only:
-        test_sets = [EncodedSet(c.model, *s) for c, s in zip(server.clients, test_sets)]
-        train_sets = [EncodedSet(c.model, *s) for c, s in zip(server.clients, train_sets)]
-    schedule = set(plan.eval_schedule())
-    records: list[MetricsRecord] = []
-
-    def record(rnd: int) -> None:
-        s = evaluate_clients(server.clients, test_sets, train_sets)
-        records.append(MetricsRecord(fold=fold, sampler=spec.kind, round=rnd,
-                                     test_accuracy=s.accuracy, test_auc=s.auc,
-                                     std_test_accuracy=s.std_accuracy,
-                                     std_test_auc=s.std_auc, train_loss=s.train_loss))
-
-    record(0)
-    for rnd in range(1, plan.personalization_rounds + 1):
-        for c, rows in zip(server.clients, train_sets):
-            if len(c.train_indices) == 0:
+    try:
+        server = load_global(path)
+        features, labels = plan.dataset.features, plan.dataset.labels
+        seed0 = plan.master_seed
+        head_only = not plan.personalize_full_model
+        train_sets = []
+        for c in server.clients:
+            tr = c.train_indices
+            if len(tr) == 0:
+                warnings.warn(f"client {c.client_id} has no fold-train rows; it keeps the "
+                              "global model", stacklevel=2)
+                train_sets.append((features[:0], labels[:0]))
                 continue
-            x, y = (rows.codes, rows.labels) if head_only else rows
-            train_on(c.model, x, y, plan.hyper,
-                     derive_rng(seed0, "ptrain", fold, spec.kind, rnd, c.client_id),
-                     head_only=head_only)
-        if rnd in schedule:
-            record(rnd)
-    return records
+            pers = build_personalization_set(
+                c.model, features[tr], labels[tr], spec,
+                derive_rng(seed0, "resample", fold, spec.kind, c.client_id))
+            train_sets.append((pers.features, pers.labels))
+
+        test_sets = _eval_sets(server.clients, features, labels)
+        if head_only:
+            test_sets = [EncodedSet(c.model, *s) for c, s in zip(server.clients, test_sets)]
+            train_sets = [EncodedSet(c.model, *s) for c, s in zip(server.clients, train_sets)]
+        schedule = set(plan.eval_schedule())
+        records: list[MetricsRecord] = []
+        for rnd in range(plan.personalization_rounds + 1):
+            for c, rows in zip(server.clients, train_sets):
+                if rnd == 0 or len(c.train_indices) == 0:  # round 0 scores the global model
+                    continue
+                x, y = (rows.codes, rows.labels) if head_only else rows
+                train_on(c.model, x, y, plan.hyper,
+                         derive_rng(seed0, "ptrain", fold, spec.kind, rnd, c.client_id),
+                         head_only=head_only)
+            if rnd in schedule:
+                s = evaluate_clients(server.clients, test_sets, train_sets)
+                records.append(MetricsRecord(fold=fold, sampler=spec.kind, round=rnd,
+                                             test_accuracy=s.accuracy, test_auc=s.auc,
+                                             std_test_accuracy=s.std_accuracy,
+                                             std_test_auc=s.std_auc, train_loss=s.train_loss))
+        return records
+    except Exception as exc:
+        raise RuntimeError(f"fold {fold}, sampler {spec.kind!r}: {exc}") from exc
 
 
-def run_experiment(plan: ExperimentPlan, shards=None) -> MetricsTable:
+def run_fold(plan: ExperimentPlan, fold: int, shards=None) -> list[MetricsRecord]:
+    """Run one fold's global phase, then each sampler's trial from its
+    checkpoint, and return the fold's metric rows."""
+    path = run_global_phase(plan, fold, shards)
+    return [r for spec in plan.samplers for r in run_trial(plan, fold, spec, path)]
+
+
+def run_experiment(plan: ExperimentPlan, shards=None) -> list[MetricsRecord]:
     """All folds, grid-checked: every (fold, sampler, scheduled round) cell
     must be present exactly once or the run is rejected as inconsistent.
     ``shards`` is the client partition, computed here when not given."""
-    table = MetricsTable()
     if shards is None:
         shards = partition_clients(plan)
-    for fold in range(plan.num_folds):
-        table.records.extend(run_fold(plan, fold, shards))
-    _check_grid(plan, table)
-    return table
+    records = [r for fold in range(plan.num_folds) for r in run_fold(plan, fold, shards)]
+    _check_grid(plan, records)
+    return records
 
 
-def _check_grid(plan: ExperimentPlan, table: MetricsTable) -> None:
+def _check_grid(plan: ExperimentPlan, records: list[MetricsRecord]) -> None:
     want = {(f, s.kind, r)
             for f in range(plan.num_folds)
             for s in plan.samplers
             for r in plan.eval_schedule()}
-    got = [(r.fold, r.sampler, r.round) for r in table.records]
+    got = [(r.fold, r.sampler, r.round) for r in records]
     if len(got) != len(set(got)):
         raise RuntimeError("duplicate metric rows for the same (fold, sampler, round)")
     missing = want - set(got)

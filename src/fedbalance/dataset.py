@@ -70,8 +70,8 @@ class SyntheticSpec:
                              f"got {list(self.class_counts)}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not self.scale > 0:  # NaN fails too
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not 0 < self.scale < np.inf:  # NaN fails too
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
         if self.centers.shape != (len(self.class_counts), self.dim):
             raise ValueError("class_counts and centers disagree on shape")
 
@@ -301,8 +301,8 @@ def partition_noniid(
     """
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
-    if not concentration > 0:
-        raise ValueError("concentration must be positive")
+    if not 0 < concentration < np.inf:
+        raise ValueError(f"concentration must be finite and > 0, got {concentration}")
     rng = np.random.default_rng(seed)
     class_indices = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]
 

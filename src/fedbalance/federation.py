@@ -41,8 +41,8 @@ class TrainHyper:
     local_epochs: int = 1
 
     def __post_init__(self):
-        if not self.learning_rate > 0:  # NaN fails too
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         for name in ("batch_size", "local_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -52,10 +52,11 @@ class ArchSpec:
                              f"of integers >= 1, got {[list(astuple(s)) for s in stages]}")
         if any(h < 1 for h in self.mlp_hidden):
             raise ValueError(f"mlp_hidden widths must be >= 1, got {list(self.mlp_hidden)}")
-        if not (self.recon_weight >= 0 and self.pred_weight >= 0  # NaN fails too
+        if not (0 <= self.recon_weight < np.inf and 0 <= self.pred_weight < np.inf  # NaN fails too
                 and self.recon_weight + self.pred_weight > 0):
-            raise ValueError("recon_weight and pred_weight, the loss weights, must be >= 0 with "
-                             f"a positive sum, got {self.recon_weight} and {self.pred_weight}")
+            raise ValueError("recon_weight and pred_weight, the loss weights, must be finite and "
+                             ">= 0 with a positive sum, got "
+                             f"{self.recon_weight} and {self.pred_weight}")
 
     @property
     def stage_input_lengths(self) -> tuple[int, ...]:

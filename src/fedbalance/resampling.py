@@ -34,8 +34,8 @@ class SvmParams:
     regularization: float = 1e-3
 
     def __post_init__(self):
-        if not self.learning_rate > 0:  # NaN fails too
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not self.regularization >= 0:
             raise ValueError(f"regularization must be >= 0, got {self.regularization}")
         if self.learning_rate * self.regularization >= 1:

@@ -49,3 +49,7 @@ def test_traced_experiment_runs_and_counts_checkpoint_reads(tmp_path):
     assert layers["gcae.train_step.calls"] > 0
     assert layers["federation.fedavg.calls"] > 0
     assert result["fedavg_failures"] == []
+    # each phase is tagged by wrapping a function crossval calls through its
+    # module globals; a call that bypasses them leaves its phase at zero
+    for phase in ("global_train", "global_eval", "resample", "ptrain", "peval", "ckpt"):
+        assert layers[f"crossval.{phase}_s"] > 0, phase

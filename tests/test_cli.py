@@ -1,5 +1,7 @@
 """Config parsing, deterministic output files, and the console entry point."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbalance import cli
-from fedbalance.crossval import MetricsRecord, MetricsTable
+from fedbalance.crossval import MetricsRecord
+from fedbalance.dataset import make_synthetic_spec
 from fedbalance.federation import TrainHyper
 from fedbalance.gcae import ArchSpec
 from fedbalance.resampling import SamplerSpec, SvmParams
@@ -157,7 +162,7 @@ def test_out_of_range_values_rejected():
         build(num_clients=1)
     with pytest.raises(ValueError, match="config.num_folds must be >= 2, got 1"):
         build(num_folds=1)
-    with pytest.raises(ValueError, match="config.concentration must be > 0"):
+    with pytest.raises(ValueError, match="config.concentration must be finite and > 0"):
         build(concentration=0.0)
     with pytest.raises(ValueError, match="config.hyper.batch_size must be >= 1, got 0"):
         build(hyper={"batch_size": 0})
@@ -203,7 +208,7 @@ def test_output_files_exact_text(tmp_path):
         MetricsRecord(1, "smote", 0, 0.75, 0.875, 0.03, 0.04, 0.5),
     ]
     cfg = cli.parse_config(minimal_config(samplers=["smote"]))
-    cli.write_outputs(MetricsTable(records), cfg, tmp_path)
+    cli.write_outputs(records, cfg, tmp_path)
     assert (tmp_path / "metrics.csv").read_text(encoding="utf-8") == (
         "fold,sampler,round,test_accuracy,test_auc,"
         "std_test_accuracy,std_test_auc,train_loss\n"
@@ -228,7 +233,7 @@ def test_violin_rows_follow_config_sampler_order(tmp_path):
         MetricsRecord(0, "smote", 0, 0.5, 0.5, 0.2, 0.2, 1.0),
     ]
     cfg = cli.parse_config(minimal_config())  # smote before random_over
-    cli.write_outputs(MetricsTable(records), cfg, tmp_path)
+    cli.write_outputs(records, cfg, tmp_path)
     lines = (tmp_path / "violin.csv").read_text(encoding="utf-8").splitlines()
     assert [ln.split(",")[0] for ln in lines[1:]] == ["smote", "random_over"]
 
@@ -240,16 +245,16 @@ def test_violin_rows_follow_config_sampler_order(tmp_path):
 def cli_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_run")
     cfg = cli.parse_config(tiny_config())
-    table = cli.run(cfg, root / "out")
-    return cfg, root / "out", table
+    records = cli.run(cfg, root / "out")
+    return cfg, root / "out", records
 
 
 def test_run_writes_all_outputs(cli_run):
-    _, out, table = cli_run
+    _, out, records = cli_run
     for name in ("metrics.csv", "summary.csv", "violin.csv", "run_manifest.json"):
         assert (out / name).is_file()
     # 2 samplers x 2 folds x evaluations at rounds {0, 1, 2}
-    assert len(table) == 12
+    assert len(records) == 12
 
 
 def test_metrics_csv_layout(cli_run):
@@ -278,13 +283,13 @@ def test_summary_and_violin_shapes(cli_run):
 
 
 def test_manifest_is_deterministic_metadata(cli_run):
-    cfg, out, table = cli_run
+    cfg, out, records = cli_run
     text = (out / "run_manifest.json").read_text(encoding="utf-8")
     manifest = json.loads(text)
     assert set(manifest) == {"tool", "version", "config", "num_records", "blas_threads"}
     assert manifest["blas_threads"] == cli.blas_threads()
     assert manifest["tool"] == "fedbalance"
-    assert manifest["num_records"] == len(table)
+    assert manifest["num_records"] == len(records)
     assert cli.parse_config(manifest["config"]) == cfg
     assert text.endswith("\n")
 
@@ -375,16 +380,74 @@ def test_main_value_errors_name_their_config_key(tmp_path, capsys, over, key):
 
 
 def test_library_positivity_checks_reject_nan():
-    nan = float("nan")
-    with pytest.raises(ValueError, match="learning_rate must be > 0, got nan"):
-        TrainHyper(learning_rate=nan)
-    with pytest.raises(ValueError, match="recon_weight and pred_weight"):
-        ArchSpec(input_len=8, num_classes=3, pred_weight=nan)
-    with pytest.raises(ValueError, match="config.concentration must be > 0, got nan"):
-        cli.build_plan(cli.parse_config(minimal_config()) | {"concentration": nan},
-                       cli.build_dataset(cli.parse_config(minimal_config())), "unused")
-    with pytest.raises(ValueError, match="learning_rate must be > 0, got nan"):
-        SvmParams(learning_rate=nan)
+    cfg = cli.parse_config(minimal_config())
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"learning_rate must be finite and > 0, got {bad}"):
+            TrainHyper(learning_rate=bad)
+        for weight in ("recon_weight", "pred_weight"):
+            with pytest.raises(ValueError, match="recon_weight and pred_weight"):
+                ArchSpec(input_len=8, num_classes=3, **{weight: bad})
+        with pytest.raises(ValueError,
+                           match=f"config.concentration must be finite and > 0, got {bad}"):
+            cli.build_plan(cfg | {"concentration": bad}, cli.build_dataset(cfg), "unused")
+        with pytest.raises(ValueError, match=f"learning_rate must be finite and > 0, got {bad}"):
+            SvmParams(learning_rate=bad, regularization=0.0)
+        with pytest.raises(ValueError, match=f"scale must be finite and > 0, got {bad}"):
+            make_synthetic_spec(scale=bad)
+
+
+# Integers stay small wherever they land, so that a mutated count of rounds,
+# folds, clients, channels or latent units allocates little and runs fast.
+_SMALL_INT = st.integers(-2, 6)
+_LEAF = st.one_of(
+    st.none(), st.booleans(), _SMALL_INT,
+    st.sampled_from([0.0, -1.0, 0.5, 3.0, 1e308, float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from(["", "x", "smote", "csv", "synthetic", "label", "x" * 5000]),
+)
+_JSON = st.one_of(
+    _LEAF,
+    st.lists(_LEAF, max_size=3),
+    st.lists(st.lists(_SMALL_INT, max_size=4), max_size=2),
+    st.dictionaries(st.sampled_from(["kind", "dim", "x"]), _LEAF, max_size=2),
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """tiny_config() with keys deleted, set to values of any JSON type, or
+    added under a name the schema does not know, at the top level or inside
+    a section."""
+    cfg = tiny_config()
+    for _ in range(draw(st.integers(1, 3))):
+        name, section = draw(st.sampled_from(
+            [(None, cfg)] + [(v.get("kind") if k == "dataset" else k, v)
+                             for k, v in cfg.items() if isinstance(v, dict)]))
+        known = sorted({key for sec, key, _ in cli._FIELDS if sec == name} | set(section))
+        action = draw(st.sampled_from(["delete", "delete", "set", "set", "set", "add"]))
+        if action == "delete" and section:
+            del section[draw(st.sampled_from(sorted(section)))]
+        elif action == "add" or not known:
+            section[draw(st.sampled_from(["eval_gaps", "x"]))] = draw(_JSON)
+        else:
+            section[draw(st.sampled_from(known))] = draw(_JSON)
+    return cfg
+
+
+# huge learning rates and weights overflow in training before the run fails
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(mutated_configs())
+def test_main_on_a_mutated_config_succeeds_or_prints_one_error(tmp_path_factory, cfg):
+    """Whatever a config holds, the command exits 0, or exits 1 with one
+    ``error:`` line; it never ends in a traceback."""
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg_path = work / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["run", "--config", str(cfg_path), "--output", str(work / "out")])
+    lines = err.getvalue().splitlines()
+    assert rc == 0 or (rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")), lines
 
 
 def test_main_reports_an_allocation_that_cannot_succeed(tmp_path, capsys):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import fedbalance.crossval as cv
-from fedbalance.checkpoint import VERSION
-from fedbalance.crossval import ExperimentPlan, MetricsTable, run_experiment, run_fold
+from fedbalance.checkpoint import VERSION, save_global
+from fedbalance.crossval import (ExperimentPlan, run_experiment, run_fold, run_global_phase,
+                                 run_trial)
 from fedbalance.dataset import generate_synthetic, make_synthetic_spec
 from fedbalance.federation import TrainHyper
 from fedbalance.gcae import ArchSpec, ConvStage
@@ -82,20 +83,20 @@ def tiny_run(tmp_path_factory):
 
 
 def test_grid_is_complete(tiny_run):
-    plan, table = tiny_run
-    assert isinstance(table, MetricsTable)
-    assert len(table) == 2 * 2 * len(plan.eval_schedule())
-    assert table.samplers() == ["smote", "random_over"]
-    assert table.folds() == [0, 1]
-    assert table.rounds() == list(plan.eval_schedule())
+    plan, records = tiny_run
+    assert isinstance(records, list)
+    assert len(records) == 2 * 2 * len(plan.eval_schedule())
+    assert list(dict.fromkeys(r.sampler for r in records)) == ["smote", "random_over"]
+    assert sorted({r.fold for r in records}) == [0, 1]
+    assert sorted({r.round for r in records}) == list(plan.eval_schedule())
 
 
 def test_round_zero_is_identical_across_samplers(tiny_run):
     """Every sampler starts from the same reloaded checkpoint, so the
     un-personalized test metrics must agree exactly."""
-    _, table = tiny_run
-    for fold in table.folds():
-        rows = table.select(fold=fold, round=0)
+    _, records = tiny_run
+    for fold in sorted({r.fold for r in records}):
+        rows = [r for r in records if r.fold == fold and r.round == 0]
         assert len(rows) == 2
         a, b = rows
         assert a.test_accuracy == b.test_accuracy
@@ -122,20 +123,18 @@ def test_checkpoints_written_per_fold(tiny_run):
 
 
 def test_rerun_reproduces_every_record(tiny_run, tmp_path):
-    plan, table = tiny_run
-    again = run_experiment(tiny_plan(tmp_path))
-    assert again.records == table.records
+    plan, records = tiny_run
+    assert run_experiment(tiny_plan(tmp_path)) == records
 
 
 def test_trials_never_read_client_checkpoints(tiny_run, tmp_path, monkeypatch):
-    plan, table = tiny_run
+    plan, records = tiny_run
 
     def refuse(path):
         raise AssertionError(f"client checkpoint {path} was read")
 
     monkeypatch.setattr(cv, "load_client", refuse)
-    again = run_experiment(tiny_plan(tmp_path))
-    assert again.records == table.records
+    assert run_experiment(tiny_plan(tmp_path)) == records
 
 
 def _record_trials(monkeypatch):
@@ -291,11 +290,29 @@ def test_partition_is_computed_once_per_experiment(tmp_path, monkeypatch):
     inner = cv.partition_noniid
     monkeypatch.setattr(cv, "partition_noniid",
                         lambda *a, **k: calls.append(1) or inner(*a, **k))
-    table = run_experiment(tiny_plan(tmp_path / "all"))
+    records = run_experiment(tiny_plan(tmp_path / "all"))
     assert len(calls) == 1
     # a fold run on its own computes the same partition itself
-    assert run_fold(tiny_plan(tmp_path / "alone"), 1) == table.select(fold=1)
+    assert run_fold(tiny_plan(tmp_path / "alone"), 1) == [r for r in records if r.fold == 1]
     assert len(calls) == 2
+
+
+def test_trials_in_reverse_sampler_order_give_the_same_records(tmp_path):
+    """A trial reads only the plan, the fold, its spec and the checkpoint, so
+    the order in which a fold runs its samplers changes no record."""
+    plan = tiny_plan(tmp_path)
+    path = run_global_phase(plan, 0)
+    forward = {spec.kind: run_trial(plan, 0, spec, path) for spec in plan.samplers}
+    backward = {spec.kind: run_trial(plan, 0, spec, path) for spec in reversed(plan.samplers)}
+    assert backward == forward
+
+
+def test_trial_alone_returns_its_slice_of_the_fold(tmp_path):
+    plan = tiny_plan(tmp_path)
+    records = run_fold(plan, 1)
+    path = plan.fold_dir(1) / "global.fedh"
+    for spec in plan.samplers:
+        assert run_trial(plan, 1, spec, path) == [r for r in records if r.sampler == spec.kind]
 
 
 def test_run_fold_validates_index(tiny_run):
@@ -336,8 +353,8 @@ def test_single_class_client_warns_but_completes(tmp_path):
         ClientState(1, gm.copy(), np.concatenate([class1[:6], class2[:4]]),
                     np.concatenate([class1[6:8], class2[4:6]])),
     ]
-    server = ServerState(gm, clients)
+    path = tmp_path / "global.fedh"
+    save_global(path, ServerState(gm, clients))
     with pytest.warns(UserWarning, match="single-class training split"):
-        records = cv._run_personalization(plan, 0, plan.samplers[0], server,
-                                          ds.features, ds.labels)
+        records = run_trial(plan, 0, plan.samplers[0], path)
     assert len(records) == len(plan.eval_schedule())

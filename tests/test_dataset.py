@@ -301,6 +301,41 @@ def test_csv_rejects_malformed_input(tmp_path, content, message):
             load_csv(path, label_column="label")
 
 
+_FUZZ_CSV = b'a,b,label\n1.5,-2,x\n"3",4e0,y\n5,6,x\n'
+_FUZZ_BYTES = st.sampled_from([b'"', b"\r", b",", b"\n", b"\xff", b"\x00", b"1", b".", b"e",
+                               b"-", b" ", b"x"])
+
+
+@st.composite
+def mutated_csv(draw):
+    """_FUZZ_CSV with bytes inserted, deleted or replaced."""
+    data = bytearray(_FUZZ_CSV)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        action = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if action == "insert" or not data:
+            data[i:i] = draw(_FUZZ_BYTES)
+        else:
+            i = min(i, len(data) - 1)
+            data[i:i + 1] = b"" if action == "delete" else draw(_FUZZ_BYTES)
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_csv(), st.sampled_from(["label", 2]))
+def test_csv_mutated_bytes_load_or_raise_naming_the_file(tmp_path_factory, raw, label_column):
+    path = tmp_path_factory.mktemp("fuzz") / "m.csv"
+    path.write_bytes(raw)
+    for name in PARSE_PATHS:
+        with parse_path(name):
+            try:
+                ds = load_csv(path, label_column)
+            except ValueError as exc:
+                assert str(path) in str(exc), (name, str(exc))
+            else:
+                assert isinstance(ds, Dataset)
+
+
 def test_csv_that_is_not_utf8_names_the_file_and_line(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"a,label\n1.0,x\n2.0,\xe9\n")

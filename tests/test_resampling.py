@@ -556,8 +556,8 @@ def test_resample_rejects_bad_input():
 
 
 def test_sampler_params_validation():
-    for kwargs, message in [({"learning_rate": -1.0}, "learning_rate must be > 0, got -1.0"),
-                            ({"learning_rate": 0.0}, "learning_rate must be > 0, got 0.0"),
+    for kwargs, message in [({"learning_rate": -1.0}, "learning_rate must be finite and > 0, got -1.0"),
+                            ({"learning_rate": 0.0}, "learning_rate must be finite and > 0, got 0.0"),
                             ({"regularization": -5.0}, "regularization must be >= 0, got -5.0"),
                             ({"regularization": 100.0},
                              "regularization must be < 1 / learning_rate = 100, got 100.0"),
