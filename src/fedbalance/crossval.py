@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 # a fold writes and reads global.fedh only; save_client and load_client
 # stay importable here for the benchmark's tracer, which wraps them by name
 from .checkpoint import load_client, load_global, save_client, save_global  # noqa: F401
@@ -140,6 +142,14 @@ def _global_eval(server: ServerState, features, labels) -> None:
     server.rs_test_auc.append(summary.auc)
 
 
+# A model that diverges fails the package's own finiteness checks, in the
+# step's loss, the FedAvg mean, the SVM-SMOTE fit or the scores, and the
+# error names the round or the sampler; numpy's overflow warnings on the way
+# there add nothing.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_OVERFLOW
 def run_global_phase(plan: ExperimentPlan, fold: int, shards=None) -> Path:
     """Train and evaluate one fold's global model, and write it with every
     client's id and rows to the fold directory's ``global.fedh``, whose path
@@ -166,10 +176,10 @@ def run_global_phase(plan: ExperimentPlan, fold: int, shards=None) -> Path:
         try:
             run_global_round(server, features, labels, plan.hyper,
                              lambda cid, _r=rnd: derive_rng(seed0, "global", fold, _r, cid))
+            if rnd % plan.eval_gap == 0:
+                _global_eval(server, features, labels)
         except Exception as exc:
             raise RuntimeError(f"fold {fold}, global round {rnd}: {exc}") from exc
-        if rnd % plan.eval_gap == 0:
-            _global_eval(server, features, labels)
 
     path = plan.fold_dir(fold) / "global.fedh"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -177,6 +187,7 @@ def run_global_phase(plan: ExperimentPlan, fold: int, shards=None) -> Path:
     return path
 
 
+@_QUIET_OVERFLOW
 def run_trial(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
               path: Path) -> list[MetricsRecord]:
     """Personalize every client with one sampler from the fold's checkpoint

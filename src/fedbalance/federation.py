@@ -87,7 +87,8 @@ def fedavg(models: list[ModelState], sample_counts) -> ModelState:
 
     Accumulates in float64 in fixed list order and casts back to the model
     dtype; counts are normalized first, so a single model (or identical
-    models) averages to itself exactly.
+    models) averages to itself exactly.  A non-finite mean raises
+    FloatingPointError, naming the parameter.
     """
     if not models:
         raise ValueError("need at least one model")
@@ -107,6 +108,8 @@ def fedavg(models: list[ModelState], sample_counts) -> ModelState:
         for c, m in zip(coef, models):
             acc += c * m.params[name].astype(np.float64)
         out[name] = acc.astype(models[0].dtype)
+        if not np.isfinite(out[name]).all():
+            raise FloatingPointError(f"non-finite FedAvg mean of parameter {name}")
     return ModelState(models[0].arch, out)
 
 

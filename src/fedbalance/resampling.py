@@ -1,11 +1,21 @@
 """Seeded, deterministic class-balancing samplers.
 
-Six techniques share a common contract: given (features, labels) and a
-:class:`SamplerSpec`, return a :class:`ResampledSet` whose non-majority
-classes are padded up to the majority count (pure oversamplers) and then
-optionally cleaned (hybrid methods).  All randomness flows through the
-caller's generator; distances are Euclidean with ties broken by lower
-row index, so every output is reproducible bit for bit.
+Six techniques run through one pipeline, :func:`resample`, which takes
+(features, labels) and a :class:`SamplerSpec` and returns a
+:class:`ResampledSet`:
+
+1. *Seed rule.*  ``spec.kind`` picks the rows of a class that may seed a
+   SMOTE interpolation: none for ``random_over``, which replicates rows;
+   every row for ``smote``, ``smote_enn`` and ``smote_tomek``; DANGER rows
+   for ``borderline_smote``; margin rows of a linear SVM for ``svm_smote``.
+2. *Pad.*  Every non-majority class is brought up to the majority count;
+   a class with a single row is replicated whatever the rule.
+3. *Clean.*  ``smote_enn`` and ``smote_tomek`` then keep rows by a mask; a
+   class the mask would erase is restored.
+
+All randomness flows through the caller's generator; distances are
+Euclidean with ties broken by lower row index, so every output is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -170,17 +180,13 @@ def knn_indices(points: np.ndarray, query_row: int, k: int) -> np.ndarray:
     return knn_table(points, k, [query_row])[0]
 
 
-def _neighbor_table(rows: np.ndarray, seed_positions: np.ndarray, k: int) -> dict[int, np.ndarray]:
+def _synthesize(rows: np.ndarray, seed_positions: np.ndarray, k: int, n_new: int, rng) -> np.ndarray:
+    """SMOTE interpolation within one class of at least 2 rows: p drawn from
+    the seed pool, q from p's k nearest same-class neighbors (k clamped to
+    rows - 1), result p + lam * (q - p) with lam uniform in [0, 1]."""
     k_eff = min(k, len(rows) - 1)
     seeds = _unique(seed_positions)
-    return dict(zip(seeds.tolist(), knn_table(rows, k_eff, seeds)))
-
-
-def _synthesize(rows: np.ndarray, seed_positions: np.ndarray, k: int, n_new: int, rng) -> np.ndarray:
-    """SMOTE interpolation: p drawn from the seed pool, q from p's k nearest
-    same-class neighbors, result p + lam * (q - p) with lam uniform in [0, 1]."""
-    neighbors = _neighbor_table(rows, seed_positions, k)
-    k_eff = min(k, len(rows) - 1)
+    neighbors = dict(zip(seeds.tolist(), knn_table(rows, k_eff, seeds)))
     out = np.empty((n_new, rows.shape[1]), dtype=rows.dtype)
     for t in range(n_new):
         p = int(seed_positions[rng.integers(len(seed_positions))])
@@ -188,18 +194,6 @@ def _synthesize(rows: np.ndarray, seed_positions: np.ndarray, k: int, n_new: int
         lam = rng.random()
         out[t] = rows[p] + (rows[q] - rows[p]) * rows.dtype.type(lam)
     return out
-
-
-def smote(minority: np.ndarray, k: int, n_new: int, rng) -> np.ndarray:
-    """n_new synthetic rows interpolated within one minority class.
-
-    k is clamped to rows-1 when larger; fewer than 2 rows is an error
-    (the balance drivers fall back to random replication in that case).
-    """
-    minority = np.asarray(minority)
-    if len(minority) < 2:
-        raise ValueError("smote needs at least 2 minority rows")
-    return _synthesize(minority, np.arange(len(minority)), k, n_new, rng)
 
 
 def fit_linear_svm(features: np.ndarray, binary_labels: np.ndarray, params: SvmParams):
@@ -271,47 +265,79 @@ def _class_counts(labels: np.ndarray) -> np.ndarray:
     return np.bincount(labels, minlength=int(labels.max()) + 1)
 
 
-def _replicate(rows: np.ndarray, n_new: int, rng) -> np.ndarray:
-    picks = rng.integers(0, len(rows), size=n_new)
-    return rows[picks]
+# A seed rule maps (class label, the class's row positions in the whole set)
+# to the positions, within the class, eligible as interpolation seeds.
 
 
-def _balance(features: np.ndarray, labels: np.ndarray, rng, seed_selector) -> ResampledSet:
-    """Pad every non-majority class up to the majority count.
+def _every_row(c: int, positions: np.ndarray) -> np.ndarray:
+    return np.arange(len(positions))
 
-    ``seed_selector(class_rows, class_label, global_positions)`` returns the
-    positions (into class_rows) eligible as interpolation seeds.  Classes
-    are padded by random replication instead when the selector is None or
-    the class has a single row.
+
+def _danger_rule(features: np.ndarray, labels: np.ndarray, m: int):
+    """Borderline-SMOTE-1 seeds: DANGER rows only.
+
+    A row is DANGER when, among its m nearest rows in the full set, the
+    other-class count lies in [m/2, m).  All other-class neighbours means
+    noise, not danger; a class with no DANGER rows falls back to plain
+    SMOTE, every row a seed.
     """
-    features = np.asarray(features)
-    labels = np.asarray(labels, dtype=np.int64)
-    counts = _class_counts(labels)
-    present = np.flatnonzero(counts)
-    if len(present) < 2:
-        raise ValueError("need at least 2 classes")
-    majority = int(counts.max())
+    points = np.asarray(features, dtype=np.float64)  # once, not once per class
+    m_eff = min(m, len(points) - 1)
 
+    def seeds(c, positions):
+        n_other = np.count_nonzero(labels[knn_table(points, m_eff, positions)] != c, axis=1)
+        danger = np.flatnonzero((m_eff / 2.0 <= n_other) & (n_other < m_eff))
+        return danger if len(danger) else _every_row(c, positions)
+    return seeds
+
+
+def _margin_rule(features: np.ndarray, labels: np.ndarray, counts: np.ndarray,
+                 m: int, params: SvmParams):
+    """SVM-SMOTE seeds: rows inside the margin |f(x)| <= 1 of the class's
+    one-vs-rest linear SVM; if none, the m rows closest to the boundary.
+    One ``fit_linear_svm`` call fits the SVM of every class that ``_balance``
+    interpolates (below the majority, 2 rows or more); with none, no rule."""
+    seeded = np.flatnonzero((counts >= 2) & (counts < counts.max()))
+    if not len(seeded):
+        return None
+    W, b = fit_linear_svm(features, np.where(labels[:, None] == seeded, 1.0, -1.0), params)
+    if not (np.isfinite(W).all() and np.isfinite(b).all()):
+        raise ValueError("SVM-SMOTE's linear SVM diverged to non-finite weights; lower its "
+                         f"learning rate (svm_learning_rate={params.learning_rate:g})")
+    columns = {int(c): j for j, c in enumerate(seeded)}
+
+    def seeds(c, positions):
+        j = columns[c]
+        f = np.abs(np.asarray(features[positions], dtype=np.float64) @ W[:, j] + b[j])
+        in_margin = np.flatnonzero(f <= 1.0)
+        if len(in_margin):
+            return in_margin
+        return np.argsort(f, kind="stable")[:min(m, len(positions))]
+    return seeds
+
+
+def _balance(features: np.ndarray, labels: np.ndarray, counts: np.ndarray, rng,
+             seeds, k: int) -> ResampledSet:
+    """Pad every non-majority class up to the majority count, by SMOTE from
+    the positions ``seeds(c, positions)`` picks, or by replicating the
+    class's own rows uniformly with replacement when ``seeds`` is None or
+    the class has a single row.  ``counts`` is ``_class_counts(labels)``."""
+    majority = int(counts.max())
     synth_blocks, synth_labels = [], []
-    for c in present:
+    for c in np.flatnonzero(counts):
         n_new = majority - int(counts[c])
         if n_new == 0:
             continue
         positions = np.flatnonzero(labels == c)
         class_rows = features[positions]
-        if seed_selector is None or len(class_rows) < 2:
-            synth_blocks.append(_replicate(class_rows, n_new, rng))
+        if seeds is None or len(class_rows) < 2:
+            synth_blocks.append(class_rows[rng.integers(0, len(class_rows), size=n_new)])
         else:
-            seeds = seed_selector(class_rows, int(c), positions)
-            synth_blocks.append(_synthesize(class_rows, seeds, seed_selector.k, n_new, rng))
+            synth_blocks.append(_synthesize(class_rows, seeds(int(c), positions), k, n_new, rng))
         synth_labels.append(np.full(n_new, c, dtype=np.int64))
 
-    if synth_blocks:
-        out_features = np.concatenate([features] + synth_blocks)
-        out_labels = np.concatenate([labels] + synth_labels)
-    else:
-        out_features = features.copy()
-        out_labels = labels.copy()
+    out_features = np.concatenate([features] + synth_blocks)
+    out_labels = np.concatenate([labels] + synth_labels)
     n_orig, n_total = len(features), len(out_features)
     is_synthetic = np.zeros(n_total, dtype=bool)
     is_synthetic[n_orig:] = True
@@ -326,90 +352,7 @@ def _balance(features: np.ndarray, labels: np.ndarray, rng, seed_selector) -> Re
     )
 
 
-class _PlainSeeds:
-    def __init__(self, k):
-        self.k = k
-
-    def __call__(self, class_rows, class_label, positions):
-        return np.arange(len(class_rows))
-
-
-class _DangerSeeds:
-    """Borderline-SMOTE-1 seed selection: DANGER rows only.
-
-    A minority row is DANGER when, among its m nearest rows in the full
-    set, the other-class count lies in [m/2, m).  All other-class
-    neighbours means noise, not danger; no DANGER rows at all means fall
-    back to plain SMOTE for that class.
-    """
-
-    def __init__(self, features, labels, k, m):
-        self.features = np.asarray(features, dtype=np.float64)  # once, not once per class
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.k = k
-        self.m = m
-
-    def __call__(self, class_rows, class_label, positions):
-        m_eff = min(self.m, len(self.features) - 1)
-        neigh = knn_table(self.features, m_eff, positions)
-        n_other = np.count_nonzero(self.labels[neigh] != class_label, axis=1)
-        danger = np.flatnonzero((m_eff / 2.0 <= n_other) & (n_other < m_eff))
-        if not len(danger):
-            return np.arange(len(class_rows))
-        return danger
-
-
-class _MarginSeeds:
-    """SVM-SMOTE seed selection: minority rows inside the margin |f(x)| <= 1
-    of a one-vs-rest linear SVM; if none, the m rows closest to the boundary.
-
-    The first call fits, in one ``fit_linear_svm`` call, the SVM of every
-    class that ``_balance`` seeds: present, with at least 2 rows, and below
-    the majority count.  Each call then reads its own class's column.
-    """
-
-    def __init__(self, features, labels, k, m, svm_params):
-        self.features = np.asarray(features)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.k = k
-        self.m = m
-        self.svm_params = svm_params
-        self.columns = None
-
-    def _fit(self):
-        counts = _class_counts(self.labels)
-        classes = np.flatnonzero((counts >= 2) & (counts < counts.max()))
-        Y = np.where(self.labels[:, None] == classes, 1.0, -1.0)
-        self.W, self.b = fit_linear_svm(self.features, Y, self.svm_params)
-        self.columns = {int(c): j for j, c in enumerate(classes)}
-
-    def __call__(self, class_rows, class_label, positions):
-        if self.columns is None:
-            self._fit()
-        j = self.columns[class_label]
-        f = np.asarray(class_rows, dtype=np.float64) @ self.W[:, j] + self.b[j]
-        in_margin = np.flatnonzero(np.abs(f) <= 1.0)
-        if len(in_margin):
-            return in_margin
-        m_eff = min(self.m, len(class_rows))
-        return np.argsort(np.abs(f), kind="stable")[:m_eff]
-
-
-def random_oversample(features: np.ndarray, labels: np.ndarray, rng) -> ResampledSet:
-    """Pad every non-majority class to the majority count by replicating
-    its own rows uniformly with replacement."""
-    return _balance(features, labels, rng, None)
-
-
-def borderline_smote(features: np.ndarray, labels: np.ndarray, spec: SamplerSpec, rng) -> ResampledSet:
-    return _balance(features, labels, rng, _DangerSeeds(features, labels, spec.k_neighbors, spec.m_neighbors))
-
-
-def svm_smote(features: np.ndarray, labels: np.ndarray, spec: SamplerSpec, rng) -> ResampledSet:
-    return _balance(features, labels, rng, _MarginSeeds(features, labels, spec.k_neighbors, spec.m_neighbors, spec.svm))
-
-
-def _apply_keep_mask(base: ResampledSet, keep: np.ndarray, source_counts: np.ndarray) -> ResampledSet:
+def _apply_keep_mask(base: ResampledSet, keep: np.ndarray) -> ResampledSet:
     """Filter a balanced set by a keep mask, restoring any class the
     cleaning step would wipe out entirely."""
     for c in np.flatnonzero(_class_counts(base.labels)):
@@ -425,18 +368,19 @@ def _apply_keep_mask(base: ResampledSet, keep: np.ndarray, source_counts: np.nda
         labels=base.labels[keep],
         is_synthetic=base.is_synthetic[keep],
         source_indices=base.source_indices[keep],
-        source_counts=source_counts,
+        source_counts=base.source_counts,
         result_counts=_class_counts(base.labels[keep]),
     )
 
 
 def resample(features: np.ndarray, labels: np.ndarray, spec: SamplerSpec, rng) -> ResampledSet:
-    """Dispatch to the technique named by ``spec.kind``.
+    """Balance (features, labels) by the technique ``spec.kind`` names:
+    pick its seed rule, pad every class, then clean for the hybrids.
 
-    Hybrid methods run SMOTE balancing first, then clean the union:
-    smote_enn applies the ENN keep mask to all classes; smote_tomek drops
-    the majority-class member of every Tomek link (majority judged on the
-    input counts).  A cleaning step is never allowed to erase a class.
+    smote_enn keeps the rows that ``enn_filter`` keeps, over all classes;
+    smote_tomek drops the majority-class member of every Tomek link, the
+    majority judged on the input counts.  A cleaning step is never allowed
+    to erase a class.
     """
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
@@ -444,29 +388,25 @@ def resample(features: np.ndarray, labels: np.ndarray, spec: SamplerSpec, rng) -
         row = np.argmin(np.isfinite(features.reshape(len(features), -1)).all(axis=1))
         raise ValueError(f"features row {row} is not finite")
     counts = _class_counts(labels)
-    if len(np.flatnonzero(counts)) < 2:
+    if np.count_nonzero(counts) < 2:
         raise ValueError("need at least 2 classes")
 
     if spec.kind == "random_over":
-        return random_oversample(features, labels, rng)
-    if spec.kind == "borderline_smote":
-        return borderline_smote(features, labels, spec, rng)
-    if spec.kind == "svm_smote":
-        return svm_smote(features, labels, spec, rng)
+        seeds = None
+    elif spec.kind == "borderline_smote":
+        seeds = _danger_rule(features, labels, spec.m_neighbors)
+    elif spec.kind == "svm_smote":
+        seeds = _margin_rule(features, labels, counts, spec.m_neighbors, spec.svm)
+    else:
+        seeds = _every_row
+    base = _balance(features, labels, counts, rng, seeds, spec.k_neighbors)
 
-    base = _balance(features, labels, rng, _PlainSeeds(spec.k_neighbors))
-    if spec.kind == "smote":
-        return base
     if spec.kind == "smote_enn":
         keep = enn_filter(base.features, base.labels, spec.enn_k)
-        return _apply_keep_mask(base, keep, counts)
-    if spec.kind == "smote_tomek":
-        majority_class = int(np.argmax(counts))
+    elif spec.kind == "smote_tomek":
+        linked = np.array(tomek_links(base.features, base.labels), dtype=np.int64).reshape(-1)
         keep = np.ones(len(base.labels), dtype=bool)
-        for i, j in tomek_links(base.features, base.labels):
-            if base.labels[i] == majority_class:
-                keep[i] = False
-            if base.labels[j] == majority_class:
-                keep[j] = False
-        return _apply_keep_mask(base, keep, counts)
-    raise AssertionError(f"unhandled sampler kind {spec.kind!r}")
+        keep[linked[base.labels[linked] == np.argmax(counts)]] = False
+    else:
+        return base
+    return _apply_keep_mask(base, keep)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -433,8 +434,6 @@ def mutated_configs(draw):
     return cfg
 
 
-# huge learning rates and weights overflow in training before the run fails
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(mutated_configs())
 def test_main_on_a_mutated_config_succeeds_or_prints_one_error(tmp_path_factory, cfg):
@@ -448,6 +447,42 @@ def test_main_on_a_mutated_config_succeeds_or_prints_one_error(tmp_path_factory,
         rc = cli.main(["run", "--config", str(cfg_path), "--output", str(work / "out")])
     lines = err.getvalue().splitlines()
     assert rc == 0 or (rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")), lines
+
+
+@pytest.mark.parametrize("section, key", [("hyper", "learning_rate"), ("arch", "pred_weight"),
+                                          ("arch", "recon_weight")])
+@pytest.mark.parametrize("batch_size", [8, 64])
+def test_main_reports_overflowing_training_in_one_line(tmp_path, capsys, section, key,
+                                                       batch_size):
+    # at batch 64 each client takes one step per round, so the NaN model it
+    # leaves meets FedAvg before any further step can score it
+    cfg = tiny_config()
+    cfg["hyper"]["batch_size"] = batch_size
+    cfg[section][key] = 1e308
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        rc = cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: fold 0, global round 1: "), lines
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_main_reports_a_diverged_svm_smote_fit_in_one_line(tmp_path, capsys):
+    cfg = tiny_config(samplers=["svm_smote"],
+                      sampler_params={"svm_learning_rate": 1e308, "svm_regularization": 0.0})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        rc = cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: fold 0, sampler 'svm_smote': "), lines
+    assert "svm_learning_rate=1e+308" in lines[0]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_main_reports_an_allocation_that_cannot_succeed(tmp_path, capsys):

@@ -106,6 +106,12 @@ def test_fedavg_rejects_bad_input():
                                 latent_dim=4, mlp_hidden=(5,)), np.random.default_rng(0))
     with pytest.raises(ValueError, match="mismatched"):
         fedavg([m, other], [1, 1])
+    # a diverged client's NaN must not become the global model
+    diverged = m.copy()
+    name = list(diverged.params)[-1]
+    diverged.params[name][0] = np.nan
+    with pytest.raises(FloatingPointError, match=f"non-finite FedAvg mean of parameter {name}$"):
+        fedavg([m, diverged], [1, 1])
 
 
 # --- state containers ---

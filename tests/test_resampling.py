@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -6,18 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedbalance.resampling as rs
+from fedbalance.cli import _run_settings
 from fedbalance.resampling import (
     SamplerSpec,
     SvmParams,
-    borderline_smote,
     enn_filter,
     fit_linear_svm,
     knn_indices,
     knn_table,
-    random_oversample,
     resample,
-    smote,
-    svm_smote,
     tomek_links,
 )
 from oracles import (
@@ -155,8 +153,11 @@ def test_every_geometry_helper_calls_knn_table_once(monkeypatch):
     rng = np.random.default_rng(5)
     X = rng.normal(size=(29, 3))
     y = np.array([0] * 18 + [1] * 7 + [2] * 4)
+    # the SMOTE resample seeds one class, of 7 rows
     for helper in (lambda: enn_filter(X, y, 3), lambda: tomek_links(X, y),
-                   lambda: knn_indices(X, 4, 3), lambda: smote(X[:7], 3, 10, np.random.default_rng(0))):
+                   lambda: knn_indices(X, 4, 3),
+                   lambda: resample(X[:25], y[:25], SamplerSpec(kind="smote", k_neighbors=3),
+                                    np.random.default_rng(0))):
         calls.clear()
         helper()
         assert len(calls) == 1
@@ -169,30 +170,35 @@ def test_every_geometry_helper_calls_knn_table_once(monkeypatch):
 # --- plain SMOTE ---
 
 
+def _with_majority(minority, n_majority, seed=0):
+    """``minority`` as class 1 after ``n_majority`` class-0 rows."""
+    majority = np.random.default_rng(seed).normal(size=(n_majority, minority.shape[1]))
+    return np.vstack([majority, minority]), np.repeat([0, 1], [n_majority, len(minority)])
+
+
 def test_smote_synthetics_lie_on_minority_segments():
-    rng = np.random.default_rng(5)
-    minority = rng.normal(size=(12, 4))
-    synth = smote(minority, k=5, n_new=30, rng=np.random.default_rng(9))
+    minority = np.random.default_rng(5).normal(size=(12, 4))
+    X, y = _with_majority(minority, 42)
+    out = resample(X, y, SamplerSpec(kind="smote", k_neighbors=5), np.random.default_rng(9))
+    synth = out.features[out.is_synthetic]
     assert synth.shape == (30, 4)
     assert segments_hold(minority, synth).all()
 
 
 def test_smote_k_clamped_to_available_neighbors():
     minority = np.array([[0.0, 0.0], [1.0, 1.0]])
-    synth = smote(minority, k=10, n_new=5, rng=np.random.default_rng(0))
-    assert segments_hold(minority, synth).all()
+    X, y = _with_majority(minority, 7)
+    out = resample(X, y, SamplerSpec(kind="smote", k_neighbors=10), np.random.default_rng(0))
+    assert out.result_counts.tolist() == [7, 7]
+    assert segments_hold(minority, out.features[out.is_synthetic]).all()
 
 
 def test_smote_is_deterministic_under_seeding():
-    minority = np.random.default_rng(1).normal(size=(8, 3))
-    a = smote(minority, 3, 11, np.random.default_rng(42))
-    b = smote(minority, 3, 11, np.random.default_rng(42))
-    assert np.array_equal(a, b)
-
-
-def test_smote_needs_two_rows():
-    with pytest.raises(ValueError):
-        smote(np.ones((1, 2)), 1, 3, np.random.default_rng(0))
+    X, y = _with_majority(np.random.default_rng(1).normal(size=(8, 3)), 19)
+    spec = SamplerSpec(kind="smote", k_neighbors=3)
+    a = resample(X, y, spec, np.random.default_rng(42))
+    b = resample(X, y, spec, np.random.default_rng(42))
+    assert np.array_equal(a.features, b.features)
 
 
 # --- ENN / Tomek cleaning primitives ---
@@ -256,7 +262,7 @@ def test_borderline_danger_oracle_agrees_with_hand_analysis():
 def test_borderline_seeds_only_from_danger_rows():
     X, y = _borderline_setup()
     spec = SamplerSpec(kind="borderline_smote", k_neighbors=1, m_neighbors=3)
-    out = borderline_smote(X, y, spec, np.random.default_rng(0))
+    out = resample(X, y, spec, np.random.default_rng(0))
     assert out.result_counts.tolist() == [6, 6]
     synth = out.features[out.is_synthetic]
     # with k=1 both danger rows interpolate toward each other, so every
@@ -272,7 +278,7 @@ def test_borderline_without_danger_rows_falls_back_to_plain_smote():
     X = np.vstack([maj, mino])
     y = np.array([0] * 20 + [1] * 6)
     spec = SamplerSpec(kind="borderline_smote", k_neighbors=3, m_neighbors=5)
-    a = borderline_smote(X, y, spec, np.random.default_rng(77))
+    a = resample(X, y, spec, np.random.default_rng(77))
     b = resample(X, y, SamplerSpec(kind="smote", k_neighbors=3), np.random.default_rng(77))
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
@@ -374,37 +380,52 @@ def test_svm_smote_balances_with_segment_property():
     rng = np.random.default_rng(4)
     X = np.vstack([rng.normal(size=(25, 3)), rng.normal(size=(8, 3)) + 2.0])
     y = np.array([0] * 25 + [1] * 8)
-    out = svm_smote(X, y, SamplerSpec(kind="svm_smote"), np.random.default_rng(1))
+    out = resample(X, y, SamplerSpec(kind="svm_smote"), np.random.default_rng(1))
     assert out.result_counts.tolist() == [25, 25]
     assert segments_hold(X[y == 1], out.features[out.is_synthetic]).all()
 
 
 def test_svm_margin_seed_selection(monkeypatch):
     """Pin each class's decision function and check both margin branches."""
-    fitted = []
+    fitted, seeded = [], []
 
     def fake_fit(features, labels, params):
         fitted.append(labels.copy())
         # column j is f(x) = (j + 1) * x
         return np.arange(1.0, labels.shape[1] + 1)[None, :], np.zeros(labels.shape[1])
 
+    def recording_synthesize(rows, seed_positions, k, n_new, rng):
+        seeded.append(sorted(seed_positions.tolist()))
+        return synthesize(rows, seed_positions, k, n_new, rng)
+
+    synthesize = rs._synthesize
     monkeypatch.setattr(rs, "fit_linear_svm", fake_fit)
-    labels = np.array([0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 3])
-    sel = rs._MarginSeeds(features=np.zeros((11, 1)), labels=labels,
-                          k=1, m=2, svm_params=SvmParams())
-    rows = np.array([[0.5], [3.0], [-0.9], [7.0]])
-    picked = sel(rows, 0, np.arange(4))
-    assert sorted(picked.tolist()) == [0, 2]  # |f| <= 1 rows only
-    rows_far = np.array([[5.0], [3.0], [-4.0], [7.0]])
-    fallback = sel(rows_far, 0, np.arange(4))
-    assert sorted(fallback.tolist()) == [1, 2]  # the m=2 closest to the boundary
-    # class 2 reads the second column, f(x) = 2x: only 0.5 and -0.25 lie inside
-    picked = sel(np.array([[0.5], [3.0], [-0.25], [0.75]]), 2, np.arange(4))
-    assert sorted(picked.tolist()) == [0, 2]
-    # one fit for both calls, of the two seeded classes: the majority class 1
-    # and the single-row class 3 are left out
+    monkeypatch.setattr(rs, "_synthesize", recording_synthesize)
+    X = np.array([[5.0], [3.0], [-4.0], [7.0],             # class 0, f(x) = x
+                  [20.0], [21.0], [22.0], [23.0], [24.0],  # class 1, the majority
+                  [0.5], [3.0], [-0.25], [0.75],           # class 2, f(x) = 2x
+                  [30.0]])                                 # class 3, a single row
+    y = np.repeat([0, 1, 2, 3], [4, 5, 4, 1])
+    out = resample(X, y, SamplerSpec(kind="svm_smote", k_neighbors=1, m_neighbors=2),
+                   np.random.default_rng(0))
+    assert out.result_counts.tolist() == [5, 5, 5, 5]
+    # class 0: no row inside, so the m=2 closest to the boundary; class 2:
+    # the |2x| <= 1 rows only (its own column: under f(x) = x row 3 joins)
+    assert seeded == [[1, 2], [0, 2]]
+    # one fit, of the two seeded classes: the majority class 1 and the
+    # single-row class 3 are left out
     assert len(fitted) == 1
-    assert np.array_equal(fitted[0], np.where(labels[:, None] == [0, 2], 1.0, -1.0))
+    assert np.array_equal(fitted[0], np.where(y[:, None] == [0, 2], 1.0, -1.0))
+
+
+def test_svm_smote_rejects_a_diverged_svm():
+    rng = np.random.default_rng(4)
+    X = np.vstack([rng.normal(size=(25, 3)), rng.normal(size=(8, 3)) + 2.0])
+    y = np.array([0] * 25 + [1] * 8)
+    spec = SamplerSpec(kind="svm_smote", svm=SvmParams(learning_rate=1e307, regularization=0.0))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="svm_learning_rate=1e\\+307"):
+        resample(X, y, spec, np.random.default_rng(1))
 
 
 # --- random oversampling ---
@@ -414,7 +435,7 @@ def test_random_oversample_replicates_own_class_rows():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(15, 3))
     y = np.array([0] * 10 + [1] * 5)
-    out = random_oversample(X, y, np.random.default_rng(3))
+    out = resample(X, y, SamplerSpec(kind="random_over"), np.random.default_rng(3))
     assert out.result_counts.tolist() == [10, 10]
     minority_rows = {tuple(r) for r in X[y == 1]}
     for row in out.features[out.is_synthetic]:
@@ -427,7 +448,7 @@ def test_random_oversample_replicates_own_class_rows():
 def test_random_oversample_already_balanced_is_identity():
     X = np.arange(12, dtype=float).reshape(6, 2)
     y = np.array([0, 0, 0, 1, 1, 1])
-    out = random_oversample(X, y, np.random.default_rng(0))
+    out = resample(X, y, SamplerSpec(kind="random_over"), np.random.default_rng(0))
     assert not out.is_synthetic.any()
     assert np.array_equal(out.features, X)
     assert out.source_indices.tolist() == list(range(6))
@@ -503,6 +524,93 @@ def test_single_row_class_falls_back_to_replication():
     assert out.result_counts.tolist() == [3, 3]
     for row in out.features[out.is_synthetic]:
         assert row.tolist() == [9.0, 9.0]
+
+
+def _lock_instances():
+    rng, rng2 = np.random.default_rng(2024), np.random.default_rng(7)
+    return {
+        # blobs far apart: class 1 has no DANGER rows, so Borderline-SMOTE is
+        # plain SMOTE, and no margin rows, so SVM-SMOTE seeds from the m
+        # closest; class 2 has a single row and is replicated
+        "apart": (np.vstack([rng.normal(size=(20, 3)), rng.normal(size=(7, 3)) + 40.0,
+                             [[-40.0, -40.0, -40.0]]]),
+                  np.array([0] * 20 + [1] * 7 + [2])),
+        # overlapping float32 classes: DANGER rows, margin rows and a Tomek link
+        "mixed": (rng.normal(size=(45, 4)).astype(np.float32), np.repeat([0, 1, 2], [24, 13, 8])),
+        # one repeated point: ENN votes class 1 out, and the class is restored
+        "same": (np.full((9, 2), 0.5), np.array([0] * 6 + [1] * 3)),
+        # two minority blobs on different sides of the majority: SVM-SMOTE's
+        # margin rows differ by class, so each class must read its own SVM
+        "sides": (np.vstack([rng2.normal(size=(20, 2)), rng2.normal(size=(9, 2)) + [3.0, 0.0],
+                             rng2.normal(size=(6, 2)) + [0.0, -3.0]]),
+                  np.repeat([0, 1, 2], [20, 9, 6])),
+    }
+
+
+# SHA-1 over every ResampledSet field (name, dtype, shape and bytes, in field
+# order) of resample(X, y, SamplerSpec(kind, k_neighbors=3, m_neighbors=5),
+# default_rng(11)) at one BLAS thread
+_LOCKED_DIGESTS = {
+    ("apart", "smote"): "911c7f430a3e19d1bd1c9b9afe1d09efdd09b7d1",
+    ("apart", "borderline_smote"): "911c7f430a3e19d1bd1c9b9afe1d09efdd09b7d1",
+    ("apart", "random_over"): "48522686f27173d662b9e2ec9b2690eb2996b08a",
+    ("apart", "svm_smote"): "ccac8f8320cee257bcbc81fc63218bfdbb4da146",
+    ("apart", "smote_enn"): "911c7f430a3e19d1bd1c9b9afe1d09efdd09b7d1",
+    ("apart", "smote_tomek"): "911c7f430a3e19d1bd1c9b9afe1d09efdd09b7d1",
+    ("mixed", "smote"): "30da46dcc28e67220e7bdd0c23735950fff8417f",
+    ("mixed", "borderline_smote"): "2cb027cf00fbb79e1b54e5364663f25f469c5088",
+    ("mixed", "random_over"): "a5bb352add0cdc8c0c7b12e1f7b7f814caaf2cd5",
+    ("mixed", "svm_smote"): "ad8af87c57005545f8a5b71e2e356e14930677e4",
+    ("mixed", "smote_enn"): "8048a61b13b980a526c84a9d59b18369f7dba653",
+    ("mixed", "smote_tomek"): "486f412eb97d2b5ecdc29939b1bfe998646d6c6e",
+    ("same", "smote"): "c96a2e12e5226cdd772d60f36c51e22ea67dc81c",
+    ("same", "borderline_smote"): "c96a2e12e5226cdd772d60f36c51e22ea67dc81c",
+    ("same", "random_over"): "c96a2e12e5226cdd772d60f36c51e22ea67dc81c",
+    ("same", "svm_smote"): "c96a2e12e5226cdd772d60f36c51e22ea67dc81c",
+    ("same", "smote_enn"): "c96a2e12e5226cdd772d60f36c51e22ea67dc81c",
+    ("same", "smote_tomek"): "c96a2e12e5226cdd772d60f36c51e22ea67dc81c",
+    ("sides", "smote"): "4f342dffdbad419a3c1ac4284b2fa04481ebec8a",
+    ("sides", "borderline_smote"): "5d002622bef1a421d0658ccb29c450dd5f29248f",
+    ("sides", "random_over"): "32ce1d208e9453e82f3d268d237d8482641bc643",
+    ("sides", "svm_smote"): "5209994b2b7fe7546dfa198ec5f2b4235fcd3adb",
+    ("sides", "smote_enn"): "15a03e5f0e553cb182735f19d2841faee5d18289",
+    ("sides", "smote_tomek"): "4f342dffdbad419a3c1ac4284b2fa04481ebec8a",
+}
+
+
+def _digest(out) -> str:
+    h = hashlib.sha1()
+    for name in ("features", "labels", "is_synthetic", "source_indices",
+                 "source_counts", "result_counts"):
+        a = getattr(out, name)
+        h.update(f"{name} {a.dtype} {a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_sampler_outputs_keep_their_bytes():
+    """Every fallback, locked to its bytes: a change to any rng draw, seed
+    rule or cleaning step shows here and must update the digests."""
+    got = {}
+    with _run_settings():  # the SVM's products at one BLAS thread
+        for name, (X, y) in _lock_instances().items():
+            for kind in rs.SAMPLER_NAMES:
+                spec = SamplerSpec(kind=kind, k_neighbors=3, m_neighbors=5)
+                if (name, kind) == ("same", "smote_enn"):
+                    with pytest.warns(UserWarning, match="class 1; restoring"):
+                        out = resample(X, y, spec, np.random.default_rng(11))
+                else:
+                    out = resample(X, y, spec, np.random.default_rng(11))
+                got[name, kind] = _digest(out)
+    assert got == _LOCKED_DIGESTS
+    # the instances reach the fallbacks they are there for
+    assert got["apart", "borderline_smote"] == got["apart", "smote"]
+    X, y = _lock_instances()["apart"]
+    w, b = fit_linear_svm(X, np.where(y == 1, 1.0, -1.0), SvmParams())
+    assert np.all(np.abs(X[y == 1] @ w + b) > 1.0)
+    X, y = _lock_instances()["mixed"]
+    base = resample(X, y, SamplerSpec(kind="smote", k_neighbors=3), np.random.default_rng(11))
+    assert tomek_links(base.features, base.labels)
 
 
 @pytest.mark.parametrize("kind", rs.SAMPLER_NAMES)
