@@ -2,18 +2,22 @@
 
 Layout: ``b"FEDH" | u32 version | u64 header_len | JSON header | payload``,
 all little-endian.  The header carries the architecture, every non-tensor
-state field, and a tensor directory with explicit byte offsets into the
-payload; the payload is the concatenation of one model's raw float32
-tensors in directory order.  A CRC32 of the payload is stored in the header
-so bit rot in the bulk data is caught on load.
+state field, and a tensor directory ``[[name, shape], ...]``; the payload
+is one model's tensors as float32, back to back in directory order.  The
+architecture fixes the directory (``gcae._param_shapes`` order), so a
+tensor's place in the payload follows from the shapes before it.  A CRC32
+of the payload is stored in the header so bit rot in the bulk data is
+caught on load.
 
 Two kinds exist: ``global`` (a ServerState's global model, histories, and
 each client's id and row indices; every loaded client gets a copy of the
 global model, the one each sampler trial starts from) and ``client`` (one
 ClientState).  Files are written atomically via a temp file +
-``os.replace``.  Loads check the whole header against the version-4 schema
-first (:func:`_check_header`), so a malformed file raises
-:class:`CheckpointError` naming the block or tensor at fault.
+``os.replace``.  Loads check the header against the version-5 schema first
+(:func:`_check_header`), then the directory against the architecture's,
+the payload's length and checksum, and each tensor's values, so a
+malformed file raises :class:`CheckpointError` naming the block or tensor
+at fault.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .federation import ClientState, ServerState
 from .gcae import ArchSpec, ModelState, _param_shapes
 
 MAGIC = b"FEDH"
-VERSION = 4
+VERSION = 5
 _HEAD = struct.Struct("<4sIQ")  # magic, version, header_len
 _ARCH_SIZES = ("input_len", "num_classes", "latent_dim")
 _HISTORIES = ("rs_test_acc", "rs_test_auc", "rs_train_loss")
@@ -85,14 +89,13 @@ def _int_list(v, minimum: int | None = None) -> bool:
         _is_int(i) and (minimum is None or minimum <= i < 2**63) for i in v)
 
 
-def _check_header(header, kind: str, payload: bytes) -> None:
-    """Reject a header that breaks the schema, naming the block or tensor.
+def _check_header(header, kind: str) -> None:
+    """Reject a header that breaks the schema, naming the block at fault.
 
     Checks, in order: the kind and the blocks it needs; the architecture,
-    client and server fields' types (ArchSpec checks the values); client
-    ids unique; every tensor named, once, with a byte count; the payload
-    length and checksum; then each tensor's dtype, shape, and byte range,
-    which must lie inside the payload and overlap no other tensor's.
+    client and server fields' types (ArchSpec checks the values); and that
+    client ids are unique.  :func:`_extract_model` then checks the tensor
+    directory and the payload against the architecture.
     """
     if not isinstance(header, dict):
         raise CheckpointError("header is not a JSON object")
@@ -128,62 +131,30 @@ def _check_header(header, kind: str, payload: bytes) -> None:
             if not (isinstance(v, list) and all(_is_number(x) for x in v)):
                 raise CheckpointError(f"'server' block: {key} is not a list of numbers")
 
-    tensors = header["tensors"]
-    for i, e in enumerate(tensors):
-        if not (isinstance(e, dict) and isinstance(e.get("name"), str)):
-            raise CheckpointError(f"tensor #{i} has no name")
-        if not (_is_int(e.get("nbytes")) and e["nbytes"] >= 0):
-            raise CheckpointError(f"tensor {e['name']}: nbytes {e.get('nbytes')!r} is not a byte count")
-    names = [e["name"] for e in tensors]
-    if len(set(names)) != len(names):
-        raise CheckpointError("tensor directory repeats a tensor name")
-    expected = sum(e["nbytes"] for e in tensors)
-    if len(payload) != expected:
-        raise CheckpointError(f"payload is {len(payload)} bytes, directory says {expected}")
-    if zlib.crc32(payload) != header.get("payload_crc32"):
-        raise CheckpointError("payload checksum mismatch")
 
-    ranges = []
-    for e in tensors:
-        name, shape, offset, nbytes = e["name"], e.get("shape"), e.get("offset"), e["nbytes"]
-        if e.get("dtype") != "float32":
-            raise CheckpointError(f"tensor {name} has dtype {e.get('dtype')}")
-        if not _int_list(shape, 1) or math.prod(shape) * 4 != nbytes:
-            raise CheckpointError(f"tensor {name}: shape {shape!r} disagrees with {nbytes} bytes")
-        if not _is_int(offset) or offset < 0 or offset + nbytes > len(payload):
-            raise CheckpointError(f"tensor {name}: bytes [{offset!r}, +{nbytes}) lie "
-                                  f"outside the {len(payload)}-byte payload")
-        ranges.append((offset, offset + nbytes, name))
-    ranges.sort()
-    for (_, end, first), (start, _, second) in zip(ranges, ranges[1:]):
-        if start < end:
-            raise CheckpointError(f"tensors {first} and {second} overlap in the payload")
+def _directory(arch: ArchSpec) -> list:
+    """The tensor directory ``arch`` gives: ``[name, shape]`` pairs."""
+    return [[name, list(shape)] for name, shape in _param_shapes(arch).items()]
 
 
-def _collect_tensors(prefix: str, model: ModelState):
-    """Flatten a model into a (directory, payload) pair with byte offsets."""
+def _write_file(path, header: dict, model: ModelState) -> None:
+    """Write ``header`` plus ``model``'s arch block, directory and payload.
+    Errors name a tensor as ``<kind>/<name>``."""
+    kind = header["kind"]
     if model.dtype != np.float32:
         raise CheckpointError(f"only float32 models are supported, got {model.dtype}")
-    entries, chunks, offset = [], [], 0
-    for pname, arr in model.params.items():
+    chunks = []
+    for name, shape in _param_shapes(model.arch).items():
+        arr = model.params[name]
+        if arr.shape != shape:
+            raise CheckpointError(f"tensor {kind}/{name} has shape {arr.shape}, "
+                                  f"the architecture gives {shape}")
         if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"tensor {prefix}/{pname} contains non-finite values")
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        entries.append({
-            "name": f"{prefix}/{pname}",
-            "shape": list(arr.shape),
-            "dtype": "float32",
-            "offset": offset,
-            "nbytes": len(raw),
-        })
-        chunks.append(raw)
-        offset += len(raw)
-    return entries, b"".join(chunks)
-
-
-def _write_file(path, header: dict, payload: bytes) -> None:
-    header = dict(header)
-    header["payload_crc32"] = zlib.crc32(payload)
+            raise CheckpointError(f"tensor {kind}/{name} contains non-finite values")
+        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    payload = b"".join(chunks)
+    header = {**header, "arch": _arch_to_dict(model.arch), "tensors": _directory(model.arch),
+              "payload_crc32": zlib.crc32(payload)}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
@@ -195,7 +166,8 @@ def _write_file(path, header: dict, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _read_file(path, kind: str) -> tuple[dict, bytes]:
+def _read_file(path, kind: str) -> tuple[dict, ModelState]:
+    """The header and the one model of a ``kind`` file."""
     with open(path, "rb") as fh:
         head = fh.read(_HEAD.size)
         if len(head) < _HEAD.size:
@@ -213,50 +185,48 @@ def _read_file(path, kind: str) -> tuple[dict, bytes]:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable header: {exc}") from exc
         payload = fh.read()
-    _check_header(header, kind, payload)
-    return header, payload
+    _check_header(header, kind)
+    return header, _extract_model(header, payload, kind)
 
 
-def _extract_model(header: dict, payload: bytes, prefix: str, arch: ArchSpec) -> ModelState:
-    """The file's one model, whose every tensor is named ``prefix/...``."""
-    want = f"{prefix}/"
+def _extract_model(header: dict, payload: bytes, kind: str) -> ModelState:
+    """The model laid out as the ``arch`` block says, once the directory,
+    the payload's length and its checksum agree with it."""
+    arch = _arch_from_dict(header["arch"])
+    # compared as text, where a shape's 3.0 or true is not 3 or 1
+    if json.dumps(header["tensors"]) != json.dumps(_directory(arch)):
+        raise CheckpointError("tensor directory does not match the architecture")
+    shapes = _param_shapes(arch)
+    expected = 4 * sum(math.prod(shape) for shape in shapes.values())
+    if len(payload) != expected:
+        raise CheckpointError(f"payload is {len(payload)} bytes, the architecture needs {expected}")
+    if zlib.crc32(payload) != header.get("payload_crc32"):
+        raise CheckpointError("payload checksum mismatch")
     params: dict[str, np.ndarray] = {}
-    for e in header["tensors"]:
-        if not e["name"].startswith(want):
-            raise CheckpointError(f"tensor {e['name']} is not under {want!r}")
-        arr = np.frombuffer(payload, dtype="<f4", count=e["nbytes"] // 4, offset=e["offset"])
+    offset = 0
+    for name, shape in shapes.items():
+        arr = np.frombuffer(payload, dtype="<f4", count=math.prod(shape), offset=offset)
         if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"tensor {e['name']} contains non-finite values")
-        params[e["name"][len(want):]] = arr.reshape(e["shape"]).copy()
-    expected = _param_shapes(arch)
-    if set(params) != set(expected):
-        raise CheckpointError(f"tensor set under {prefix!r} does not match the architecture")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise CheckpointError(f"tensor {prefix}/{name} has shape {params[name].shape}, "
-                                  f"expected {shape}")
+            raise CheckpointError(f"tensor {kind}/{name} contains non-finite values")
+        params[name] = arr.reshape(shape).copy()
+        offset += arr.nbytes
     return ModelState(arch, params)
 
 
 def save_global(path, server: ServerState) -> None:
     """Serialize a ServerState's global model, histories, and each client's
     id and rows.  The clients' own models are not stored."""
-    entries, payload = _collect_tensors("global", server.global_model)
     header = {
         "kind": "global",
-        "arch": _arch_to_dict(server.global_model.arch),
         "server": {key: list(getattr(server, key)) for key in _HISTORIES},
         "clients": [_client_meta(c) for c in server.clients],
-        "tensors": entries,
     }
-    _write_file(path, header, payload)
+    _write_file(path, header, server.global_model)
 
 
 def load_global(path) -> ServerState:
     """A saved ServerState whose every client holds a copy of the global model."""
-    header, payload = _read_file(path, "global")
-    arch = _arch_from_dict(header["arch"])
-    global_model = _extract_model(header, payload, "global", arch)
+    header, global_model = _read_file(path, "global")
     clients = [_client_from_meta(meta, global_model.copy()) for meta in header["clients"]]
     try:
         return ServerState(global_model=global_model, clients=clients,
@@ -266,18 +236,9 @@ def load_global(path) -> ServerState:
 
 
 def save_client(path, client: ClientState) -> None:
-    entries, payload = _collect_tensors("model", client.model)
-    header = {
-        "kind": "client",
-        "arch": _arch_to_dict(client.model.arch),
-        "client": _client_meta(client),
-        "tensors": entries,
-    }
-    _write_file(path, header, payload)
+    _write_file(path, {"kind": "client", "client": _client_meta(client)}, client.model)
 
 
 def load_client(path) -> ClientState:
-    header, payload = _read_file(path, "client")
-    arch = _arch_from_dict(header["arch"])
-    model = _extract_model(header, payload, "model", arch)
+    header, model = _read_file(path, "client")
     return _client_from_meta(header["client"], model)

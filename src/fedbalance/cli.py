@@ -225,7 +225,8 @@ def build_dataset(config: dict) -> Dataset:
     if src["kind"] == "synthetic":
         spec = _build("config.dataset.", make_synthetic_spec, src["class_counts"], src["dim"],
                       src["scale"], seed=config["seed"])
-        return generate_synthetic(spec, derive_seed(config["seed"], "data"))
+        return _build("config.dataset.", generate_synthetic, spec,
+                      derive_seed(config["seed"], "data"))
     return load_csv(src["path"], src["label_column"])
 
 

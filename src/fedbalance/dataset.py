@@ -98,17 +98,22 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     """Draw a dataset from per-class Gaussians; deterministic given seed.
 
     Rows are emitted class by class in class order, so the label vector is
-    ``[0]*counts[0] + [1]*counts[1] + ...``.
+    ``[0]*counts[0] + [1]*counts[1] + ...``.  A scale so large that a
+    feature overflows is a ValueError that names ``scale``.
     """
     rng = np.random.default_rng(seed)
     blocks = []
     labels = []
-    for c, count in enumerate(spec.class_counts):
-        rows = spec.centers[c] + spec.scale * rng.standard_normal((count, spec.dim))
-        blocks.append(rows)
-        labels.extend([c] * count)
+    with np.errstate(over="ignore"):
+        for c, count in enumerate(spec.class_counts):
+            rows = spec.centers[c] + spec.scale * rng.standard_normal((count, spec.dim))
+            blocks.append(rows)
+            labels.extend([c] * count)
+    features = np.vstack(blocks)
+    if not np.all(np.isfinite(features)):
+        raise ValueError(f"scale {spec.scale!r} is too large: features overflow to infinity")
     return Dataset(
-        features=np.vstack(blocks),
+        features=features,
         labels=np.asarray(labels, dtype=np.int64),
         num_classes=len(spec.class_counts),
     )

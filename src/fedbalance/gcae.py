@@ -180,7 +180,6 @@ class _Plan:
     enc: tuple[_ConvPlan, ...]   # encoder convs, input side first
     dec: tuple[_ConvPlan, ...]   # decoder convs, latent side first
     pools: tuple[int, ...]       # encoder pool sizes; the decoder upsamples by them in reverse
-    pooled: tuple[int, ...]      # encoder lengths after each pool
 
 
 @functools.lru_cache(maxsize=16)
@@ -196,8 +195,7 @@ def _plan(arch: ArchSpec) -> _Plan:
         out_ch = arch.stages[i - 1].channels if i > 0 else 1
         st = arch.stages[i]
         dec.append(_ConvPlan(st.channels, out_ch, st.kernel, lengths[i]))
-    return _Plan(tuple(enc), tuple(dec), tuple(st.pool for st in arch.stages),
-                 arch.pooled_lengths)
+    return _Plan(tuple(enc), tuple(dec), tuple(st.pool for st in arch.stages))
 
 
 # --- layer primitives ---

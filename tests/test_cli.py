@@ -370,13 +370,19 @@ _SYNTHETIC = {"kind": "synthetic", "class_counts": [30, 20, 8], "dim": 8}
     ({"hyper": {"learning_rate": float("inf")}}, "config.hyper.learning_rate must be a finite number"),
     ({"concentration": float("nan")}, "config.concentration must be a finite number"),
     ({"arch": {"pred_weight": float("inf")}}, "config.arch.pred_weight must be a finite number"),
+    # finite, but the drawn features overflow
+    ({"dataset": {**_SYNTHETIC, "scale": 1e308}}, "config.dataset.scale 1e+308 is too large"),
 ])
 def test_main_value_errors_name_their_config_key(tmp_path, capsys, over, key):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_config(**over)), encoding="utf-8")
-    assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        rc = cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")])
+    assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}") and err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out").exists()
 
 

@@ -10,7 +10,7 @@ from fedbalance.crossval import (ExperimentPlan, run_experiment, run_fold, run_g
                                  run_trial)
 from fedbalance.dataset import generate_synthetic, make_synthetic_spec
 from fedbalance.federation import TrainHyper
-from fedbalance.gcae import ArchSpec, ConvStage
+from fedbalance.gcae import ArchSpec, ConvStage, _param_shapes
 
 # The tiny fixture dataset has a rare class, so some clients legitimately end up
 # with single-class splits; those warnings are expected small-data behaviour.
@@ -118,8 +118,7 @@ def test_checkpoints_written_per_fold(tiny_run):
         header = json.loads(raw[16:16 + header_len])
         assert version == VERSION
         assert len(header["clients"]) == plan.num_clients
-        names = [e["name"] for e in header["tensors"]]
-        assert names and all(name.startswith("global/") for name in names)
+        assert [name for name, _ in header["tensors"]] == list(_param_shapes(plan.arch))
 
 
 def test_rerun_reproduces_every_record(tiny_run, tmp_path):
