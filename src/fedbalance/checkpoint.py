@@ -3,11 +3,11 @@
 Layout: ``b"FEDH" | u32 version | u64 header_len | JSON header | payload``,
 all little-endian.  The header carries the architecture, every non-tensor
 state field, and a tensor directory ``[[name, shape], ...]``; the payload
-is one model's tensors as float32, back to back in directory order.  The
-architecture fixes the directory (``gcae._param_shapes`` order), so a
-tensor's place in the payload follows from the shapes before it.  A CRC32
-of the payload is stored in the header so bit rot in the bulk data is
-caught on load.
+is one model's ``ModelState.flat``: its tensors as float32, back to back in
+directory order.  The architecture fixes the directory (``_param_shapes``
+order), so a tensor's place in the payload follows from the shapes before
+it.  A CRC32 of the payload is stored in the header so bit rot in the bulk
+data is caught on load.
 
 Two kinds exist: ``global`` (a ServerState's global model, histories, and
 each client's id and row indices; every loaded client gets a copy of the
@@ -23,7 +23,6 @@ at fault.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 import zlib
@@ -32,7 +31,7 @@ from dataclasses import asdict, astuple
 import numpy as np
 
 from .federation import ClientState, ServerState
-from .gcae import ArchSpec, ModelState, _param_shapes
+from .gcae import ArchSpec, ModelState, _param_count, _param_shapes
 
 MAGIC = b"FEDH"
 VERSION = 5
@@ -140,19 +139,10 @@ def _directory(arch: ArchSpec) -> list:
 def _write_file(path, header: dict, model: ModelState) -> None:
     """Write ``header`` plus ``model``'s arch block, directory and payload.
     Errors name a tensor as ``<kind>/<name>``."""
-    kind = header["kind"]
     if model.dtype != np.float32:
         raise CheckpointError(f"only float32 models are supported, got {model.dtype}")
-    chunks = []
-    for name, shape in _param_shapes(model.arch).items():
-        arr = model.params[name]
-        if arr.shape != shape:
-            raise CheckpointError(f"tensor {kind}/{name} has shape {arr.shape}, "
-                                  f"the architecture gives {shape}")
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"tensor {kind}/{name} contains non-finite values")
-        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    payload = b"".join(chunks)
+    _check_finite(model, header["kind"])
+    payload = model.flat.astype("<f4", copy=False).tobytes()
     header = {**header, "arch": _arch_to_dict(model.arch), "tensors": _directory(model.arch),
               "payload_crc32": zlib.crc32(payload)}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -196,21 +186,20 @@ def _extract_model(header: dict, payload: bytes, kind: str) -> ModelState:
     # compared as text, where a shape's 3.0 or true is not 3 or 1
     if json.dumps(header["tensors"]) != json.dumps(_directory(arch)):
         raise CheckpointError("tensor directory does not match the architecture")
-    shapes = _param_shapes(arch)
-    expected = 4 * sum(math.prod(shape) for shape in shapes.values())
+    expected = 4 * _param_count(arch)
     if len(payload) != expected:
         raise CheckpointError(f"payload is {len(payload)} bytes, the architecture needs {expected}")
     if zlib.crc32(payload) != header.get("payload_crc32"):
         raise CheckpointError("payload checksum mismatch")
-    params: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in shapes.items():
-        arr = np.frombuffer(payload, dtype="<f4", count=math.prod(shape), offset=offset)
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"tensor {kind}/{name} contains non-finite values")
-        params[name] = arr.reshape(shape).copy()
-        offset += arr.nbytes
-    return ModelState(arch, params)
+    model = ModelState(arch, np.frombuffer(payload, dtype="<f4").astype(np.float32))
+    _check_finite(model, kind)
+    return model
+
+
+def _check_finite(model: ModelState, kind: str) -> None:
+    name = model.first_non_finite()
+    if name is not None:
+        raise CheckpointError(f"tensor {kind}/{name} contains non-finite values")
 
 
 def save_global(path, server: ServerState) -> None:

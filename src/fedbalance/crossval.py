@@ -79,6 +79,9 @@ class ExperimentPlan:
                           ("personalization_rounds", 1), ("eval_gap", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.eval_gap > self.personalization_rounds:
+            raise ValueError(f"eval_gap must be <= personalization_rounds "
+                             f"({self.personalization_rounds}), got {self.eval_gap}")
         if self.num_folds > len(self.dataset):
             raise ValueError(f"num_folds must be <= the dataset's {len(self.dataset)} rows, "
                              f"got {self.num_folds}")
@@ -165,8 +168,9 @@ def run_global_phase(plan: ExperimentPlan, fold: int, shards=None) -> Path:
     seed0 = plan.master_seed
     init_rng = derive_rng(seed0, "init", fold)
     global_model = init_model(plan.arch, init_rng)
+    # nothing here reads a client's model: each round trains its own copy of the global one
     clients = [
-        ClientState(client_id=i, model=global_model.copy(), train_indices=tr, test_indices=te)
+        ClientState(client_id=i, model=global_model, train_indices=tr, test_indices=te)
         for i, (tr, te) in enumerate(splits)
     ]
     server = ServerState(global_model=global_model, clients=clients)

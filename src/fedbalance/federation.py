@@ -83,12 +83,12 @@ class ServerState:
 
 
 def fedavg(models: list[ModelState], sample_counts) -> ModelState:
-    """Sample-count-weighted parameter mean.
+    """Sample-count-weighted mean of the models' parameter vectors.
 
     Accumulates in float64 in fixed list order and casts back to the model
     dtype; counts are normalized first, so a single model (or identical
     models) averages to itself exactly.  A non-finite mean raises
-    FloatingPointError, naming the parameter.
+    FloatingPointError, naming the first parameter that holds one.
     """
     if not models:
         raise ValueError("need at least one model")
@@ -97,20 +97,17 @@ def fedavg(models: list[ModelState], sample_counts) -> ModelState:
         raise ValueError("one sample count per model required")
     if np.any(w <= 0):
         raise ValueError("sample counts must be positive")
-    names = list(models[0].params)
-    for m in models[1:]:
-        if m.arch != models[0].arch or list(m.params) != names:
-            raise ValueError("models have mismatched architectures")
-    coef = w / w.sum()
-    out: dict[str, np.ndarray] = {}
-    for name in names:
-        acc = np.zeros(models[0].params[name].shape, dtype=np.float64)
-        for c, m in zip(coef, models):
-            acc += c * m.params[name].astype(np.float64)
-        out[name] = acc.astype(models[0].dtype)
-        if not np.isfinite(out[name]).all():
-            raise FloatingPointError(f"non-finite FedAvg mean of parameter {name}")
-    return ModelState(models[0].arch, out)
+    arch = models[0].arch
+    if any(m.arch != arch for m in models[1:]):
+        raise ValueError("models have mismatched architectures")
+    acc = np.zeros(models[0].flat.shape, dtype=np.float64)
+    for c, m in zip(w / w.sum(), models):
+        acc += c * m.flat.astype(np.float64)
+    mean = ModelState(arch, acc.astype(models[0].dtype))
+    name = mean.first_non_finite()
+    if name is not None:
+        raise FloatingPointError(f"non-finite FedAvg mean of parameter {name}")
+    return mean
 
 
 def train_on(model: ModelState, features, labels, hyper: TrainHyper, rng,

@@ -13,7 +13,9 @@ backpropagation — no autodiff framework anywhere.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import astuple, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -80,20 +82,49 @@ class ArchSpec:
         return self.stages[-1].channels * self.pooled_lengths[-1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelState:
+    """A network's parameters: ``flat`` holds them all back to back, in
+    ``_param_shapes`` order, which ends with the classifier head's, and
+    ``params`` maps each name to a view into ``flat`` in its shape.  The
+    mapping is read-only and built on first use; a view writes to ``flat``."""
+
     arch: ArchSpec
-    params: dict[str, np.ndarray]
+    flat: np.ndarray
+
+    def __post_init__(self):
+        size = _param_count(self.arch)
+        if self.flat.shape != (size,):
+            raise ValueError(f"flat must be a vector of the architecture's {size} parameters, "
+                             f"got shape {self.flat.shape}")
+
+    @functools.cached_property
+    def params(self) -> MappingProxyType:
+        views, start = {}, 0
+        for name, shape in _param_shapes(self.arch).items():
+            views[name] = self.flat[start:start + math.prod(shape)].reshape(shape)
+            start += views[name].size
+        return MappingProxyType(views)
 
     @property
     def dtype(self) -> np.dtype:
-        return next(iter(self.params.values())).dtype
+        return self.flat.dtype
 
     def copy(self) -> "ModelState":
-        return ModelState(self.arch, {k: v.copy() for k, v in self.params.items()})
+        return ModelState(self.arch, self.flat.copy())
+
+    def first_non_finite(self) -> str | None:
+        """The name of the first parameter, in layout order, that holds a
+        NaN or an infinity; None when every value is finite."""
+        if np.isfinite(self.flat).all():
+            return None
+        return next(name for name, p in self.params.items() if not np.isfinite(p).all())
 
 
-def _param_shapes(arch: ArchSpec) -> dict[str, tuple[int, ...]]:
+@functools.lru_cache(maxsize=16)
+def _param_shapes(arch: ArchSpec) -> MappingProxyType:
+    """Each parameter's name and shape, in the order of ``ModelState.flat``:
+    the encoder's, the decoder's, then the classifier head's."""
     shapes: dict[str, tuple[int, ...]] = {}
     plan = _plan(arch)
     for i, conv in enumerate(plan.enc):
@@ -110,20 +141,22 @@ def _param_shapes(arch: ArchSpec) -> dict[str, tuple[int, ...]]:
     for j in range(len(widths) - 1):
         shapes[f"mlp.fc{j}.w"] = (widths[j], widths[j + 1])
         shapes[f"mlp.fc{j}.b"] = (widths[j + 1],)
-    return shapes
+    return MappingProxyType(shapes)
+
+
+def _param_count(arch: ArchSpec) -> int:
+    return sum(map(math.prod, _param_shapes(arch).values()))
 
 
 def init_model(arch: ArchSpec, rng, dtype=np.float32) -> ModelState:
     """Weights ~ U(+-sqrt(3 / fan_in)), biases zero, in a fixed draw order."""
-    params: dict[str, np.ndarray] = {}
-    for name, shape in _param_shapes(arch).items():
-        if name.endswith(".b"):
-            params[name] = np.zeros(shape, dtype=dtype)
-            continue
-        fan_in = int(np.prod(shape[1:])) if ".conv" in name else shape[0]
-        bound = np.sqrt(3.0 / fan_in)
-        params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
-    return ModelState(arch, params)
+    model = ModelState(arch, np.zeros(_param_count(arch), dtype=dtype))
+    for name, p in model.params.items():
+        if name.endswith(".w"):
+            fan_in = math.prod(p.shape[1:]) if ".conv" in name else p.shape[0]
+            bound = np.sqrt(3.0 / fan_in)
+            p[...] = rng.uniform(-bound, bound, size=p.shape)  # cast to the model's dtype
+    return model
 
 
 # --- kernel plan ---
@@ -533,7 +566,7 @@ def _mlp_bwd(dscores, mlp_cache, grads):
 
 
 def _compute_grads(model: ModelState, x, labels):
-    """(loss, gradients) of a full step."""
+    """(loss, gradient) of a full step, the gradient laid out like ``model.flat``."""
     params, arch = model.params, model.arch
     plan = _plan(arch)
     dtype = model.dtype
@@ -572,7 +605,7 @@ def _compute_grads(model: ModelState, x, labels):
         dh = _maxpool_bwd(_relu_bwd(dh, relu_mask_i), winner, plan.pools[i], conv.length)
         dh, grads[f"enc.conv{i}.w"], grads[f"enc.conv{i}.b"] = _conv_bwd(
             dh, xp, params[f"enc.conv{i}.w"], conv)
-    return total, grads
+    return total, np.concatenate([grads[name] for name in _param_shapes(arch)], axis=None)
 
 
 def train_step(model: ModelState, x, labels, lr: float, head_only: bool = False) -> float:
@@ -606,15 +639,16 @@ def train_head_step(model: ModelState, z, labels, lr: float) -> float:
     ce, dscores = _cross_entropy(np.asarray(scores, dtype=np.float64), labels)
     grads: dict[str, np.ndarray] = {}
     _mlp_bwd((weight * dscores).astype(model.dtype), mlp_cache, grads)
-    return _apply_step(model, weight * ce, grads, lr)
+    head = [grads[name] for name in _param_shapes(model.arch) if name in grads]  # flat's tail
+    return _apply_step(model, weight * ce, np.concatenate(head, axis=None), lr)
 
 
-def _apply_step(model: ModelState, total: float, grads, lr: float) -> float:
+def _apply_step(model: ModelState, total: float, grad, lr: float) -> float:
+    """SGD on the tail of ``model.flat`` that ``grad`` covers, if ``total`` is finite."""
     if not np.isfinite(total):
         raise FloatingPointError(f"non-finite training loss {total!r}")
-    for name, g in grads.items():
-        # the step is rounded to the model's dtype before it is subtracted
-        model.params[name] -= np.multiply(lr, g, out=g)
+    # the step is rounded to the model's dtype before it is subtracted
+    model.flat[len(model.flat) - len(grad):] -= np.multiply(lr, grad, out=grad)
     return total
 
 
@@ -623,19 +657,16 @@ def grad_check(model: ModelState, x, labels, eps: float = 1e-5) -> float:
     over every parameter entry.  Meaningful only on a float64 model."""
     x = _check_input(model, x)
     labels = _check_labels(model, labels, len(x))
-    _, grads = _compute_grads(model, x, labels)
-    worst = 0.0
-    for name, g in grads.items():
-        p = model.params[name]
-        flat_p, flat_g = p.reshape(-1), np.asarray(g).reshape(-1)
-        for idx in range(flat_p.size):
-            orig = flat_p[idx]
-            flat_p[idx] = orig + eps
-            lp = evaluate_loss(model, x, labels)[0]
-            flat_p[idx] = orig - eps
-            lm = evaluate_loss(model, x, labels)[0]
-            flat_p[idx] = orig
-            numeric = (lp - lm) / (2.0 * eps)
-            scale = max(abs(numeric), abs(flat_g[idx]), 1e-8)
-            worst = max(worst, abs(numeric - flat_g[idx]) / scale)
+    _, grad = _compute_grads(model, x, labels)
+    flat, worst = model.flat, 0.0
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + eps
+        lp = evaluate_loss(model, x, labels)[0]
+        flat[idx] = orig - eps
+        lm = evaluate_loss(model, x, labels)[0]
+        flat[idx] = orig
+        numeric = (lp - lm) / (2.0 * eps)
+        scale = max(abs(numeric), abs(grad[idx]), 1e-8)
+        worst = max(worst, abs(numeric - grad[idx]) / scale)
     return worst

@@ -268,7 +268,7 @@ def head_only_step_ref(model, x, labels, lr: float) -> float:
         grads[f"mlp.fc{j}.w"], grads[f"mlp.fc{j}.b"] = inputs[j].T @ dz, dz.sum(axis=0)
         dz = dz @ w.T
     for name, g in grads.items():
-        params[name] -= np.multiply(lr, g, out=g)
+        params[name][...] -= np.multiply(lr, g, out=g)
     return total
 
 

@@ -47,6 +47,9 @@ def test_global_round_trip_restores_every_field(tmp_path):
     save_global(path, server)
     back = load_global(path)
 
+    raw = path.read_bytes()  # the payload is the model's flat vector
+    assert raw[_header_len(raw):] == server.global_model.flat.astype("<f4").tobytes()
+    assert back.global_model.flat.dtype == np.float32 and back.global_model.flat.flags.writeable
     for k in server.global_model.params:
         assert np.array_equal(back.global_model.params[k], server.global_model.params[k])
     assert back.global_model.arch == ARCH
@@ -216,10 +219,6 @@ def test_tensor_directory_must_match_architecture(tmp_path):
     save_client(path, client)
     assert _header(path)["tensors"] == [[name, list(shape)]
                                         for name, shape in _param_shapes(ARCH).items()]
-    # the architecture, not the params dict, orders the file
-    client.model.params = dict(reversed(client.model.params.items()))
-    save_client(tmp_path / "r.fedh", client)
-    assert (tmp_path / "r.fedh").read_bytes() == path.read_bytes()
 
     def rename(h):
         h["tensors"][0][0] = "enc.conv9.w"
@@ -239,11 +238,6 @@ def test_tensor_shape_and_dtype_are_checked(tmp_path):
         _rewrite_header(path, lambda h: h["tensors"][0].__setitem__(1, shape))
         with pytest.raises(CheckpointError, match="does not match the architecture"):
             load_client(path)
-
-    # a transposed weight holds as many floats, so only save can tell
-    client.model.params["enc.fc.w"] = client.model.params["enc.fc.w"].T.copy()
-    with pytest.raises(CheckpointError, match=r"tensor client/enc.fc.w has shape \(4, "):
-        save_client(path, client)
 
 
 def test_swapped_directory_entries_are_rejected(tmp_path):

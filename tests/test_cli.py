@@ -513,6 +513,15 @@ def test_main_overrides_pass_the_config_checks(tmp_path, capsys, flag, value, ke
     assert err.startswith(f"error: {key} must be >= ") and err.count("\n") == 1
 
 
+def test_main_rejects_an_eval_gap_that_skips_every_trained_round(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(eval_gap=3)), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: config.eval_gap must be <= personalization_rounds "
+                                       "(2), got 3\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "missing.json")])
     assert rc == 1

@@ -64,12 +64,19 @@ def test_plan_rejects_bad_configuration(tmp_path):
         (20, 5, (0, 5, 10, 15, 20)),
         (10, 3, (0, 3, 6, 9)),
         (3, 1, (0, 1, 2, 3)),
-        (2, 5, (0,)),
     ],
 )
 def test_eval_schedule(tmp_path, rounds, gap, expected):
     plan = tiny_plan(tmp_path, personalization_rounds=rounds, eval_gap=gap)
     assert plan.eval_schedule() == expected
+
+
+def test_eval_gap_beyond_the_last_round_is_rejected(tmp_path):
+    # such a schedule would score round 0 only, never a trained model
+    with pytest.raises(ValueError, match=r"^eval_gap must be <= personalization_rounds \(2\), "
+                                         "got 5$"):
+        tiny_plan(tmp_path, personalization_rounds=2, eval_gap=5)
+    assert tiny_plan(tmp_path, personalization_rounds=5, eval_gap=5).eval_schedule() == (0, 5)
 
 
 # --- one shared tiny run ---

@@ -61,7 +61,7 @@ def randomize_biases(model, rng):
     kink, where a finite difference straddles two subgradients."""
     for name, p in model.params.items():
         if name.endswith(".b"):
-            model.params[name] = rng.uniform(-0.1, 0.1, p.shape).astype(p.dtype)
+            p[...] = rng.uniform(-0.1, 0.1, p.shape).astype(p.dtype)
     return model
 
 
@@ -239,8 +239,7 @@ def test_forward_shapes_and_input_checks():
 def test_zero_model_gives_zero_recon_and_uniform_scores():
     arch = small_arch()
     m = init_model(arch, np.random.default_rng(0))
-    for name in m.params:
-        m.params[name] = np.zeros_like(m.params[name])
+    m.flat[:] = 0
     recon, scores, latent = forward(m, np.ones((3, 12), dtype=np.float32))
     assert not recon.any() and not scores.any() and not latent.any()
 
@@ -293,7 +292,7 @@ def test_evaluate_loss_uses_arch_weights_by_default():
     y = np.array([0, 1, 2, 0, 1])
     total, mse, ce = evaluate_loss(m, x, y)
     assert total == pytest.approx(2.0 * mse + 0.5 * ce, rel=1e-6)
-    even = ModelState(replace(arch, recon_weight=1.0, pred_weight=1.0), m.params)
+    even = ModelState(replace(arch, recon_weight=1.0, pred_weight=1.0), m.flat)
     assert evaluate_loss(even, x, y)[0] == pytest.approx(mse + ce, rel=1e-6)
 
 
@@ -372,7 +371,7 @@ def test_kernels_match_finite_differences_and_a_per_row_oracle(case):
     """An absolute floor keeps gradients near 0, whose differences are
     rounding noise, from failing a relative test."""
     model, x, y = case
-    _, grads = gcae._compute_grads(model, x, y)
+    grads = ModelState(model.arch, gcae._compute_grads(model, x, y)[1]).params  # named views
     for name, want in central_differences(model, x, y).items():
         assert np.allclose(grads[name], want, rtol=1e-4, atol=1e-7), name
     for got, want in zip(forward(model, x), gcae_forward_ref(model, x)):
@@ -419,11 +418,15 @@ def test_head_only_updates_classifier_only():
     arch = small_arch()
     m = init_model(arch, np.random.default_rng(4))
     before = {k: v.copy() for k, v in m.params.items()}
+    flat = m.flat.copy()
     train_step(m, np.random.default_rng(0).normal(size=(6, 12)).astype(np.float32),
                np.array([0, 1, 2, 0, 1, 2]), lr=0.1, head_only=True)
     for k in before:
         changed = not np.array_equal(m.params[k], before[k])
         assert changed == k.startswith("mlp.")
+    # the head's tensors are the tail of flat, and every byte before them stays
+    body = sum(v.size for k, v in before.items() if not k.startswith("mlp."))
+    assert m.flat[:body].tobytes() == flat[:body].tobytes()
 
 
 # the default architecture; a 2-channel conv, a pool of 3 and no hidden
@@ -465,7 +468,7 @@ def test_head_only_step_returns_the_weighted_cross_entropy():
     y = rng.integers(0, 3, size=9)
     total, _, ce = evaluate_loss(m, x, y)
     assert train_step(m.copy(), x, y, lr=0.1, head_only=True) == 0.7 * ce
-    quarter = ModelState(replace(arch, pred_weight=0.25), m.copy().params)
+    quarter = ModelState(replace(arch, pred_weight=0.25), m.copy().flat)
     assert train_step(quarter, x, y, lr=0.1, head_only=True) == 0.25 * ce
     assert train_step(m.copy(), x, y, lr=0.1) == total
 
@@ -508,7 +511,7 @@ def test_head_step_checks_its_codes_and_labels():
     before = m.copy()
     z = np.ones((4, m.arch.latent_dim), dtype=np.float32)
     y = np.array([0, 1, 2, 0])
-    half = ModelState(replace(m.arch, pred_weight=0.5), m.copy().params)
+    half = ModelState(replace(m.arch, pred_weight=0.5), m.copy().flat)
     assert train_head_step(half, z, y, lr=0.1) == 0.5 * train_head_step(m.copy(), z, y, lr=0.1)
     with pytest.raises(ValueError, match="latent must be"):
         train_head_step(m, np.ones((4, m.arch.latent_dim + 1)), y, lr=0.1)
@@ -535,7 +538,7 @@ def test_head_loss_on_kept_codes_equals_evaluate_loss(arch, dtype):
         diff = decode(model, z) - x
         mse = float(np.mean(diff * diff))
         assert evaluate_head_loss(model, z, y, mse) == evaluate_loss(model, x, y)
-        other = ModelState(replace(arch, recon_weight=0.2, pred_weight=3.0), model.params)
+        other = ModelState(replace(arch, recon_weight=0.2, pred_weight=3.0), model.flat)
         assert evaluate_head_loss(other, z, y, mse) == evaluate_loss(other, x, y)
 
 
@@ -680,6 +683,60 @@ def test_model_copy_is_deep():
     arch = small_arch()
     m = init_model(arch, np.random.default_rng(0))
     c = m.copy()
+    assert c.flat.tobytes() == m.flat.tobytes()
+    assert not np.shares_memory(c.flat, m.flat)
+    assert not any(np.shares_memory(p, m.flat) for p in c.params.values())
     c.params["enc.fc.w"][:] = 7.0
     assert not np.array_equal(m.params["enc.fc.w"], c.params["enc.fc.w"])
     assert m.arch is c.arch
+
+
+# --- the parameter vector ---
+
+
+def test_flat_of_the_wrong_length_is_rejected():
+    arch = small_arch()
+    size = init_model(arch, np.random.default_rng(0)).flat.size
+    assert size == sum(math.prod(s) for s in gcae._param_shapes(arch).values())
+    for bad in (np.zeros(size - 1, np.float32), np.zeros((1, size), np.float32)):
+        with pytest.raises(ValueError, match=f"architecture's {size} parameters"):
+            ModelState(arch, bad)
+
+
+def test_params_are_read_only_views_into_flat():
+    m = init_model(small_arch(), np.random.default_rng(0))
+    offset = 0
+    for name, p in m.params.items():
+        assert p.base is m.flat and np.shares_memory(p, m.flat), name
+        assert np.array_equal(p.reshape(-1), m.flat[offset:offset + p.size]), name
+        offset += p.size
+    assert offset == m.flat.size
+    with pytest.raises(TypeError):
+        m.params["enc.fc.b"] = np.zeros(m.arch.latent_dim, np.float32)
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_init_model_draws_each_tensor_in_layout_order(dtype):
+    """The draws of a model built tensor by tensor, each cast on its own."""
+    arch = small_arch(stages=(ConvStage(3, 3, 2), ConvStage(4, 5, 2)))
+    rng = np.random.default_rng(8)
+    want = []
+    for name, shape in gcae._param_shapes(arch).items():
+        if name.endswith(".b"):
+            want.append(np.zeros(shape, dtype=dtype))
+            continue
+        fan_in = int(np.prod(shape[1:])) if ".conv" in name else shape[0]
+        bound = np.sqrt(3.0 / fan_in)
+        want.append(rng.uniform(-bound, bound, size=shape).astype(dtype))
+    got = init_model(arch, np.random.default_rng(8), dtype=dtype)
+    assert got.dtype == dtype
+    assert got.flat.tobytes() == b"".join(w.tobytes() for w in want)
+
+
+def test_first_non_finite_names_the_first_bad_parameter():
+    m = init_model(small_arch(), np.random.default_rng(0))
+    assert m.first_non_finite() is None
+    m.params["mlp.fc0.b"][1] = np.inf
+    assert m.first_non_finite() == "mlp.fc0.b"
+    m.params["enc.fc.w"][0, 0] = np.nan
+    assert m.first_non_finite() == "enc.fc.w"
