@@ -79,9 +79,10 @@ class ExperimentPlan:
                           ("personalization_rounds", 1), ("eval_gap", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.eval_gap > self.personalization_rounds:
-            raise ValueError(f"eval_gap must be <= personalization_rounds "
-                             f"({self.personalization_rounds}), got {self.eval_gap}")
+        for rounds in ("personalization_rounds", "global_rounds"):  # else round 0 only is scored
+            if self.eval_gap > getattr(self, rounds):
+                raise ValueError(f"eval_gap must be <= {rounds} ({getattr(self, rounds)}), "
+                                 f"got {self.eval_gap}")
         if self.num_folds > len(self.dataset):
             raise ValueError(f"num_folds must be <= the dataset's {len(self.dataset)} rows, "
                              f"got {self.num_folds}")

@@ -100,11 +100,7 @@ class ModelState:
 
     @functools.cached_property
     def params(self) -> MappingProxyType:
-        views, start = {}, 0
-        for name, shape in _param_shapes(self.arch).items():
-            views[name] = self.flat[start:start + math.prod(shape)].reshape(shape)
-            start += views[name].size
-        return MappingProxyType(views)
+        return MappingProxyType(_views(self.arch, self.flat))
 
     @property
     def dtype(self) -> np.dtype:
@@ -144,8 +140,24 @@ def _param_shapes(arch: ArchSpec) -> MappingProxyType:
     return MappingProxyType(shapes)
 
 
+@functools.lru_cache(maxsize=16)
+def _slots(arch: ArchSpec) -> MappingProxyType:
+    """Each parameter's slice of ``ModelState.flat`` and its shape, or None
+    for a vector, which the slice already is."""
+    slots, start = {}, 0
+    for name, shape in _param_shapes(arch).items():
+        slots[name] = (slice(start, start + math.prod(shape)), shape if len(shape) > 1 else None)
+        start += math.prod(shape)
+    return MappingProxyType(slots)
+
+
 def _param_count(arch: ArchSpec) -> int:
     return sum(map(math.prod, _param_shapes(arch).values()))
+
+
+def _views(arch: ArchSpec, flat) -> dict:
+    return {name: flat[part] if shape is None else flat[part].reshape(shape)
+            for name, (part, shape) in _slots(arch).items()}
 
 
 def init_model(arch: ArchSpec, rng, dtype=np.float32) -> ModelState:
@@ -171,9 +183,9 @@ def init_model(arch: ArchSpec, rng, dtype=np.float32) -> ModelState:
 # so outputs come out channels-last with no transpose.  A training step
 # keeps the padded input, K times smaller than ``cols``, and rebuilds
 # ``cols`` from it in the backward pass, and an inference pass holds one
-# layer's ``cols`` at a time, so batch-512 memory does not grow.  The
-# encoder pools before its ReLU: max and ReLU commute, and the ReLU then
-# sees 1/pool of the samples.
+# layer's ``cols`` at a time, so batch-512 memory does not grow.  An
+# encoder conv's rows come grouped by pooling slot, so its pool and ReLU
+# read contiguous blocks, and a bias gradient is one product with ones.
 # Parameters keep (O, C, K) shapes and the dense layers read a (channels,
 # length) flattening, so the checkpoint format does not depend on the
 # layout.  The shapes come from a plan built once per ArchSpec; a call does
@@ -194,6 +206,7 @@ class _ConvPlan:
     kernel: int
     length: int
     need_dx: bool = True
+    pool: int = 1  # of the encoder's max pooling over the output
 
     @property
     def pad_left(self) -> int:
@@ -204,15 +217,15 @@ class _ConvPlan:
         return self.kernel - 1 - self.pad_left
 
     @property
-    def padded(self) -> int:
-        return self.length + self.kernel - 1
+    def tail(self) -> int:
+        """Zeros after ``pad_right`` that complete a ragged last pooling window."""
+        return -self.length % self.pool
 
 
 @dataclass(frozen=True)
 class _Plan:
     enc: tuple[_ConvPlan, ...]   # encoder convs, input side first
     dec: tuple[_ConvPlan, ...]   # decoder convs, latent side first
-    pools: tuple[int, ...]       # encoder pool sizes; the decoder upsamples by them in reverse
 
 
 @functools.lru_cache(maxsize=16)
@@ -221,19 +234,21 @@ def _plan(arch: ArchSpec) -> _Plan:
     lengths = arch.stage_input_lengths
     enc, in_ch = [], 1  # a row is one single-channel signal
     for i, st in enumerate(arch.stages):
-        enc.append(_ConvPlan(in_ch, st.channels, st.kernel, lengths[i], need_dx=i > 0))
+        enc.append(_ConvPlan(in_ch, st.channels, st.kernel, lengths[i], need_dx=i > 0,
+                              pool=st.pool))
         in_ch = st.channels
     dec = []
     for i in reversed(range(len(arch.stages))):
         out_ch = arch.stages[i - 1].channels if i > 0 else 1
         st = arch.stages[i]
         dec.append(_ConvPlan(st.channels, out_ch, st.kernel, lengths[i]))
-    return _Plan(tuple(enc), tuple(dec), tuple(st.pool for st in arch.stages))
+    return _Plan(tuple(enc), tuple(dec))
 
 
 # --- layer primitives ---
 #
-# Every activation and gradient here is (batch, length, channels).
+# Every activation and gradient here is (batch, length, channels).  A
+# backward pass writes parameter gradients into views of one vector.
 
 
 def _padded(h, pad_left: int, pad_right: int):
@@ -244,85 +259,82 @@ def _padded(h, pad_left: int, pad_right: int):
     return xp
 
 
-def _im2col(xp, kernel: int, length: int):
-    """(B*length, kernel*C) matrix of the ``length`` windows of ``kernel``
-    taps in a C-contiguous (B, length + kernel - 1, C) buffer; row
-    b*length + l holds xp[b, l:l + kernel] flattened.  It is a copy, except
-    when kernel, B or length is 1, where it may be a view into xp: nothing
-    may write to xp while the result is in use."""
+def _im2col(xp, kernel: int, length: int, pool: int = 1):
+    """Matrix of the windows of ``kernel`` taps at ``length`` positions, made
+    whole pooling windows, of a C-contiguous (B, ., C) buffer: row
+    (j*B + b)*T + t holds xp[b, l:l + kernel] flattened, l = t*pool + j.  A
+    copy, or where kernel, B or length is 1 maybe a view: xp must not change."""
     B, Lp, C = xp.shape
-    s = xp.itemsize
-    windows = np.ndarray((B, length, kernel * C), xp.dtype, xp, 0, (Lp * C * s, C * s, s))
-    return windows.reshape(B * length, kernel * C)
+    s, T = xp.itemsize, -(-length // pool)
+    windows = np.ndarray((pool, B, T, kernel * C), xp.dtype, xp, 0,
+                         (C * s, Lp * C * s, pool * C * s, s))
+    return windows.reshape(pool * B * T, kernel * C)
 
 
 def _conv_fwd(xp, w, b, conv: _ConvPlan):
-    """y[b, l, o] = sum_{k, c} xp[b, l + k, c] * w[o, c, k] + b[o], (B, L, O),
-    for a buffer padded as ``conv`` says."""
-    y = _im2col(xp, conv.kernel, conv.length) @ w.transpose(2, 1, 0).reshape(
+    """y[j, b, t, o] = sum_{k, c} xp[b, l + k, c] * w[o, c, k] + b[o], l = t*pool + j,
+    (pool, B, T, O), for xp padded as ``conv`` says; row order moves no bit."""
+    y = _im2col(xp, conv.kernel, conv.length, conv.pool) @ w.transpose(2, 1, 0).reshape(
         conv.kernel * conv.cin, conv.cout)
     y += b
-    return y.reshape(len(xp), conv.length, conv.cout)
+    return y.reshape(conv.pool, len(xp), -1, conv.cout)
 
 
-def _conv_bwd(dy, xp, w, conv: _ConvPlan):
-    """(dx or None, dw, db) for ``_conv_fwd`` given the output gradient and
-    the padded input the forward pass read."""
+def _conv_bwd(dy, xp, w, conv: _ConvPlan, dw, db):
+    """dx (None if ``conv`` needs none) of ``_conv_fwd`` on padded input xp;
+    writes the weight and bias gradients into ``dw`` and ``db``."""
     B, L, K = len(dy), conv.length, conv.kernel
     dy2 = dy.reshape(B * L, conv.cout)
-    dw = (_im2col(xp, K, L).T @ dy2).reshape(K, conv.cin, conv.cout).transpose(2, 1, 0)
-    db = dy2.sum(axis=0)
+    dw[...] = (_im2col(xp, K, L).T @ dy2).reshape(K, conv.cin, conv.cout).transpose(2, 1, 0)
+    np.matmul(np.ones(len(dy2), dtype=dy.dtype), dy2, out=db)  # a BLAS-ordered row sum
     if not conv.need_dx:
-        return None, dw, db
+        return None
     # dx is the correlation of dy, padded the other way round, with the
     # kernel flipped and its channel axes swapped
     wf = w[:, :, ::-1].transpose(2, 0, 1).reshape(K * conv.cout, conv.cin)
     dx = _im2col(_padded(dy, conv.pad_right, conv.pad_left), K, L) @ wf
-    return dx.reshape(B, L, conv.cin), dw, db
+    return dx.reshape(B, L, conv.cin)
 
 
-def _maxpool_fwd(h, p: int, train: bool):
-    """Ceil-mode max pooling by p over the length axis: (pooled, winner).
-
-    The ragged final window is maxed as-is.  In training mode ``winner``
-    holds the position of each window's first maximum; otherwise it is
-    None.  A NaN anywhere in a window makes the pooled value NaN, and the
-    loss with it, so the winner then goes unread.
-    """
-    B, L, C = h.shape
-    if L % p:
-        hp = np.empty((B, -(-L // p) * p, C), dtype=h.dtype)
-        hp[:, :L] = h
-        hp[:, L:] = -np.inf
-        h = hp
-    y, winner = h[:, 0::p], None
-    for j in range(1, p):
-        s = h[:, j::p]
+def _pool_relu(h, length: int, train: bool):
+    """ReLU of ceil-mode max pooling of ``length`` samples grouped by window
+    slot, (p, B, T, C), as ``_conv_fwd`` gives them: (y, raised).  y is the
+    running max(0, slot 0, slot 1, ...) of each window, a ragged last one
+    over the samples it has; in training ``raised[j - 1]`` marks where slot j
+    raised it, else ``raised`` is None.  A NaN makes y and the loss NaN."""
+    if length % len(h):
+        h[length % len(h):, :, -1] = -np.inf  # past the end of the signal
+    y = np.maximum(h[0], 0)
+    raised = [] if train else None
+    for slot in h[1:]:
         if train:
-            take = s > y
-            winner = take if winner is None else np.where(take, j, winner)
-        y = np.maximum(y, s)
-    if train and winner is None:  # p == 1: the only slot wins
-        winner = np.zeros(y.shape, dtype=bool)
-    return y, winner
+            raised.append(slot > y)
+        np.maximum(y, slot, out=y)
+    return y, raised
 
 
-def _maxpool_bwd(dy, winner, p: int, length: int):
-    """Route each pooled gradient to its window's first maximum; the other
-    slots get dy * 0, as in the ReLU backward."""
+def _pool_relu_bwd(dy, y, raised, length: int):
+    """dx of ``_pool_relu``, one mask per slot: a window's dy
+    goes to its first maximum, the last slot that raised the running one or
+    else slot 0, and nowhere where y is 0; the other slots get dy * 0."""
     B, T, C = dy.shape
+    p = len(raised) + 1
     dx = np.empty((B, T, p, C), dtype=dy.dtype)
-    for j in range(p):
-        dx[:, :, j] = dy * (winner == j)
+    taken = None
+    for j in range(p - 1, 0, -1):
+        up = raised[j - 1]
+        np.multiply(dy, up if taken is None else up > taken, out=dx[:, :, j])
+        taken = up if taken is None else taken | up
+    np.multiply(dy, y > 0 if taken is None else (y > 0) > taken, out=dx[:, :, 0])
     return dx.reshape(B, T * p, C)[:, :length]
 
 
-def _upsample_into(xp, h, p: int, start: int, length: int) -> None:
-    """Write h repeated p times along the length axis, cropped to
-    ``length``, into xp[:, start:start + length]."""
-    for j in range(p):
-        dst = xp[:, start + j:start + length:p]
-        dst[...] = h[:, :dst.shape[1]]
+def _upsampled(h, p: int, conv: _ConvPlan):
+    """``conv``'s padded input: h repeated p times along the length axis and
+    cropped to ``conv.length``, between zero pads."""
+    xp = np.zeros((len(h), conv.length + conv.kernel - 1, conv.cin), dtype=h.dtype)
+    xp[:, conv.pad_left:conv.pad_left + conv.length] = np.repeat(h, p, axis=1)[:, :conv.length]
+    return xp
 
 
 def _upsample_bwd(dy, p: int):
@@ -335,22 +347,16 @@ def _upsample_bwd(dy, p: int):
     return dx
 
 
-def _dense_fwd(x, w, b):
-    return x @ w + b, (x, w)
+def _dense_bwd(dy, x, w, dw, db):
+    """dx of ``x @ w + b``; writes the weight and bias gradients into dw, db."""
+    np.matmul(x.T, dy, out=dw)
+    np.add.reduce(dy, axis=0, out=db)
+    return dy @ w.T
 
 
-def _dense_bwd(dy, ctx):
-    x, w = ctx
-    return dy @ w.T, x.T @ dy, dy.sum(axis=0)
-
-
-def _relu_fwd(x, train: bool):
+def _relu(x, train: bool):
     """(max(x, 0), the mask of positive inputs if ``train``, else None)."""
     return np.maximum(x, 0), (x > 0 if train else None)
-
-
-def _relu_bwd(dy, mask):
-    return dy * mask
 
 
 def _flatten(h):
@@ -391,44 +397,36 @@ def _in_slices(pass_fn, rows):
 
 
 def _encode(params, plan: _Plan, x, cache=None):
-    B = len(x)
     train = cache is not None
-    first = plan.enc[0]
-    xp = _padded(x.reshape(B, first.length, first.cin), first.pad_left, first.pad_right)
+    h = x.reshape(len(x), -1, 1)  # a row is one single-channel signal
     for i, conv in enumerate(plan.enc):
-        h = _conv_fwd(xp, params[f"enc.conv{i}.w"], params[f"enc.conv{i}.b"], conv)
-        h, winner = _maxpool_fwd(h, plan.pools[i], train)
-        h, relu_mask = _relu_fwd(h, train)
+        xp = _padded(h, conv.pad_left, conv.pad_right + conv.tail)
+        h, raised = _pool_relu(_conv_fwd(xp, params[f"enc.conv{i}.w"], params[f"enc.conv{i}.b"],
+                                         conv), conv.length, train)
         if train:
-            cache.append((xp, relu_mask, winner))
-        if i + 1 < len(plan.enc):
-            nxt = plan.enc[i + 1]
-            xp = _padded(h, nxt.pad_left, nxt.pad_right)
-    latent, fc_ctx = _dense_fwd(_flatten(h), params["enc.fc.w"], params["enc.fc.b"])
+            cache.append((xp, h, raised))
+    rows = _flatten(h)
     if train:
-        cache.append(fc_ctx)
-    return latent
+        cache.append(rows)
+    return rows @ params["enc.fc.w"] + params["enc.fc.b"]
 
 
 def _decode(params, plan: _Plan, z, cache=None):
-    B = len(z)
     train = cache is not None
-    pre, fc_ctx = _dense_fwd(z, params["dec.fc.w"], params["dec.fc.b"])
-    h, relu_mask = _relu_fwd(pre, train)
-    h = _unflatten(h, plan.dec[0].cin)
+    h, relu_mask = _relu(z @ params["dec.fc.w"] + params["dec.fc.b"], train)
     if train:
-        cache.append((fc_ctx, relu_mask))
+        cache.append((z, relu_mask))
+    h = _unflatten(h, plan.dec[0].cin)
     last = len(plan.dec) - 1
     for d, conv in enumerate(plan.dec):
-        xp = np.zeros((B, conv.padded, conv.cin), dtype=h.dtype)
-        _upsample_into(xp, h, plan.pools[last - d], conv.pad_left, conv.length)
-        h = _conv_fwd(xp, params[f"dec.conv{d}.w"], params[f"dec.conv{d}.b"], conv)
+        xp = _upsampled(h, plan.enc[last - d].pool, conv)
+        h = _conv_fwd(xp, params[f"dec.conv{d}.w"], params[f"dec.conv{d}.b"], conv)[0]
         conv_relu = None
         if d < last:
-            h, conv_relu = _relu_fwd(h, train)
+            h, conv_relu = _relu(h, train)
         if train:
             cache.append((xp, conv_relu))
-    return h.reshape(B, -1)
+    return h.reshape(len(z), -1)
 
 
 def _mlp(params, arch, z, cache=None):
@@ -436,12 +434,12 @@ def _mlp(params, arch, z, cache=None):
     n_layers = len(arch.mlp_hidden) + 1
     h = z
     for j in range(n_layers):
-        h, ctx = _dense_fwd(h, params[f"mlp.fc{j}.w"], params[f"mlp.fc{j}.b"])
+        x, h = h, h @ params[f"mlp.fc{j}.w"] + params[f"mlp.fc{j}.b"]
         mask = None
         if j < n_layers - 1:
-            h, mask = _relu_fwd(h, train)
+            h, mask = _relu(h, train)
         if train:
-            cache.append((ctx, mask))
+            cache.append((x, mask))
     return h
 
 
@@ -482,27 +480,30 @@ def _check_codes(model: ModelState, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _mean_square(diff) -> float:
-    return float(np.mean(diff * diff))
+def _mean(values) -> float:
+    """``np.mean`` of a float array without its Python layer: the same sum,
+    divided by the count in float64 and rounded to the array's dtype."""
+    return float(values.dtype.type(float(np.add.reduce(values, axis=None)) / values.size))
 
 
 def _mse(recon, target):
     diff = recon - target
-    return _mean_square(diff), (2.0 / diff.size) * diff
+    return _mean(np.square(diff)), (2.0 / diff.size) * diff
 
 
 def _cross_entropy_value(scores, labels):
     """(mean cross-entropy, shifted scores, their log-sum-exp per row)."""
-    z = scores - scores.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(z), axis=1))
-    return float(np.mean(lse - z[np.arange(len(labels)), labels])), z, lse
+    z = scores - np.maximum.reduce(scores, axis=1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(z), axis=1))
+    return _mean(lse - z[np.arange(len(labels)), labels]), z, lse
 
 
 def _cross_entropy(scores, labels):
     val, z, lse = _cross_entropy_value(scores, labels)
     soft = np.exp(z - lse[:, None])
     soft[np.arange(len(labels)), labels] -= 1.0
-    return val, soft / len(labels)
+    soft /= len(labels)
+    return val, soft
 
 
 def loss(recon, x, scores, labels, alpha: float, beta: float):
@@ -530,7 +531,7 @@ def evaluate_loss(model: ModelState, x, labels) -> tuple[float, float, float]:
 
 def reconstruction_mse(recon: np.ndarray, x: np.ndarray) -> float:
     """The loss's MSE term, of a reconstruction ``recon`` of the rows ``x``."""
-    return _mean_square(recon - x)
+    return _mean(np.square(recon - x))
 
 
 def evaluate_head_loss(model: ModelState, z, labels, mse: float) -> tuple[float, float, float]:
@@ -548,20 +549,20 @@ def _check_labels(model, labels, n):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise ValueError("labels must be 1-D and match the batch")
-    if labels.min() < 0 or labels.max() >= model.arch.num_classes:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= model.arch.num_classes:
         raise ValueError("label out of range")
     return labels
 
 
-def _mlp_bwd(dscores, mlp_cache, grads):
-    """Backward through the classifier head; fills its gradients into
-    ``grads`` and returns the gradient of the latent."""
+def _mlp_bwd(dscores, mlp_cache, params, grads):
+    """Backward through the classifier head; writes its gradients into the
+    views ``grads`` and returns the gradient of the latent."""
     dz = dscores
     for j in reversed(range(len(mlp_cache))):
-        ctx, mask = mlp_cache[j]
+        x, mask = mlp_cache[j]
         if mask is not None:
-            dz = _relu_bwd(dz, mask)
-        dz, grads[f"mlp.fc{j}.w"], grads[f"mlp.fc{j}.b"] = _dense_bwd(dz, ctx)
+            dz = dz * mask
+        dz = _dense_bwd(dz, x, params[f"mlp.fc{j}.w"], grads[f"mlp.fc{j}.w"], grads[f"mlp.fc{j}.b"])
     return dz
 
 
@@ -569,43 +570,40 @@ def _compute_grads(model: ModelState, x, labels):
     """(loss, gradient) of a full step, the gradient laid out like ``model.flat``."""
     params, arch = model.params, model.arch
     plan = _plan(arch)
-    dtype = model.dtype
-    grads: dict[str, np.ndarray] = {}
-    enc_cache, dec_cache = [], []
+    grad = np.empty_like(model.flat)
+    g = _views(arch, grad)
+    enc_cache, dec_cache, mlp_cache = [], [], []
     latent = _encode(params, plan, x, enc_cache)
     recon = _decode(params, plan, latent, dec_cache)
-    mlp_cache = []
     scores = _mlp(params, arch, latent, mlp_cache)
 
     total, drecon, dscores = loss(recon, x, scores, labels, arch.recon_weight, arch.pred_weight)
-    drecon = drecon.astype(dtype)
-    dz_mlp = _mlp_bwd(dscores.astype(dtype), mlp_cache, grads)
+    dz_mlp = _mlp_bwd(dscores.astype(model.dtype), mlp_cache, params, g)
 
     # decoder
-    (fc_ctx, relu_mask), stage_cache = dec_cache[0], dec_cache[1:]
+    (z, relu_mask), stage_cache = dec_cache[0], dec_cache[1:]
     last = len(plan.dec) - 1
-    dh = drecon.reshape(len(x), arch.input_len, 1)
+    dh = drecon.astype(model.dtype, copy=False).reshape(len(x), arch.input_len, 1)
     for d in reversed(range(len(plan.dec))):
         xp, conv_relu = stage_cache[d]
         if conv_relu is not None:
-            dh = _relu_bwd(dh, conv_relu)
-        dh, grads[f"dec.conv{d}.w"], grads[f"dec.conv{d}.b"] = _conv_bwd(
-            dh, xp, params[f"dec.conv{d}.w"], plan.dec[d])
-        dh = _upsample_bwd(dh, plan.pools[last - d])
-    dflat = _relu_bwd(_flatten(dh), relu_mask)
-    dz_dec, grads["dec.fc.w"], grads["dec.fc.b"] = _dense_bwd(dflat, fc_ctx)
+            dh = dh * conv_relu
+        dh = _conv_bwd(dh, xp, params[f"dec.conv{d}.w"], plan.dec[d],
+                       g[f"dec.conv{d}.w"], g[f"dec.conv{d}.b"])
+        dh = _upsample_bwd(dh, plan.enc[last - d].pool)
+    dz_dec = _dense_bwd(_flatten(dh) * relu_mask, z, params["dec.fc.w"], g["dec.fc.w"],
+                        g["dec.fc.b"])
 
     # encoder, fed by both latent consumers
-    stage_cache, enc_fc_ctx = enc_cache[:-1], enc_cache[-1]
-    dflat_enc, grads["enc.fc.w"], grads["enc.fc.b"] = _dense_bwd(dz_dec + dz_mlp, enc_fc_ctx)
-    dh = _unflatten(dflat_enc, arch.stages[-1].channels)
+    stage_cache, rows = enc_cache[:-1], enc_cache[-1]
+    dh = _unflatten(_dense_bwd(dz_dec + dz_mlp, rows, params["enc.fc.w"], g["enc.fc.w"],
+                               g["enc.fc.b"]), arch.stages[-1].channels)
     for i in reversed(range(len(plan.enc))):
-        xp, relu_mask_i, winner = stage_cache[i]
+        xp, y, raised = stage_cache[i]
         conv = plan.enc[i]
-        dh = _maxpool_bwd(_relu_bwd(dh, relu_mask_i), winner, plan.pools[i], conv.length)
-        dh, grads[f"enc.conv{i}.w"], grads[f"enc.conv{i}.b"] = _conv_bwd(
-            dh, xp, params[f"enc.conv{i}.w"], conv)
-    return total, np.concatenate([grads[name] for name in _param_shapes(arch)], axis=None)
+        dh = _conv_bwd(_pool_relu_bwd(dh, y, raised, conv.length), xp, params[f"enc.conv{i}.w"],
+                       conv, g[f"enc.conv{i}.w"], g[f"enc.conv{i}.b"])
+    return total, grad
 
 
 def train_step(model: ModelState, x, labels, lr: float, head_only: bool = False) -> float:
@@ -637,15 +635,15 @@ def train_head_step(model: ModelState, z, labels, lr: float) -> float:
     mlp_cache = []
     scores = _mlp(model.params, model.arch, z, mlp_cache)
     ce, dscores = _cross_entropy(np.asarray(scores, dtype=np.float64), labels)
-    grads: dict[str, np.ndarray] = {}
-    _mlp_bwd((weight * dscores).astype(model.dtype), mlp_cache, grads)
-    head = [grads[name] for name in _param_shapes(model.arch) if name in grads]  # flat's tail
-    return _apply_step(model, weight * ce, np.concatenate(head, axis=None), lr)
+    grad = np.empty_like(model.flat)  # only the head's tail is written
+    _mlp_bwd((weight * dscores).astype(model.dtype), mlp_cache, model.params,
+             _views(model.arch, grad))
+    return _apply_step(model, weight * ce, grad[_slots(model.arch)["mlp.fc0.w"][0].start:], lr)
 
 
 def _apply_step(model: ModelState, total: float, grad, lr: float) -> float:
     """SGD on the tail of ``model.flat`` that ``grad`` covers, if ``total`` is finite."""
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise FloatingPointError(f"non-finite training loss {total!r}")
     # the step is rounded to the model's dtype before it is subtracted
     model.flat[len(model.flat) - len(grad):] -= np.multiply(lr, grad, out=grad)

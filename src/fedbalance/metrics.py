@@ -28,35 +28,34 @@ def accuracy(predicted: np.ndarray, true: np.ndarray) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``values``, each group of ties given the mean of the
-    ranks it spans.  The means are half-integers, so they are exact."""
+    """1-based ranks of ``values`` down each column (of a 1-D array, of the
+    whole), each group of ties given the mean of the ranks it spans.  The
+    means are half-integers, so they are exact."""
     values = np.asarray(values)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    new_group = np.empty(len(values), dtype=bool)
+    table = values[:, None] if values.ndim == 1 else values
+    order = np.argsort(table, axis=0, kind="stable")
+    column = np.arange(table.shape[1])
+    ordered = table[order, column]
+    new_group = np.empty(table.shape, dtype=bool)
     new_group[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new_group[1:])
+    # the columns back to back, each starting a group at its first row
+    new_group = new_group.T.ravel()
     starts = np.flatnonzero(new_group)
-    ends = np.append(starts[1:], len(values))
-    ranks = np.empty(len(values), dtype=np.float64)
-    ranks[order] = ((starts + 1 + ends) / 2.0)[np.cumsum(new_group) - 1]
-    return ranks
-
-
-def _binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:
-    # Mann-Whitney with tied ranks averaged.
-    n_pos = int(positives.sum())
-    n_neg = len(positives) - n_pos
-    ranks = _average_ranks(scores)
-    rank_sum = float(ranks[positives].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    ends = np.append(starts[1:], new_group.size)
+    first = starts - starts % len(table)
+    ranks = np.empty(table.shape, dtype=np.float64)
+    ranks[order, column] = ((starts - first + 1 + ends - first) / 2.0)[
+        np.cumsum(new_group) - 1].reshape(table.shape[::-1]).T
+    return ranks.reshape(values.shape)
 
 
 def roc_auc_macro(scores: np.ndarray, labels: np.ndarray) -> float:
     """Macro mean of one-vs-rest AUCs over the classes present in ``labels``.
 
     ``scores`` is (n_samples, n_classes); column c ranks membership in
-    class c.  Classes absent from ``labels`` are skipped.
+    class c.  Classes absent from ``labels`` are skipped; the others are
+    ranked in one pass, with tied ranks averaged (Mann-Whitney).
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -67,8 +66,12 @@ def roc_auc_macro(scores: np.ndarray, labels: np.ndarray) -> float:
     present = _unique(labels)
     if len(present) < 2:
         raise ValueError("fewer than 2 classes present in labels")
-    aucs = [_binary_auc(scores[:, c], labels == c) for c in present]
-    return float(np.mean(aucs))
+    column = np.searchsorted(present, labels)  # each row's own class among the ranked
+    ranks = _average_ranks(scores[:, present])[np.arange(len(labels)), column]
+    # sums of half-integers, exact in any order
+    rank_sums = np.bincount(column, weights=ranks, minlength=len(present))
+    n_pos = np.bincount(column, minlength=len(present))
+    return float(np.mean((rank_sums - n_pos * (n_pos + 1) / 2.0) / (n_pos * (len(labels) - n_pos))))
 
 
 def sample_std(values) -> float:

@@ -183,17 +183,14 @@ def knn_indices(points: np.ndarray, query_row: int, k: int) -> np.ndarray:
 def _synthesize(rows: np.ndarray, seed_positions: np.ndarray, k: int, n_new: int, rng) -> np.ndarray:
     """SMOTE interpolation within one class of at least 2 rows: p drawn from
     the seed pool, q from p's k nearest same-class neighbors (k clamped to
-    rows - 1), result p + lam * (q - p) with lam uniform in [0, 1]."""
+    rows - 1), result p + lam * (q - p) with lam uniform in [0, 1].  The
+    generator draws every p, then every q, then every lam, as three blocks."""
     k_eff = min(k, len(rows) - 1)
     seeds = _unique(seed_positions)
-    neighbors = dict(zip(seeds.tolist(), knn_table(rows, k_eff, seeds)))
-    out = np.empty((n_new, rows.shape[1]), dtype=rows.dtype)
-    for t in range(n_new):
-        p = int(seed_positions[rng.integers(len(seed_positions))])
-        q = int(neighbors[p][rng.integers(k_eff)])
-        lam = rng.random()
-        out[t] = rows[p] + (rows[q] - rows[p]) * rows.dtype.type(lam)
-    return out
+    p = seed_positions[rng.integers(len(seed_positions), size=n_new)]
+    q = knn_table(rows, k_eff, seeds)[np.searchsorted(seeds, p), rng.integers(k_eff, size=n_new)]
+    lam = rng.random(n_new).astype(rows.dtype)
+    return rows[p] + (rows[q] - rows[p]) * lam[:, None]
 
 
 def fit_linear_svm(features: np.ndarray, binary_labels: np.ndarray, params: SvmParams):

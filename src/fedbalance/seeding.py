@@ -14,6 +14,7 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded with the package, not lazily by the first draw
 
 
 def _encode_part(part) -> int:

@@ -67,7 +67,7 @@ def test_plan_rejects_bad_configuration(tmp_path):
     ],
 )
 def test_eval_schedule(tmp_path, rounds, gap, expected):
-    plan = tiny_plan(tmp_path, personalization_rounds=rounds, eval_gap=gap)
+    plan = tiny_plan(tmp_path, global_rounds=gap, personalization_rounds=rounds, eval_gap=gap)
     assert plan.eval_schedule() == expected
 
 
@@ -76,7 +76,15 @@ def test_eval_gap_beyond_the_last_round_is_rejected(tmp_path):
     with pytest.raises(ValueError, match=r"^eval_gap must be <= personalization_rounds \(2\), "
                                          "got 5$"):
         tiny_plan(tmp_path, personalization_rounds=2, eval_gap=5)
-    assert tiny_plan(tmp_path, personalization_rounds=5, eval_gap=5).eval_schedule() == (0, 5)
+    assert tiny_plan(tmp_path, global_rounds=5, personalization_rounds=5,
+                     eval_gap=5).eval_schedule() == (0, 5)
+
+
+def test_eval_gap_beyond_the_last_global_round_is_rejected(tmp_path):
+    # the global phase would score only the untrained initial model
+    with pytest.raises(ValueError, match=r"^eval_gap must be <= global_rounds \(2\), got 3$"):
+        tiny_plan(tmp_path, global_rounds=2, personalization_rounds=4, eval_gap=3)
+    tiny_plan(tmp_path, global_rounds=3, personalization_rounds=4, eval_gap=3)
 
 
 # --- one shared tiny run ---

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbalance import gcae
+from fedbalance.cli import _run_settings
 from fedbalance.gcae import (
     _PASS_ROWS,
     ArchSpec,
@@ -16,12 +18,12 @@ from fedbalance.gcae import (
     _conv_bwd,
     _conv_fwd,
     _ConvPlan,
-    _maxpool_bwd,
-    _maxpool_fwd,
     _padded,
     _plan,
+    _pool_relu,
+    _pool_relu_bwd,
     _upsample_bwd,
-    _upsample_into,
+    _upsampled,
     decode,
     encode,
     evaluate_head_loss,
@@ -132,7 +134,7 @@ def conv_forward(x, w, b):
     the padded channels-last buffer it read, the plan)."""
     conv = _ConvPlan(x.shape[1], w.shape[0], w.shape[2], x.shape[2])
     xp = _padded(swap(x), conv.pad_left, conv.pad_right)
-    return swap(_conv_fwd(xp, w, b, conv)), xp, conv
+    return swap(_conv_fwd(xp, w, b, conv)[0]), xp, conv
 
 
 def test_conv1d_matches_reference():
@@ -153,15 +155,26 @@ def test_conv1d_backward_matches_reference():
         w = rng.normal(size=(4, 3, k))
         dy = rng.normal(size=(batch, 4, 25))
         _, xp, conv = conv_forward(x, w, rng.normal(size=4))
-        dx, dw, db = _conv_bwd(swap(dy), xp, w, conv)
+        dw, db = np.empty_like(w), np.empty(4)
+        dx = _conv_bwd(swap(dy), xp, w, conv, dw, db)
         want_dx, want_dw, want_db = conv1d_grads_ref(x, w, dy)
         assert np.allclose(swap(dx), want_dx, atol=1e-12)
         assert np.allclose(dw, want_dw, atol=1e-12)
         assert np.allclose(db, want_db, atol=1e-12)
         # the input gradient of the data-facing conv is never computed
         skip = _ConvPlan(3, 4, k, 25, need_dx=False)
-        none_dx, dw_again, _ = _conv_bwd(swap(dy), xp, w, skip)
-        assert none_dx is None and np.array_equal(dw_again, dw)
+        dw_again = np.empty_like(w)
+        assert _conv_bwd(swap(dy), xp, w, skip, dw_again, np.empty(4)) is None
+        assert np.array_equal(dw_again, dw)
+
+
+def pool_relu(x, p, train):
+    """The encoder's pooling and ReLU of (B, L, C) rows ``x``, behind an
+    identity conv."""
+    conv = _ConvPlan(x.shape[2], x.shape[2], 1, x.shape[1], pool=p)
+    h = _conv_fwd(_padded(x, 0, conv.tail), np.eye(x.shape[2])[:, :, None], np.zeros(x.shape[2]),
+                  conv)
+    return _pool_relu(h, x.shape[1], train)
 
 
 def test_maxpool_matches_reference_including_ragged_tail():
@@ -169,21 +182,44 @@ def test_maxpool_matches_reference_including_ragged_tail():
     for batch, (L, p) in ((batch, lp) for batch in BATCHES
                           for lp in ((8, 2), (9, 2), (25, 2), (10, 3), (7, 4), (5, 1))):
         x = rng.normal(size=(batch, 3, L))
-        want = maxpool_ref(x, p)
-        got, winner = _maxpool_fwd(swap(x), p, train=True)
-        assert np.allclose(swap(got), want)
-        values_only, none = _maxpool_fwd(swap(x), p, train=False)
+        want = maxpool_ref(x, p)  # the ReLU follows the pool
+        got, raised = pool_relu(swap(x), p, train=True)
+        assert np.allclose(swap(got), np.maximum(want, 0))
+        values_only, none = pool_relu(swap(x), p, train=False)
         assert np.array_equal(values_only, got) and none is None
         dy = rng.normal(size=want.shape)
-        assert np.allclose(swap(_maxpool_bwd(swap(dy), winner, p, L)), maxpool_grad_ref(x, p, dy))
+        assert np.allclose(swap(_pool_relu_bwd(swap(dy), got, raised, L)),
+                           maxpool_grad_ref(x, p, dy * (want > 0)))
+
+
+def test_pooled_conv_gives_the_plain_conv_bytes():
+    """The encoder's conv, its rows grouped by pooling slot, pools exactly
+    the values ``_conv_fwd`` gives, ragged last window included."""
+    rng = np.random.default_rng(3)
+    for batch, (L, p, k) in ((batch, lpk) for batch in (1, 7, 32)
+                             for lpk in ((24, 2, 5), (25, 2, 3), (10, 3, 4), (7, 4, 2), (5, 1, 1))):
+        for dtype in (np.float32, np.float64):
+            x = rng.normal(size=(batch, L, 3)).astype(dtype)
+            w = rng.normal(size=(4, 3, k)).astype(dtype)
+            b = rng.normal(size=4).astype(dtype)
+            conv = _ConvPlan(3, 4, k, L, pool=p)
+            xp = _padded(x, conv.pad_left, conv.pad_right + conv.tail)
+            got, _ = _pool_relu(_conv_fwd(xp, w, b, conv), L, train=False)
+            plain = _conv_fwd(_padded(x, conv.pad_left, conv.pad_right), w, b,
+                              _ConvPlan(3, 4, k, L))[0]
+            want = np.full((batch, L + conv.tail, 4), -np.inf, dtype=dtype)
+            want[:, :L] = plain
+            want = np.maximum(want.reshape(batch, -1, p, 4).max(axis=2), 0)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_maxpool_gradient_goes_to_the_first_of_tied_maxima():
-    x = np.array([[[1.0], [1.0], [0.0], [2.0], [2.0], [2.0]]])
-    got, winner = _maxpool_fwd(x, 3, train=True)
-    assert got.tolist() == [[[1.0], [2.0]]]
-    dx = _maxpool_bwd(np.array([[[5.0], [7.0]]]), winner, 3, 6)
-    assert dx.tolist() == [[[5.0], [0.0], [0.0], [7.0], [0.0], [0.0]]]
+    # the third window's maximum is 0, which the ReLU zeroes: no slot gets its gradient
+    x = np.array([[[1.0], [1.0], [0.0], [2.0], [2.0], [2.0], [-1.0], [0.0], [0.0]]])
+    got, raised = pool_relu(x, 3, train=True)
+    assert got.tolist() == [[[1.0], [2.0], [0.0]]]
+    dx = _pool_relu_bwd(np.array([[[5.0], [7.0], [9.0]]]), got, raised, 9)
+    assert dx.tolist() == [[[5.0], [0.0], [0.0], [7.0], [0.0], [0.0], [0.0], [0.0], [0.0]]]
 
 
 def test_upsample_matches_reference():
@@ -192,11 +228,11 @@ def test_upsample_matches_reference():
                                         for shape in ((2, 5, 9), (2, 5, 10), (2, 13, 25),
                                                       (3, 4, 10), (3, 4, 12))):
         x = rng.normal(size=(batch, 3, in_len))
-        # written into the middle of a longer buffer, as the decoder pads it
-        buf = np.full((batch, out_len + 4, 3), 9.0)
-        _upsample_into(buf, swap(x), p, 2, out_len)
+        # written between the zero pads of a kernel-5 conv's input
+        buf = _upsampled(swap(x), p, _ConvPlan(3, 1, 5, out_len))
+        assert buf.shape == (batch, out_len + 4, 3)
         assert np.allclose(swap(buf[:, 2:-2]), upsample_ref(x, p, out_len))
-        assert np.all(buf[:, :2] == 9.0) and np.all(buf[:, -2:] == 9.0)
+        assert not buf[:, :2].any() and not buf[:, -2:].any()
         dy = rng.normal(size=(batch, 3, out_len))
         assert np.allclose(swap(_upsample_bwd(swap(dy), p)), upsample_grad_ref(dy, p, in_len))
 
@@ -209,7 +245,7 @@ def test_plan_depends_on_the_architecture_only():
         (1, 4, 3, 25, False), (4, 5, 4, 13, True)]
     assert [(c.cin, c.cout, c.kernel, c.length) for c in plan.dec] == [
         (5, 4, 4, 13), (4, 1, 3, 25)]
-    assert plan.pools == (2, 3)
+    assert [c.pool for c in plan.enc] == [2, 3]
     # calls at many batch sizes add nothing to the plan cache
     m = init_model(arch, np.random.default_rng(0))
     before = _plan.cache_info().currsize
@@ -403,6 +439,40 @@ def test_interleaved_architectures_train_as_if_alone():
         assert losses[i] == alone[i][1]
         for name, p in alone[i][0].params.items():
             assert np.array_equal(together[i].params[name], p)
+
+
+# SHA-1 of ``flat`` after one step from init_model(ArchSpec(24, 6), default_rng(0)),
+# on the first rows of default_rng(1)'s draws, with learning rate 0.05, at one
+# BLAS thread
+_STEP_DIGESTS = {
+    "float32 b1": "8d2b81847f8113c4b913fdb918213b93e4cfb3f1",
+    "float32 b7": "1341b7df4466f950076d4cbd2a48daa265b71f29",
+    "float32 b32": "449d09c47d0bdd8e6f61959201db89356ef5ef7a",
+    "float32 b512": "33d7d61b97667fefd2ea763b8ca0186f620fcfb9",
+    "float64 b32": "fba2ce970bccf98e313885fa632362db44eadb5d",
+    "head b32": "dae80b77047bed956efeb94adc7a68b62a49af76",
+}
+
+
+def test_train_step_keeps_its_bytes():
+    """A kernel edit that moves any bit of a step shows here and must update
+    the digests."""
+    arch = ArchSpec(input_len=24, num_classes=6)
+    rng = np.random.default_rng(1)
+    x, y = rng.normal(size=(512, 24)), rng.integers(0, 6, size=512)
+    got = {}
+    with _run_settings():
+        for batch in (1, 7, 32, 512):
+            m = init_model(arch, np.random.default_rng(0))
+            train_step(m, x[:batch].astype(np.float32), y[:batch], 0.05)
+            got[f"float32 b{batch}"] = hashlib.sha1(m.flat.tobytes()).hexdigest()
+        m = init_model(arch, np.random.default_rng(0), dtype=np.float64)
+        train_step(m, x[:32], y[:32], 0.05)
+        got["float64 b32"] = hashlib.sha1(m.flat.tobytes()).hexdigest()
+        m = init_model(arch, np.random.default_rng(0))
+        train_head_step(m, encode(m, x[:32]), y[:32], 0.05)
+        got["head b32"] = hashlib.sha1(m.flat.tobytes()).hexdigest()
+    assert got == _STEP_DIGESTS
 
 
 def test_train_step_zero_lr_is_noop():

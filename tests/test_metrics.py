@@ -60,6 +60,23 @@ def test_multiclass_auc_matches_oracle():
     assert roc_auc_macro(scores, labels) == pytest.approx(want, abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 25), classes=st.integers(2, 5))
+def test_macro_auc_of_tied_scores_matches_pair_counting(data, n, classes):
+    """Every present class ranked in one pass, absent classes skipped, and
+    ties (a few distinct values, -0.0 among them) averaged."""
+    labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, classes - 1)))
+    scores = data.draw(hnp.arrays(np.float64, (n, classes),
+                                  elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])))
+    present = sorted(set(labels.tolist()))
+    if len(present) < 2:
+        with pytest.raises(ValueError, match="fewer than 2 classes"):
+            roc_auc_macro(scores, labels)
+        return
+    want = np.mean([pairwise_auc(scores[:, c], labels == c) for c in present])
+    assert roc_auc_macro(scores, labels) == pytest.approx(want, abs=1e-12)
+
+
 def test_auc_constant_scores_is_half():
     labels = np.array([0, 0, 1, 1, 1])
     scores = np.ones((5, 2))
@@ -118,6 +135,11 @@ def test_average_ranks_match_brute_force_oracle():
         got = _average_ranks(values)
         assert got.dtype == np.float64
         assert got.tolist() == average_rank_ref(values.tolist())
+    # a table is ranked column by column
+    table = rng.integers(0, 4, size=(17, 3)).astype(np.float64)
+    got = _average_ranks(table)
+    assert [got[:, c].tolist() for c in range(3)] == [average_rank_ref(col) for col in
+                                                      table.T.tolist()]
 
 
 # --- fold aggregation ---

@@ -551,30 +551,30 @@ def _lock_instances():
 # order) of resample(X, y, SamplerSpec(kind, k_neighbors=3, m_neighbors=5),
 # default_rng(11)) at one BLAS thread
 _LOCKED_DIGESTS = {
-    ("apart", "smote"): "911c7f430a3e19d1bd1c9b9afe1d09efdd09b7d1",
-    ("apart", "borderline_smote"): "911c7f430a3e19d1bd1c9b9afe1d09efdd09b7d1",
+    ("apart", "smote"): "0716b44f7992abd261bd3dc9d33c22f514336a2a",
+    ("apart", "borderline_smote"): "0716b44f7992abd261bd3dc9d33c22f514336a2a",
     ("apart", "random_over"): "48522686f27173d662b9e2ec9b2690eb2996b08a",
-    ("apart", "svm_smote"): "ccac8f8320cee257bcbc81fc63218bfdbb4da146",
-    ("apart", "smote_enn"): "911c7f430a3e19d1bd1c9b9afe1d09efdd09b7d1",
-    ("apart", "smote_tomek"): "911c7f430a3e19d1bd1c9b9afe1d09efdd09b7d1",
-    ("mixed", "smote"): "30da46dcc28e67220e7bdd0c23735950fff8417f",
-    ("mixed", "borderline_smote"): "2cb027cf00fbb79e1b54e5364663f25f469c5088",
+    ("apart", "svm_smote"): "e77f1fe667e0c6d7ee4fcae5fb70394f99bae4f1",
+    ("apart", "smote_enn"): "0716b44f7992abd261bd3dc9d33c22f514336a2a",
+    ("apart", "smote_tomek"): "0716b44f7992abd261bd3dc9d33c22f514336a2a",
+    ("mixed", "smote"): "319e63c93b0e50f211e0abb7687537b00ead2353",
+    ("mixed", "borderline_smote"): "809ebf84da24eb5885b213fe122f716a10647c67",
     ("mixed", "random_over"): "a5bb352add0cdc8c0c7b12e1f7b7f814caaf2cd5",
-    ("mixed", "svm_smote"): "ad8af87c57005545f8a5b71e2e356e14930677e4",
-    ("mixed", "smote_enn"): "8048a61b13b980a526c84a9d59b18369f7dba653",
-    ("mixed", "smote_tomek"): "486f412eb97d2b5ecdc29939b1bfe998646d6c6e",
+    ("mixed", "svm_smote"): "7cd1c58ef8f7348d1e12f07402271454b79d59a4",
+    ("mixed", "smote_enn"): "9483ae616cd741bbceeb3ba8dfc080b85f4defa4",
+    ("mixed", "smote_tomek"): "4cf3c4e31b95e139e7cab5e973c8fec28840f9d2",
     ("same", "smote"): "c96a2e12e5226cdd772d60f36c51e22ea67dc81c",
     ("same", "borderline_smote"): "c96a2e12e5226cdd772d60f36c51e22ea67dc81c",
     ("same", "random_over"): "c96a2e12e5226cdd772d60f36c51e22ea67dc81c",
     ("same", "svm_smote"): "c96a2e12e5226cdd772d60f36c51e22ea67dc81c",
     ("same", "smote_enn"): "c96a2e12e5226cdd772d60f36c51e22ea67dc81c",
     ("same", "smote_tomek"): "c96a2e12e5226cdd772d60f36c51e22ea67dc81c",
-    ("sides", "smote"): "4f342dffdbad419a3c1ac4284b2fa04481ebec8a",
-    ("sides", "borderline_smote"): "5d002622bef1a421d0658ccb29c450dd5f29248f",
+    ("sides", "smote"): "9ac11c3431d16865c473361f5b9a513a63a5580d",
+    ("sides", "borderline_smote"): "162f5f7b65e2256f7e5cc6ed1eb69f43b6e66ebc",
     ("sides", "random_over"): "32ce1d208e9453e82f3d268d237d8482641bc643",
-    ("sides", "svm_smote"): "5209994b2b7fe7546dfa198ec5f2b4235fcd3adb",
-    ("sides", "smote_enn"): "15a03e5f0e553cb182735f19d2841faee5d18289",
-    ("sides", "smote_tomek"): "4f342dffdbad419a3c1ac4284b2fa04481ebec8a",
+    ("sides", "svm_smote"): "af2aa82509bc614f1c33f19b1b0717e0965583f0",
+    ("sides", "smote_enn"): "454a46cd4975c7bc6ff98800d81c7d6ae6d85bff",
+    ("sides", "smote_tomek"): "9ac11c3431d16865c473361f5b9a513a63a5580d",
 }
 
 
