@@ -1,6 +1,7 @@
 """Config parsing, deterministic output files, and the console entry point."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from fedbalance.crossval import MetricsRecord
 from fedbalance.dataset import make_synthetic_spec
 from fedbalance.federation import TrainHyper
 from fedbalance.gcae import ArchSpec
-from fedbalance.resampling import SamplerSpec, SvmParams
+from fedbalance.resampling import SAMPLER_NAMES, SamplerSpec, SvmParams
 
 # Tiny datasets hand some clients single-class splits; that path is exercised
 # deliberately in test_crossval, here it is just noise.
@@ -307,6 +308,56 @@ def test_run_uses_config_output_dir_when_not_overridden(tmp_path):
     cfg = cli.parse_config(tiny_config(output_dir=str(out)))
     cli.run(cfg)
     assert (out / "metrics.csv").is_file()
+
+
+# SHA-1 of each output file, each fold's global.fedh and the run's stderr,
+# with every warning shown as "Category: message", for the configs below
+# (skewed enough that clients meet empty and single-class splits and their
+# warnings name them), recorded with OpenBLAS's SkylakeX kernels
+_RUN_CONFIGS = {
+    "full": tiny_config(seed=12, concentration=0.3, samplers=list(SAMPLER_NAMES)),
+    "head": tiny_config(seed=13, concentration=0.3, samplers=["smote", "svm_smote", "smote_tomek"],
+                        personalize_full_model=False),
+}
+_RUN_DIGESTS = {
+    ("full", "metrics.csv"): "9b6d3a413e54b07d72d36fd7423dffa0f57e7d66",
+    ("full", "summary.csv"): "3742c6b4656b8c56759f8432cd6838c7a8e5ca72",
+    ("full", "violin.csv"): "350e5ccdf158166133960014fae9556c5beda546",
+    ("full", "fold_0/global.fedh"): "2e9774f5143e47cb0904e3cd9811d9123c70e24d",
+    ("full", "fold_1/global.fedh"): "bb982714374a2bde6fb9ac92e52cc86e2ce031f0",
+    ("full", "stderr"): "7ce5a94ddec9a13b1379c427800fbe4f8df96da3",
+    ("head", "metrics.csv"): "37d622d443a4a3a656a7d8ef52d672438a5b6962",
+    ("head", "summary.csv"): "7c044b6310b638aa0bec850932797c373acb4773",
+    ("head", "violin.csv"): "74b6188e1bd9c06ca9c867b4fc2cf98031c1f2d6",
+    ("head", "fold_0/global.fedh"): "68f7a942aeb0f8f3344cb7d7d544cfde6d2a182c",
+    ("head", "fold_1/global.fedh"): "48bc6558e3abc0f946aa27b25b2cf1bfc19ebc08",
+    ("head", "stderr"): "5653f7681fc992370fd263ae70ff7625af121f9d",
+}
+
+
+def test_runs_keep_their_bytes(tmp_path):
+    """A full-model run under every sampler and a head-only run write the
+    very bytes recorded here.  ``main`` runs under ``cli._run_settings()``,
+    at one BLAS thread; OpenBLAS picks its kernels by CPU, so the digests
+    hold for one OpenBLAS core type (``OPENBLAS_CORETYPE`` pins it) and a
+    change of core type may move them."""
+    got = {}
+    for name, cfg in _RUN_CONFIGS.items():
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / name
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
+              contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", str(cfg_path), "--output", str(out)]) == 0
+        shown = err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+        files = {f: (out / f).read_bytes() for f in ("metrics.csv", "summary.csv", "violin.csv")}
+        files |= {f"fold_{k}/global.fedh": (out / "checkpoints" / f"fold_{k}" / "global.fedh")
+                  .read_bytes() for k in range(cfg["num_folds"])}
+        files["stderr"] = shown.encode("utf-8")
+        got |= {(name, f): hashlib.sha1(b).hexdigest() for f, b in files.items()}
+    assert got == _RUN_DIGESTS
 
 
 # --- console entry point ---
