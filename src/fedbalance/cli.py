@@ -29,7 +29,7 @@ from .crossval import ExperimentPlan, MetricsRecord, partition_clients, run_expe
 from .dataset import Dataset, generate_synthetic, load_csv, make_synthetic_spec
 from .federation import TrainHyper
 from .gcae import ArchSpec, ConvStage
-from .metrics import aggregate_over_folds
+from .metrics import METRIC_COLUMNS, aggregate_over_folds
 from .resampling import SAMPLER_NAMES, SamplerSpec, SvmParams
 from .seeding import derive_seed
 
@@ -253,9 +253,6 @@ def build_plan(config: dict, ds: Dataset, work_dir) -> ExperimentPlan:
                   **{key: config[key] for key in same})
 
 
-_METRIC_COLUMNS = ("test_accuracy", "test_auc", "std_test_accuracy", "std_test_auc", "train_loss")
-
-
 # a user who sets any of these has chosen the BLAS thread count
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -341,11 +338,11 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def write_outputs(records: list[MetricsRecord], config: dict, output_dir: Path):
     output_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(output_dir / "metrics.csv", ("fold", "sampler", "round") + _METRIC_COLUMNS,
-               ([r.fold, r.sampler, r.round] + [f"{getattr(r, c):.6f}" for c in _METRIC_COLUMNS]
+    _write_csv(output_dir / "metrics.csv", ("fold", "sampler", "round") + METRIC_COLUMNS,
+               ([r.fold, r.sampler, r.round] + [f"{getattr(r, c):.6f}" for c in METRIC_COLUMNS]
                 for r in records))
-    _write_csv(output_dir / "summary.csv", ("sampler", "round") + _METRIC_COLUMNS,
-               ([row["sampler"], row["round"]] + [f"{row[c]:.6f}" for c in _METRIC_COLUMNS]
+    _write_csv(output_dir / "summary.csv", ("sampler", "round") + METRIC_COLUMNS,
+               ([row["sampler"], row["round"]] + [f"{row[c]:.6f}" for c in METRIC_COLUMNS]
                 for row in aggregate_over_folds(records)))
     rank = {name: i for i, name in enumerate(config["samplers"])}
     _write_csv(output_dir / "violin.csv", ("sampler", "fold", "round", "std_test_accuracy"),

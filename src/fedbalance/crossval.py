@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -130,20 +130,19 @@ def _split_clients(shards, folds, fold: int):
     return [(rows[~test_mask[rows]], rows[test_mask[rows]]) for rows in shards]
 
 
-def _eval_sets(clients, features, labels):
-    return [(features[c.test_indices], labels[c.test_indices]) for c in clients]
-
-
 def _global_eval(server: ServerState, features, labels) -> None:
     """Score the aggregated model on every client's test split and append its
     accuracy and AUC to the server's running histories."""
-    probe = [
-        ClientState(c.client_id, server.global_model, c.train_indices, c.test_indices)
-        for c in server.clients
-    ]
-    summary = evaluate_clients(probe, _eval_sets(probe, features, labels))
-    server.rs_test_acc.append(summary.accuracy)
-    server.rs_test_auc.append(summary.auc)
+    model = server.global_model
+    summary = evaluate_clients([EncodedSet(model, features[c.test_indices], labels[c.test_indices])
+                                for c in server.clients])
+    server.rs_test_acc.append(summary.test_accuracy)
+    server.rs_test_auc.append(summary.test_auc)
+
+
+def _afresh(sets: list[EncodedSet]) -> list[EncodedSet]:
+    """The same rows, to be encoded anew by their models' current weights."""
+    return [EncodedSet(s.model, s.features, s.labels) for s in sets]
 
 
 # A model that diverges fails the package's own finiteness checks, in the
@@ -199,49 +198,46 @@ def run_trial(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
     at ``path``, recording scheduled rounds; a failure is raised as a
     RuntimeError that names the fold and the sampler.
 
-    A head-only trial never moves an encoder or a decoder, so each client's
-    test split and personalization set are encoded, and the latter decoded
-    for its reconstruction MSE, once: by the round-0 evaluation.  Every
-    step and evaluation after it runs the classifier head on those codes.
+    A head-only trial never moves an encoder or a decoder, so it keeps each
+    client's test split and personalization set as one ``EncodedSet``: the
+    round-0 evaluation encodes them, and decodes the latter for its
+    reconstruction MSE, once, and every step and evaluation after it runs
+    the classifier head on those codes.  A full-model trial takes fresh
+    sets over the same rows before each later evaluation.
     """
     try:
         server = load_global(path)
         features, labels = plan.dataset.features, plan.dataset.labels
         seed0 = plan.master_seed
         head_only = not plan.personalize_full_model
-        train_sets = []
+        test_sets, train_sets = [], []
         for c in server.clients:
-            tr = c.train_indices
+            tr, te = c.train_indices, c.test_indices
+            test_sets.append(EncodedSet(c.model, features[te], labels[te]))
             if len(tr) == 0:
                 warnings.warn(f"client {c.client_id} has no fold-train rows; it keeps the "
                               "global model", stacklevel=2)
-                train_sets.append((features[:0], labels[:0]))
+                train_sets.append(EncodedSet(c.model, features[:0], labels[:0]))
                 continue
             pers = build_personalization_set(
                 c.model, features[tr], labels[tr], spec,
                 derive_rng(seed0, "resample", fold, spec.kind, c.client_id))
-            train_sets.append((pers.features, pers.labels))
+            train_sets.append(EncodedSet(c.model, pers.features, pers.labels))
 
-        test_sets = _eval_sets(server.clients, features, labels)
-        if head_only:
-            test_sets = [EncodedSet(c.model, *s) for c, s in zip(server.clients, test_sets)]
-            train_sets = [EncodedSet(c.model, *s) for c, s in zip(server.clients, train_sets)]
         schedule = set(plan.eval_schedule())
         records: list[MetricsRecord] = []
         for rnd in range(plan.personalization_rounds + 1):
             for c, rows in zip(server.clients, train_sets):
-                if rnd == 0 or len(c.train_indices) == 0:  # round 0 scores the global model
+                if rnd == 0 or len(rows) == 0:  # round 0 scores the global model
                     continue
-                x, y = (rows.codes, rows.labels) if head_only else rows
-                train_on(c.model, x, y, plan.hyper,
-                         derive_rng(seed0, "ptrain", fold, spec.kind, rnd, c.client_id),
+                train_on(c.model, rows.codes if head_only else rows.features, rows.labels,
+                         plan.hyper, derive_rng(seed0, "ptrain", fold, spec.kind, rnd, c.client_id),
                          head_only=head_only)
             if rnd in schedule:
-                s = evaluate_clients(server.clients, test_sets, train_sets)
-                records.append(MetricsRecord(fold=fold, sampler=spec.kind, round=rnd,
-                                             test_accuracy=s.accuracy, test_auc=s.auc,
-                                             std_test_accuracy=s.std_accuracy,
-                                             std_test_auc=s.std_auc, train_loss=s.train_loss))
+                if not head_only and rnd > 0:  # the encoders moved since the sets were encoded
+                    test_sets, train_sets = _afresh(test_sets), _afresh(train_sets)
+                summary = evaluate_clients(test_sets, train_sets)
+                records.append(MetricsRecord(fold, spec.kind, rnd, *astuple(summary)))
         return records
     except Exception as exc:
         raise RuntimeError(f"fold {fold}, sampler {spec.kind!r}: {exc}") from exc

@@ -206,13 +206,15 @@ def build_personalization_set(model: ModelState, features, labels,
 
 
 class EncodedSet:
-    """A client's rows under an encoder and decoder that stay frozen.
+    """A client's rows as ``model`` scores them: what ``evaluate_clients``
+    takes.
 
-    A head-only trial moves only the classifier head, so the latent codes
-    of its rows, and their reconstruction MSE, which the loss adds to the
-    head's cross-entropy, are the same in every round.  Each is computed on
-    first use, by ``encode`` and ``decode`` of ``model``, and then kept;
-    the set is scored by ``model`` alone.
+    The latent codes of the rows, and their reconstruction MSE, which the
+    loss adds to the head's cross-entropy, are each computed on first use,
+    by ``encode`` and ``decode`` of ``model``, and then kept.  So a set
+    stays valid while the encoder and decoder do not move: a head-only
+    trial, which moves only the classifier head, keeps its sets for every
+    round, and a full-model trial takes fresh ones before each evaluation.
     """
 
     def __init__(self, model: ModelState, features, labels):
@@ -238,17 +240,18 @@ class EncodedSet:
 
 @dataclass(frozen=True)
 class EvalSummary:
-    """Metrics of one evaluation over clients (see ``evaluate_clients``).
+    """Metrics of one evaluation over clients (see ``evaluate_clients``),
+    named as ``metrics.METRIC_COLUMNS`` names the metrics.csv columns.
 
     ``train_loss`` is the sample-weighted mean full loss, alpha * MSE +
     beta * cross-entropy, on the clients' training material, or None when
     the evaluation was given no train sets.
     """
 
-    accuracy: float
-    auc: float
-    std_accuracy: float
-    std_auc: float
+    test_accuracy: float
+    test_auc: float
+    std_test_accuracy: float
+    std_test_auc: float
     train_loss: float | None
 
 
@@ -259,14 +262,14 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def evaluate_clients(clients: list[ClientState], test_sets,
-                     train_sets=None) -> EvalSummary:
-    """Test metrics over clients, each scored by its own model.
+def evaluate_clients(test_sets: list[EncodedSet],
+                     train_sets: list[EncodedSet] | None = None) -> EvalSummary:
+    """Test metrics over clients, each set scored by the model that encodes
+    it (``s.model``), on codes it computes once and keeps.
 
-    ``test_sets`` / ``train_sets`` are aligned with ``clients``.  Each set
-    is a (features, labels) pair, encoded here, or an ``EncodedSet`` of the
-    client's model, whose kept codes are reused.  Test splits are scored by
-    the encoder and the classifier head; the decoder does not run.
+    Entry i of ``test_sets`` and of ``train_sets`` is client i's, and a
+    warning names a client by that position.  Test splits are scored by the
+    encoder and the classifier head; the decoder does not run.
     Accuracy/AUC are sample-count-weighted means; the std columns are
     unweighted sample standard deviations across clients (0 for one
     client).  A client with an empty test split is excluded with a warning;
@@ -275,29 +278,18 @@ def evaluate_clients(clients: list[ClientState], test_sets,
     material, or None without ``train_sets``.
     """
     accs, acc_w, aucs, auc_w, losses, loss_w = [], [], [], [], [], []
-    trains = [None] * len(clients) if train_sets is None else train_sets
-    for client, test, train in zip(clients, test_sets, trains, strict=True):
-        for s in (test, train):
-            if isinstance(s, EncodedSet) and s.model is not client.model:
-                raise ValueError(f"client {client.client_id} is scored on a set "
-                                 "that another model encoded")
-        if not isinstance(test, EncodedSet):
-            test = EncodedSet(client.model, *test)  # encoded for this evaluation only
-        if train is not None and not isinstance(train, EncodedSet):
-            train = EncodedSet(client.model, *train)
+    trains = [None] * len(test_sets) if train_sets is None else train_sets
+    for i, (test, train) in enumerate(zip(test_sets, trains, strict=True)):
         if len(test) == 0:
-            warnings.warn(f"client {client.client_id} has an empty test split; excluded",
-                          stacklevel=2)
+            warnings.warn(f"client {i} has an empty test split; excluded", stacklevel=2)
             continue
         y_test = test.labels
-        scores = head_scores(client.model, test.codes)
+        scores = head_scores(test.model, test.codes)
         accs.append(accuracy(np.argmax(scores, axis=1), y_test))
         acc_w.append(len(y_test))
         if len(_unique(y_test)) < 2:
-            warnings.warn(
-                f"client {client.client_id} test split is single-class; excluded from AUC",
-                stacklevel=2,
-            )
+            warnings.warn(f"client {i} test split is single-class; excluded from AUC",
+                          stacklevel=2)
         else:
             aucs.append(roc_auc_macro(_softmax(scores), y_test))
             auc_w.append(len(y_test))
@@ -311,9 +303,9 @@ def evaluate_clients(clients: list[ClientState], test_sets,
     if train_sets is not None and not losses:
         raise ValueError("no client had training material to score")
     return EvalSummary(
-        accuracy=float(np.average(accs, weights=acc_w)),
-        auc=float(np.average(aucs, weights=auc_w)),
-        std_accuracy=sample_std(accs),
-        std_auc=sample_std(aucs),
+        test_accuracy=float(np.average(accs, weights=acc_w)),
+        test_auc=float(np.average(aucs, weights=auc_w)),
+        std_test_accuracy=sample_std(accs),
+        std_test_auc=sample_std(aucs),
         train_loss=float(np.average(losses, weights=loss_w)) if losses else None,
     )

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# The metrics of one evaluation, as metrics.csv and summary.csv name their
+# columns, and as EvalSummary and MetricsRecord name their fields
+METRIC_COLUMNS = ("test_accuracy", "test_auc", "std_test_accuracy", "std_test_auc", "train_loss")
+
 
 def _unique(values) -> np.ndarray:
     """The sorted distinct values of ``values``, flattened, as ``np.unique``
@@ -85,7 +89,7 @@ def sample_std(values) -> float:
 
 
 def aggregate_over_folds(records) -> list[dict]:
-    """Mean of each metric across folds, per (sampler, round).
+    """Mean of each of ``METRIC_COLUMNS`` across folds, per (sampler, round).
 
     ``records`` is a sequence of MetricsRecord-like objects.  Every
     (sampler, round) pair must carry one record per fold; a ragged grid
@@ -111,15 +115,7 @@ def aggregate_over_folds(records) -> list[dict]:
                     f"ragged grid: (sampler={sampler}, round={rnd}) has "
                     f"{len(group)} records for {n_folds} folds"
                 )
-            out.append(
-                {
-                    "sampler": sampler,
-                    "round": rnd,
-                    "test_accuracy": float(np.mean([g.test_accuracy for g in group])),
-                    "test_auc": float(np.mean([g.test_auc for g in group])),
-                    "std_test_accuracy": float(np.mean([g.std_test_accuracy for g in group])),
-                    "std_test_auc": float(np.mean([g.std_test_auc for g in group])),
-                    "train_loss": float(np.mean([g.train_loss for g in group])),
-                }
-            )
+            out.append({"sampler": sampler, "round": rnd,
+                        **{c: float(np.mean([getattr(g, c) for g in group]))
+                           for c in METRIC_COLUMNS}})
     return out

@@ -374,7 +374,9 @@ def resample(features: np.ndarray, labels: np.ndarray, spec: SamplerSpec, rng) -
     """Balance (features, labels) by the technique ``spec.kind`` names:
     pick its seed rule, pad every class, then clean for the hybrids.
 
-    smote_enn keeps the rows that ``enn_filter`` keeps, over all classes;
+    smote_enn keeps the rows that ``enn_filter`` keeps, over all classes,
+    each row voted on by at most every other row (``enn_k`` is clamped to
+    the row count minus one, as ``k_neighbors`` and ``m_neighbors`` are);
     smote_tomek drops the majority-class member of every Tomek link, the
     majority judged on the input counts.  A cleaning step is never allowed
     to erase a class.
@@ -399,7 +401,7 @@ def resample(features: np.ndarray, labels: np.ndarray, spec: SamplerSpec, rng) -
     base = _balance(features, labels, counts, rng, seeds, spec.k_neighbors)
 
     if spec.kind == "smote_enn":
-        keep = enn_filter(base.features, base.labels, spec.enn_k)
+        keep = enn_filter(base.features, base.labels, min(spec.enn_k, len(base.labels) - 1))
     elif spec.kind == "smote_tomek":
         linked = np.array(tomek_links(base.features, base.labels), dtype=np.int64).reshape(-1)
         keep = np.ones(len(base.labels), dtype=bool)

@@ -338,9 +338,9 @@ _RUN_DIGESTS = {
 def test_runs_keep_their_bytes(tmp_path):
     """A full-model run under every sampler and a head-only run write the
     very bytes recorded here.  ``main`` runs under ``cli._run_settings()``,
-    at one BLAS thread; OpenBLAS picks its kernels by CPU, so the digests
-    hold for one OpenBLAS core type (``OPENBLAS_CORETYPE`` pins it) and a
-    change of core type may move them."""
+    at one BLAS thread.  OpenBLAS picks its kernels by CPU, so the digests
+    hold for one OpenBLAS core type (``OPENBLAS_CORETYPE`` pins it):
+    Haswell or Sandybridge kernels move them."""
     got = {}
     for name, cfg in _RUN_CONFIGS.items():
         cfg_path = tmp_path / f"{name}.json"
@@ -358,6 +358,22 @@ def test_runs_keep_their_bytes(tmp_path):
         files["stderr"] = shown.encode("utf-8")
         got |= {(name, f): hashlib.sha1(b).hexdigest() for f, b in files.items()}
     assert got == _RUN_DIGESTS
+
+
+def test_every_sampler_runs_on_clients_of_one_row_per_class(tmp_path):
+    """At seed 0 a client's fold-train split is one row of each class, fewer
+    rows than smote_enn's enn_k + 1; every sampler still finishes."""
+    cfg = {"seed": 0, "dataset": {"kind": "synthetic", "class_counts": [4, 4], "dim": 4},
+           "num_clients": 2, "samplers": list(SAMPLER_NAMES), "num_folds": 2,
+           "global_rounds": 1, "personalization_rounds": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    err = io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stderr(err),
+          contextlib.redirect_stdout(io.StringIO())):
+        warnings.simplefilter("ignore", UserWarning)
+        rc = cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")])
+    assert (rc, err.getvalue()) == (0, "")
 
 
 # --- console entry point ---

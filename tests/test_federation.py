@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,11 @@ from fedbalance.gcae import (
     decode,
     encode,
     evaluate_loss,
-    forward,
+    head_scores,
     init_model,
     train_head_step,
 )
+from fedbalance.metrics import accuracy, roc_auc_macro, sample_std
 from fedbalance.resampling import SamplerSpec
 
 ARCH = ArchSpec(input_len=8, num_classes=3, stages=(ConvStage(3, 3, 2),),
@@ -238,77 +241,78 @@ def test_evaluate_clients_closed_form():
     """Zero-weight models predict class 0 with all-equal scores, so accuracy
     is each test split's class-0 share and every AUC is exactly 0.5."""
     zero = fill(make_model(), 0.0)
-    clients = [ClientState(i, zero.copy(), np.array([100 + i]), np.array([200 + i]))
-               for i in range(3)]
+    models = [zero.copy() for _ in range(3)]
     x = np.zeros((4, 8), dtype=np.float32)
     test_sets = [
-        (x, np.array([0, 0, 0, 1])),  # accuracy 0.75
-        (x, np.array([0, 0, 1, 1])),  # accuracy 0.50
-        (x, np.array([0, 1, 1, 1])),  # accuracy 0.25
+        EncodedSet(models[0], x, np.array([0, 0, 0, 1])),  # accuracy 0.75
+        EncodedSet(models[1], x, np.array([0, 0, 1, 1])),  # accuracy 0.50
+        EncodedSet(models[2], x, np.array([0, 1, 1, 1])),  # accuracy 0.25
     ]
-    train_sets = [(x, np.array([0, 1, 2, 0])) for _ in range(3)]
-    out = evaluate_clients(clients, test_sets, train_sets)
-    assert out.accuracy == pytest.approx(0.5)
-    assert out.std_accuracy == pytest.approx(0.25)
-    assert out.auc == pytest.approx(0.5)
-    assert out.std_auc == 0.0
+    train_sets = [EncodedSet(m, x, np.array([0, 1, 2, 0])) for m in models]
+    out = evaluate_clients(test_sets, train_sets)
+    assert out.test_accuracy == pytest.approx(0.5)
+    assert out.std_test_accuracy == pytest.approx(0.25)
+    assert out.test_auc == pytest.approx(0.5)
+    assert out.std_test_auc == 0.0
     # equal scores: CE is exactly log(num_classes), MSE is mean(x^2) = 0
     assert out.train_loss == pytest.approx(np.log(3), rel=1e-6)
 
 
 def test_evaluate_clients_single_client_has_zero_std():
     m = make_model(1)
-    clients = [ClientState(0, m, np.array([0]), np.array([1]))]
     x, y = random_batch(10, seed=2)
-    out = evaluate_clients(clients, [(x, y)], [(x, y)])
-    assert out.std_accuracy == 0.0 and out.std_auc == 0.0
+    out = evaluate_clients([EncodedSet(m, x, y)], [EncodedSet(m, x, y)])
+    assert out.std_test_accuracy == 0.0 and out.std_test_auc == 0.0
 
 
 def test_evaluate_clients_exclusions():
-    m = make_model(1)
+    """Warnings name a client by its position in the lists."""
     x, y = random_batch(8, seed=3)
-    clients = [ClientState(i, m.copy(), np.array([0]), np.array([1])) for i in range(2)]
+    models = [make_model(1), make_model(1)]
+
+    def sets(*rows):
+        return [EncodedSet(m, *r) for m, r in zip(models, rows)]
+
     empty = (x[:0], y[:0])
-    with pytest.warns(UserWarning, match="empty test split"):
-        both = evaluate_clients(clients, [(x, y), (x, y)], [(x, y), (x, y)])
-        out = evaluate_clients(clients, [(x, y), empty], [(x, y), (x, y)])
-    assert out.accuracy == both.accuracy and out.std_accuracy == 0.0
+    trains = sets((x, y), (x, y))
+    with pytest.warns(UserWarning, match="client 1 has an empty test split"):
+        both = evaluate_clients(sets((x, y), (x, y)), trains)
+        out = evaluate_clients(sets((x, y), empty), trains)
+    assert out.test_accuracy == both.test_accuracy and out.std_test_accuracy == 0.0
     single = (x, np.zeros(8, dtype=np.int64))
-    with pytest.warns(UserWarning, match="single-class"):
-        out = evaluate_clients(clients, [(x, y), single], [(x, y), (x, y)])
-    assert 0.0 <= out.auc <= 1.0
+    with pytest.warns(UserWarning, match="client 1 test split is single-class"):
+        out = evaluate_clients(sets((x, y), single), trains)
+    assert 0.0 <= out.test_auc <= 1.0
     with pytest.raises(ValueError, match="no client had test data"), pytest.warns(UserWarning):
-        evaluate_clients(clients, [empty, empty], [(x, y), (x, y)])
+        evaluate_clients(sets(empty, empty), trains)
 
 
 def test_evaluate_clients_weights_by_sample_count():
     zero = fill(make_model(), 0.0)
-    clients = [ClientState(i, zero.copy(), np.array([10 + i]), np.array([20 + i]))
-               for i in range(2)]
+    models = [zero.copy(), zero.copy()]
     x2 = np.zeros((2, 8), dtype=np.float32)
     x6 = np.zeros((6, 8), dtype=np.float32)
-    test_sets = [(x2, np.array([0, 1])),                 # acc 0.5, weight 2
-                 (x6, np.array([0, 0, 0, 0, 0, 1]))]     # acc 5/6, weight 6
-    train_sets = [(x2, np.array([0, 1])), (x6, np.array([0, 0, 0, 0, 0, 1]))]
-    out = evaluate_clients(clients, test_sets, train_sets)
-    assert out.accuracy == pytest.approx((0.5 * 2 + 5 / 6 * 6) / 8)
+    rows = [(x2, np.array([0, 1])),                  # acc 0.5, weight 2
+            (x6, np.array([0, 0, 0, 0, 0, 1]))]      # acc 5/6, weight 6
+    out = evaluate_clients([EncodedSet(m, *r) for m, r in zip(models, rows)],
+                           [EncodedSet(m, *r) for m, r in zip(models, rows)])
+    assert out.test_accuracy == pytest.approx((0.5 * 2 + 5 / 6 * 6) / 8)
 
 
 def test_evaluate_clients_without_train_sets_scores_no_loss(monkeypatch):
-    m = make_model(1)
     x, y = random_batch(10, seed=2)
-    clients = [ClientState(i, m.copy(), np.array([0]), np.array([1])) for i in range(2)]
-    with_loss = evaluate_clients(clients, [(x, y), (x, y)], [(x, y), (x, y)])
+    models = [make_model(1), make_model(1)]
+    with_loss = evaluate_clients([EncodedSet(m, x, y) for m in models],
+                                 [EncodedSet(m, x, y) for m in models])
 
     def refuse(*a, **k):
         raise AssertionError("a training loss was computed without train sets")
 
     for name in ("evaluate_loss", "evaluate_head_loss", "decode"):
         monkeypatch.setattr(federation, name, refuse)
-    out = evaluate_clients(clients, [(x, y), (x, y)])
+    out = evaluate_clients([EncodedSet(m, x, y) for m in models])
     assert out.train_loss is None
-    assert (out.accuracy, out.auc, out.std_accuracy, out.std_auc) == (
-        with_loss.accuracy, with_loss.auc, with_loss.std_accuracy, with_loss.std_auc)
+    assert astuple(out)[:4] == astuple(with_loss)[:4]
 
 
 def _counting(monkeypatch, *names):
@@ -326,44 +330,52 @@ def _counting(monkeypatch, *names):
 
 
 def test_encoded_sets_score_as_fresh_pairs_and_encode_once(monkeypatch):
-    """Scoring on kept codes gives the very summary that encoding the pairs
-    afresh gives; the codes and the MSE are computed by the first
-    evaluation only."""
+    """Sets scored a second time, on their kept codes, give the very summary
+    that fresh sets over the same (features, labels) pairs give; the codes
+    and the MSE are computed by the first evaluation only."""
     x, y = random_batch(40, seed=4)
     models = [make_model(3), make_model(4)]
-    clients = [ClientState(i, m, np.array([0]), np.array([1])) for i, m in enumerate(models)]
     pairs = [(x[:25], y[:25]), (x[25:], y[25:])]
-    fresh = evaluate_clients(clients, pairs, pairs)
+
+    def fresh():
+        return [EncodedSet(m, *p) for m, p in zip(models, pairs)]
+
+    want = evaluate_clients(fresh(), fresh())
     calls = _counting(monkeypatch, "encode", "decode")
-    tests = [EncodedSet(m, *p) for m, p in zip(models, pairs)]
-    trains = [EncodedSet(m, *p) for m, p in zip(models, pairs)]
-    assert evaluate_clients(clients, tests, trains) == fresh
+    tests, trains = fresh(), fresh()
+    assert evaluate_clients(tests, trains) == want
     assert calls == {"encode": 4, "decode": 2}
-    assert evaluate_clients(clients, tests, trains) == fresh
+    assert evaluate_clients(tests, trains) == want
     assert calls == {"encode": 4, "decode": 2}
 
 
-@pytest.mark.parametrize("wrap", (False, True), ids=("pair", "encoded"))
-def test_empty_train_set_adds_no_loss(wrap):
-    """A client with no training rows, given as a pair or as an EncodedSet,
-    is left out of train_loss; the other client's loss is the mean."""
+def test_empty_train_set_adds_no_loss():
+    """A client with no training rows is left out of train_loss; the other
+    client's loss is the mean."""
     x, y = random_batch(20, seed=7)
     models = [make_model(3), make_model(4)]
-    clients = [ClientState(i, m, np.array([0]), np.array([1])) for i, m in enumerate(models)]
-    trains = [(x[:0], y[:0]), (x, y)]
-    if wrap:
-        trains = [EncodedSet(m, *p) for m, p in zip(models, trains)]
-    out = evaluate_clients(clients, [(x, y), (x, y)], trains)
+    trains = [EncodedSet(models[0], x[:0], y[:0]), EncodedSet(models[1], x, y)]
+    out = evaluate_clients([EncodedSet(m, x, y) for m in models], trains)
     assert out.train_loss == evaluate_loss(models[1], x, y)[0]
 
 
 def test_encoded_set_is_scored_by_its_own_model():
-    x, y = random_batch(10, seed=5)
-    clients = [ClientState(0, make_model(1), np.array([0]), np.array([1]))]
-    with pytest.raises(ValueError, match="another model encoded"):
-        evaluate_clients(clients, [EncodedSet(make_model(1), x, y)])
-    with pytest.raises(ValueError, match="another model encoded"):
-        evaluate_clients(clients, [(x, y)], [EncodedSet(clients[0].model.copy(), x, y)])
+    """Sets of two different models, in one evaluation, are each scored by
+    the model that encodes them."""
+    x, y = random_batch(30, seed=5)
+    models = [make_model(1), make_model(2)]
+    rows = [(x[:14], y[:14]), (x[14:], y[14:])]
+    out = evaluate_clients([EncodedSet(m, *r) for m, r in zip(models, rows)])
+    accs, aucs = [], []
+    for m, (xs, ys) in zip(models, rows):
+        scores = head_scores(m, encode(m, xs))
+        accs.append(accuracy(np.argmax(scores, axis=1), ys))
+        aucs.append(roc_auc_macro(federation._softmax(scores), ys))
+    assert accs[0] != accs[1]
+    assert out.test_accuracy == pytest.approx(np.average(accs, weights=[14, 16]))
+    assert out.std_test_accuracy == pytest.approx(sample_std(accs))
+    assert out.test_auc == pytest.approx(np.average(aucs, weights=[14, 16]))
+    assert out.std_test_auc == pytest.approx(sample_std(aucs))
 
 
 def test_train_on_head_only_steps_the_head_on_codes():

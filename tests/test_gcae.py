@@ -456,7 +456,9 @@ _STEP_DIGESTS = {
 
 def test_train_step_keeps_its_bytes():
     """A kernel edit that moves any bit of a step shows here and must update
-    the digests."""
+    the digests.  OpenBLAS picks its kernels by CPU, so the digests hold for
+    one OpenBLAS core type (``OPENBLAS_CORETYPE`` pins it): they were
+    recorded with SkylakeX kernels, and Haswell or Sandybridge ones move them."""
     arch = ArchSpec(input_len=24, num_classes=6)
     rng = np.random.default_rng(1)
     x, y = rng.normal(size=(512, 24)), rng.integers(0, 6, size=512)

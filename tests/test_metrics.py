@@ -1,10 +1,15 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fedbalance.crossval import MetricsRecord
+from fedbalance.federation import EvalSummary
 from fedbalance.metrics import (
+    METRIC_COLUMNS,
     _average_ranks,
     _unique,
     accuracy,
@@ -143,6 +148,14 @@ def test_average_ranks_match_brute_force_oracle():
 
 
 # --- fold aggregation ---
+
+
+def test_metric_columns_name_the_summary_and_record_fields():
+    """An evaluation's summary becomes a record's fields after (fold,
+    sampler, round) in order, and each is a metrics.csv column."""
+    record = [f.name for f in fields(MetricsRecord)]
+    assert record[:3] == ["fold", "sampler", "round"]
+    assert [f.name for f in fields(EvalSummary)] == list(METRIC_COLUMNS) == record[3:]
 
 
 class _Row:

@@ -514,6 +514,20 @@ def test_cleaning_cannot_erase_a_class():
     assert out.result_counts[1] == 5  # 2 originals + 3 synthetics back in
 
 
+def test_smote_enn_on_fewer_rows_than_enn_k_votes_with_every_other_row():
+    """Two rows of two classes: ENN votes with the one other row, which is
+    of the other class, so it removes both, and each class is restored."""
+    X = np.array([[0.0, 1.0], [2.0, 0.5]])
+    y = np.array([0, 1])
+    with pytest.warns(UserWarning) as caught:
+        out = resample(X, y, SamplerSpec(kind="smote_enn", enn_k=3), np.random.default_rng(0))
+    assert [str(w.message) for w in caught] == [
+        f"cleaning removed every row of class {c}; restoring its pre-cleaning rows"
+        for c in (0, 1)]
+    assert np.array_equal(out.features, X) and np.array_equal(out.labels, y)
+    assert not out.is_synthetic.any()
+
+
 # --- the shared driver ---
 
 
