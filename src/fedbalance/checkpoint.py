@@ -10,18 +10,20 @@ it.  A CRC32 of the payload is stored in the header so bit rot in the bulk
 data is caught on load.
 
 Two kinds exist: ``global`` (a ServerState's global model, histories, and
-each client's id and row indices; every loaded client gets a copy of the
-global model, the one each sampler trial starts from) and ``client`` (one
-ClientState).  Files are written atomically via a temp file +
-``os.replace``.  Loads check the header against the version-5 schema first
-(:func:`_check_header`), then the directory against the architecture's,
-the payload's length and checksum, and each tensor's values, so a
-malformed file raises :class:`CheckpointError` naming the block or tensor
-at fault.
+a digest of every client's rows; the plan fixes the rows, so
+:func:`load_global` is given them, checks them against the digest, and
+gives every client a copy of the global model, the one each sampler trial
+starts from) and ``client`` (one ClientState).  Files are written
+atomically via a temp file + ``os.replace``.  Loads check the header
+against the version-6 schema first (:func:`_check_header`), then the
+directory against the architecture's, the payload's length and checksum,
+and each tensor's values, so a malformed file raises
+:class:`CheckpointError` naming the block or tensor at fault.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -34,7 +36,7 @@ from .federation import ClientState, ServerState
 from .gcae import ArchSpec, ModelState, _param_count, _param_shapes
 
 MAGIC = b"FEDH"
-VERSION = 5
+VERSION = 6
 _HEAD = struct.Struct("<4sIQ")  # magic, version, header_len
 _ARCH_SIZES = ("input_len", "num_classes", "latent_dim")
 _HISTORIES = ("rs_test_acc", "rs_test_auc", "rs_train_loss")
@@ -91,17 +93,17 @@ def _int_list(v, minimum: int | None = None) -> bool:
 def _check_header(header, kind: str) -> None:
     """Reject a header that breaks the schema, naming the block at fault.
 
-    Checks, in order: the kind and the blocks it needs; the architecture,
-    client and server fields' types (ArchSpec checks the values); and that
-    client ids are unique.  :func:`_extract_model` then checks the tensor
-    directory and the payload against the architecture.
+    Checks, in order: the kind and the blocks it needs; then the
+    architecture, client and server fields' types (ArchSpec checks the
+    values).  :func:`_extract_model` then checks the tensor directory and
+    the payload against the architecture.
     """
     if not isinstance(header, dict):
         raise CheckpointError("header is not a JSON object")
     if header.get("kind") != kind:
         raise CheckpointError(f"expected a {kind} checkpoint, found kind={header.get('kind')!r}")
     blocks = {"arch": dict, "tensors": list}
-    blocks.update({"server": dict, "clients": list} if kind == "global" else {"client": dict})
+    blocks.update({"server": dict, "split": str} if kind == "global" else {"client": dict})
     for block, typ in blocks.items():
         if not isinstance(header.get(block), typ):
             raise CheckpointError(f"{block!r} block is missing or not a JSON {typ.__name__}")
@@ -114,17 +116,12 @@ def _check_header(header, kind: str) -> None:
             and _is_number(arch.get("recon_weight")) and _is_number(arch.get("pred_weight"))):
         raise CheckpointError("'arch' block is malformed")
 
-    metas = header["clients"] if kind == "global" else [header["client"]]
-    for i, meta in enumerate(metas):
-        if not (isinstance(meta, dict) and _is_int(meta.get("client_id"))
-                and _int_list(meta.get("train_indices"), 0)
+    if kind == "client":
+        meta = header["client"]
+        if not (_is_int(meta.get("client_id")) and _int_list(meta.get("train_indices"), 0)
                 and _int_list(meta.get("test_indices"), 0)):
-            raise CheckpointError(f"client block #{i} is malformed")
-    ids = [meta["client_id"] for meta in metas]
-    if len(set(ids)) != len(ids):
-        raise CheckpointError(f"'clients' block repeats client ids "
-                              f"{sorted({i for i in ids if ids.count(i) > 1})}")
-    if kind == "global":
+            raise CheckpointError("'client' block is malformed")
+    else:
         for key in _HISTORIES:
             v = header["server"].get(key)
             if not (isinstance(v, list) and all(_is_number(x) for x in v)):
@@ -202,21 +199,35 @@ def _check_finite(model: ModelState, kind: str) -> None:
         raise CheckpointError(f"tensor {kind}/{name} contains non-finite values")
 
 
+def _split_digest(splits) -> str:
+    """SHA-256 over each client's train rows and test rows, in client order,
+    each preceded by its length, all as little-endian int64."""
+    h = hashlib.sha256()
+    for rows in (np.asarray(rows, dtype="<i8") for pair in splits for rows in pair):
+        h.update(struct.pack("<q", len(rows)) + rows.tobytes())
+    return h.hexdigest()
+
+
 def save_global(path, server: ServerState) -> None:
-    """Serialize a ServerState's global model, histories, and each client's
-    id and rows.  The clients' own models are not stored."""
+    """Serialize a ServerState's global model, histories, and the digest of
+    its clients' rows.  The rows, the client ids and the clients' models
+    are not stored."""
     header = {
         "kind": "global",
         "server": {key: list(getattr(server, key)) for key in _HISTORIES},
-        "clients": [_client_meta(c) for c in server.clients],
+        "split": _split_digest((c.train_indices, c.test_indices) for c in server.clients),
     }
     _write_file(path, header, server.global_model)
 
 
-def load_global(path) -> ServerState:
-    """A saved ServerState whose every client holds a copy of the global model."""
+def load_global(path, splits) -> ServerState:
+    """A saved ServerState whose client i has id i, the (train, test) rows
+    of ``splits[i]`` and a copy of the global model of its own.  A file
+    written for other splits raises CheckpointError."""
     header, global_model = _read_file(path, "global")
-    clients = [_client_from_meta(meta, global_model.copy()) for meta in header["clients"]]
+    if header["split"] != _split_digest(splits):
+        raise CheckpointError("checkpoint written for another client split")
+    clients = [ClientState(i, global_model.copy(), tr, te) for i, (tr, te) in enumerate(splits)]
     try:
         return ServerState(global_model=global_model, clients=clients,
                            **{key: list(header["server"][key]) for key in _HISTORIES})

@@ -1,9 +1,10 @@
 """Stratified K-fold orchestration of the federated train/personalize cycle.
 
 Per fold, ``run_global_phase`` runs partition-respecting global FedAvg
-training and checkpoints the global model with each client's rows.  Then
-``run_trial`` runs once per sampling technique from that checkpoint, which
-gives every client its own copy of the global model: a trial's records
+training and checkpoints the global model with a digest of the clients'
+rows.  Then ``run_trial`` runs once per sampling technique from that
+checkpoint: it derives the rows from the plan, as the global phase did, and
+gives every client its own copy of the global model, so a trial's records
 depend only on the plan, the fold, the sampler spec and the checkpoint's
 bytes.  Metrics are recorded on a fixed round schedule and returned as one
 flat list of (fold, sampler, round) records.
@@ -154,15 +155,14 @@ _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 
 @_QUIET_OVERFLOW
 def run_global_phase(plan: ExperimentPlan, fold: int, shards=None) -> Path:
-    """Train and evaluate one fold's global model, and write it with every
-    client's id and rows to the fold directory's ``global.fedh``, whose path
-    is returned.  ``shards`` is the client partition, as
+    """Train and evaluate one fold's global model, and write it with the
+    digest of the clients' rows to the fold directory's ``global.fedh``,
+    whose path is returned.  ``shards`` is the client partition, as
     ``partition_clients`` returns it; it is computed here when not given."""
     if not 0 <= fold < plan.num_folds:
         raise ValueError(f"fold {fold} outside 0..{plan.num_folds - 1}")
     features, labels = plan.dataset.features, plan.dataset.labels
-    if shards is None:
-        shards = partition_clients(plan)
+    shards = partition_clients(plan) if shards is None else shards
     splits = _split_clients(shards, _fold_assignment(plan), fold)
 
     seed0 = plan.master_seed
@@ -175,11 +175,11 @@ def run_global_phase(plan: ExperimentPlan, fold: int, shards=None) -> Path:
     ]
     server = ServerState(global_model=global_model, clients=clients)
 
-    _global_eval(server, features, labels)
-    for rnd in range(1, plan.global_rounds + 1):
+    for rnd in range(plan.global_rounds + 1):  # round 0 scores the initial model
         try:
-            run_global_round(server, features, labels, plan.hyper,
-                             lambda cid, _r=rnd: derive_rng(seed0, "global", fold, _r, cid))
+            if rnd > 0:
+                run_global_round(server, features, labels, plan.hyper,
+                                 lambda cid, _r=rnd: derive_rng(seed0, "global", fold, _r, cid))
             if rnd % plan.eval_gap == 0:
                 _global_eval(server, features, labels)
         except Exception as exc:
@@ -193,10 +193,11 @@ def run_global_phase(plan: ExperimentPlan, fold: int, shards=None) -> Path:
 
 @_QUIET_OVERFLOW
 def run_trial(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
-              path: Path) -> list[MetricsRecord]:
+              path: Path, shards=None) -> list[MetricsRecord]:
     """Personalize every client with one sampler from the fold's checkpoint
-    at ``path``, recording scheduled rounds; a failure is raised as a
-    RuntimeError that names the fold and the sampler.
+    at ``path``, recording scheduled rounds; a failure, a checkpoint of
+    another client split too, is raised as a RuntimeError that names the
+    fold and the sampler.  ``shards`` is as for ``run_global_phase``.
 
     A head-only trial never moves an encoder or a decoder, so it keeps each
     client's test split and personalization set as one ``EncodedSet``: the
@@ -206,7 +207,8 @@ def run_trial(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
     sets over the same rows before each later evaluation.
     """
     try:
-        server = load_global(path)
+        shards = partition_clients(plan) if shards is None else shards
+        server = load_global(path, _split_clients(shards, _fold_assignment(plan), fold))
         features, labels = plan.dataset.features, plan.dataset.labels
         seed0 = plan.master_seed
         head_only = not plan.personalize_full_model
@@ -245,17 +247,18 @@ def run_trial(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
 
 def run_fold(plan: ExperimentPlan, fold: int, shards=None) -> list[MetricsRecord]:
     """Run one fold's global phase, then each sampler's trial from its
-    checkpoint, and return the fold's metric rows."""
+    checkpoint, and return the fold's metric rows.  ``shards`` is the
+    client partition, computed here when not given."""
+    shards = partition_clients(plan) if shards is None else shards
     path = run_global_phase(plan, fold, shards)
-    return [r for spec in plan.samplers for r in run_trial(plan, fold, spec, path)]
+    return [r for spec in plan.samplers for r in run_trial(plan, fold, spec, path, shards)]
 
 
 def run_experiment(plan: ExperimentPlan, shards=None) -> list[MetricsRecord]:
     """All folds, grid-checked: every (fold, sampler, scheduled round) cell
     must be present exactly once or the run is rejected as inconsistent.
     ``shards`` is the client partition, computed here when not given."""
-    if shards is None:
-        shards = partition_clients(plan)
+    shards = partition_clients(plan) if shards is None else shards
     records = [r for fold in range(plan.num_folds) for r in run_fold(plan, fold, shards)]
     _check_grid(plan, records)
     return records

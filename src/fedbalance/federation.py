@@ -272,10 +272,10 @@ def evaluate_clients(test_sets: list[EncodedSet],
     encoder and the classifier head; the decoder does not run.
     Accuracy/AUC are sample-count-weighted means; the std columns are
     unweighted sample standard deviations across clients (0 for one
-    client).  A client with an empty test split is excluded with a warning;
-    a single-class test split is excluded from AUC only.  train_loss is the
-    sample-weighted mean full loss on the clients' current training
-    material, or None without ``train_sets``.
+    client).  A client with an empty test split is excluded with a warning,
+    its training material too; a single-class test split is excluded from
+    AUC only.  train_loss is the sample-weighted mean full loss on the other
+    clients' current training material, or None without ``train_sets``.
     """
     accs, acc_w, aucs, auc_w, losses, loss_w = [], [], [], [], [], []
     trains = [None] * len(test_sets) if train_sets is None else train_sets
@@ -301,7 +301,7 @@ def evaluate_clients(test_sets: list[EncodedSet],
     if not aucs:
         raise ValueError("no client test split had two classes; AUC undefined")
     if train_sets is not None and not losses:
-        raise ValueError("no client had training material to score")
+        raise ValueError("no client had both a test split and training material")
     return EvalSummary(
         test_accuracy=float(np.average(accs, weights=acc_w)),
         test_auc=float(np.average(aucs, weights=auc_w)),

@@ -139,7 +139,8 @@ def test_criterion_4_checkpoint_roundtrip_and_corruption(tmp_path):
                              rs_train_loss=[1.25, 1.0, 0.75])
         path = tmp_path / "state.fedh"
         save_global(path, server)
-        loaded = load_global(path)
+        splits = [(c.train_indices, c.test_indices) for c in server.clients]
+        loaded = load_global(path, splits)
 
         x = rng.normal(size=(5, 8)).astype(np.float32)
         for a, b in zip(forward(server.global_model, x), forward(loaded.global_model, x)):
@@ -167,7 +168,7 @@ def test_criterion_4_checkpoint_roundtrip_and_corruption(tmp_path):
         bad = tmp_path / "bad.fedh"
         bad.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="checksum"):
-            load_global(bad)
+            load_global(bad, splits)
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"
     record_criterion(4, title, True, f"round-trip + corruption in {elapsed:.1f}s")

@@ -41,11 +41,19 @@ def make_server(seed=0):
                        rs_train_loss=[2.0, 1.5, 1.2])
 
 
+def splits_of(server):
+    """The (train, test) rows of each client, the split a file is loaded with."""
+    return [(c.train_indices, c.test_indices) for c in server.clients]
+
+
+SPLITS = splits_of(make_server())  # the split of every make_server() file
+
+
 def test_global_round_trip_restores_every_field(tmp_path):
     server = make_server()
     path = tmp_path / "g.fedh"
     save_global(path, server)
-    back = load_global(path)
+    back = load_global(path, splits_of(server))
 
     raw = path.read_bytes()  # the payload is the model's flat vector
     assert raw[_header_len(raw):] == server.global_model.flat.astype("<f4").tobytes()
@@ -68,7 +76,7 @@ def test_global_round_trip_restores_every_field(tmp_path):
 def test_loaded_clients_hold_independent_copies_of_the_global_model(tmp_path):
     path = tmp_path / "g.fedh"
     save_global(path, make_server())
-    back = load_global(path)
+    back = load_global(path, splits_of(make_server()))
     for c in back.clients:
         for k, p in back.global_model.params.items():
             assert c.model.params[k].tobytes() == p.tobytes()
@@ -97,7 +105,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
     server = make_server(3)
     p1, p2 = tmp_path / "a.fedh", tmp_path / "b.fedh"
     save_global(p1, server)
-    save_global(p2, load_global(p1))
+    save_global(p2, load_global(p1, splits_of(server)))
     assert p1.read_bytes() == p2.read_bytes()
 
     c1, c2 = tmp_path / "ca.fedh", tmp_path / "cb.fedh"
@@ -110,7 +118,7 @@ def test_forward_pass_bitwise_after_reload(tmp_path):
     server = make_server(7)
     path = tmp_path / "g.fedh"
     save_global(path, server)
-    back = load_global(path)
+    back = load_global(path, splits_of(server))
     x = np.random.default_rng(5).normal(size=(6, 10)).astype(np.float32)
     for a, b in [(server.global_model, back.global_model),
                  (server.global_model, back.clients[2].model)]:
@@ -153,7 +161,7 @@ def test_payload_byte_flip_is_detected(tmp_path, offset_from):
     raw[offset] ^= 0x01
     path.write_bytes(raw)
     with pytest.raises(CheckpointError, match="checksum"):
-        load_global(path)
+        load_global(path, SPLITS)
 
 
 def test_truncations_are_detected(tmp_path):
@@ -170,7 +178,7 @@ def test_truncations_are_detected(tmp_path):
         bad = tmp_path / "bad.fedh"
         bad.write_bytes(blob)
         with pytest.raises(CheckpointError, match=match):
-            load_global(bad)
+            load_global(bad, SPLITS)
 
 
 def test_bad_magic_and_version(tmp_path):
@@ -180,17 +188,18 @@ def test_bad_magic_and_version(tmp_path):
     wrong_magic = tmp_path / "m.fedh"
     wrong_magic.write_bytes(b"NOPE" + bytes(raw[4:]))
     with pytest.raises(CheckpointError, match="magic"):
-        load_global(wrong_magic)
+        load_global(wrong_magic, SPLITS)
     # 1 is the format before the strict header; 2 also stored every client's
     # model; 3 also stored the arch's input_channels; 4 also stored each
-    # tensor's byte offset, byte count and dtype
-    for version in (1, 2, 3, 4, 99):
+    # tensor's byte offset, byte count and dtype; 5 also stored every
+    # client's id and rows, which the plan fixes
+    for version in (1, 2, 3, 4, 5, 99):
         wrong_version = bytearray(raw)
         struct.pack_into("<I", wrong_version, 4, version)
         vp = tmp_path / "v.fedh"
         vp.write_bytes(wrong_version)
         with pytest.raises(CheckpointError, match=f"unsupported version {version}"):
-            load_global(vp)
+            load_global(vp, SPLITS)
 
 
 def test_kind_mismatch_both_directions(tmp_path):
@@ -200,7 +209,7 @@ def test_kind_mismatch_both_directions(tmp_path):
     with pytest.raises(CheckpointError, match="kind"):
         load_client(tmp_path / "g.fedh")
     with pytest.raises(CheckpointError, match="kind"):
-        load_global(tmp_path / "c.fedh")
+        load_global(tmp_path / "c.fedh", SPLITS)
 
 
 def _rewrite_header(path, mutate):
@@ -254,7 +263,7 @@ def test_swapped_directory_entries_are_rejected(tmp_path):
 
     _rewrite_header(path, swap)
     with pytest.raises(CheckpointError, match="does not match the architecture"):
-        load_global(path)
+        load_global(path, SPLITS)
 
 
 def test_another_valid_architecture_over_the_old_payload_is_rejected(tmp_path):
@@ -262,7 +271,7 @@ def test_another_valid_architecture_over_the_old_payload_is_rejected(tmp_path):
     save_global(path, make_server())
     _rewrite_header(path, lambda h: h["arch"].update(latent_dim=5))
     with pytest.raises(CheckpointError, match="does not match the architecture"):
-        load_global(path)
+        load_global(path, SPLITS)
 
 
 def test_save_rejects_non_float32_models(tmp_path):
@@ -314,7 +323,7 @@ def test_load_rejects_non_finite_tensors(tmp_path, bad):
 
     _rewrite_payload(path, poison)
     with pytest.raises(CheckpointError, match="global/enc.fc.b contains non-finite"):
-        load_global(path)
+        load_global(path, SPLITS)
 
     cpath = tmp_path / "c.fedh"
     save_client(cpath, make_server().clients[0])
@@ -326,13 +335,13 @@ def test_load_rejects_non_finite_tensors(tmp_path, bad):
 # --- the strict header schema of the current format version ---
 
 
-@pytest.mark.parametrize("block", ["arch", "server", "clients", "tensors"])
+@pytest.mark.parametrize("block", ["arch", "server", "split", "tensors"])
 def test_load_rejects_a_missing_block(tmp_path, block):
     path = tmp_path / "g.fedh"
     save_global(path, make_server())
     _rewrite_header(path, lambda h: h.pop(block))
     with pytest.raises(CheckpointError, match=f"'{block}' block is missing"):
-        load_global(path)
+        load_global(path, SPLITS)
 
 
 @pytest.mark.parametrize("mutate", [lambda arch: arch.pop("stages"),
@@ -344,7 +353,7 @@ def test_load_rejects_a_malformed_arch_block(tmp_path, mutate):
     save_global(path, make_server())
     _rewrite_header(path, lambda h: mutate(h["arch"]))
     with pytest.raises(CheckpointError, match="'arch' block is malformed"):
-        load_global(path)
+        load_global(path, SPLITS)
 
 
 def test_arch_block_holds_the_arch_fields_only(tmp_path):
@@ -355,15 +364,31 @@ def test_arch_block_holds_the_arch_fields_only(tmp_path):
                             "pred_weight", "recon_weight", "stages"]
     _rewrite_header(path, lambda h: h["arch"].update(input_channels=1))
     with pytest.raises(CheckpointError, match="invalid architecture block"):
-        load_global(path)
+        load_global(path, SPLITS)
 
 
-def test_load_rejects_duplicate_client_ids(tmp_path):
+def test_load_rejects_another_client_split(tmp_path):
+    """The file keeps a digest of the rows it was written for, and refuses
+    any other split: another row, another client order, or the same rows
+    with a train/test boundary moved, which only the lengths tell apart."""
+    server = make_server()
     path = tmp_path / "g.fedh"
-    save_global(path, make_server())
-    _rewrite_header(path, lambda h: h["clients"][2].update(client_id=0))
-    with pytest.raises(CheckpointError, match=r"repeats client ids \[0\]"):
-        load_global(path)
+    save_global(path, server)
+    header = _header(path)
+    assert "clients" not in header and re.fullmatch(r"[0-9a-f]{64}", header["split"])
+    same = splits_of(server)
+    (tr0, te0), (tr1, te1) = same[:2]
+    others = {
+        "another row": [(tr0, te0 + 1)] + same[1:],
+        "another order": [same[1], same[0]] + same[2:],
+        "a moved boundary": [(tr0[:-1], np.concatenate([tr0[-1:], te0]))] + same[1:],
+        "a client fewer": same[:2],
+    }
+    for name, splits in others.items():
+        with pytest.raises(CheckpointError, match="written for another client split"):
+            load_global(path, splits)
+    back = load_global(path, [(list(tr), list(te)) for tr, te in same])  # any int sequence
+    assert [c.client_id for c in back.clients] == [0, 1, 2]
 
 
 _JSON_VALUES = st.recursive(
@@ -412,7 +437,7 @@ def test_mutated_headers_raise_only_checkpoint_errors(tmp_path, data):
             else:
                 parent[where[-1]] = data.draw(_JSON_VALUES)
 
-    for path, load in [(gpath, load_global), (cpath, load_client)]:
+    for path, load in [(gpath, lambda p: load_global(p, splits_of(small))), (cpath, load_client)]:
         assert struct.unpack_from("<I", path.read_bytes(), 4) == (VERSION,)
         _rewrite_header(path, mutate)
         try:

@@ -310,7 +310,7 @@ def test_run_uses_config_output_dir_when_not_overridden(tmp_path):
     assert (out / "metrics.csv").is_file()
 
 
-# SHA-1 of each output file, each fold's global.fedh and the run's stderr,
+# SHA-1 of each output file, each fold's global.fedh (format 6) and the run's stderr,
 # with every warning shown as "Category: message", for the configs below
 # (skewed enough that clients meet empty and single-class splits and their
 # warnings name them), recorded with OpenBLAS's SkylakeX kernels
@@ -323,14 +323,14 @@ _RUN_DIGESTS = {
     ("full", "metrics.csv"): "9b6d3a413e54b07d72d36fd7423dffa0f57e7d66",
     ("full", "summary.csv"): "3742c6b4656b8c56759f8432cd6838c7a8e5ca72",
     ("full", "violin.csv"): "350e5ccdf158166133960014fae9556c5beda546",
-    ("full", "fold_0/global.fedh"): "2e9774f5143e47cb0904e3cd9811d9123c70e24d",
-    ("full", "fold_1/global.fedh"): "bb982714374a2bde6fb9ac92e52cc86e2ce031f0",
+    ("full", "fold_0/global.fedh"): "66b4497d6fc5d07bca1b16e4a91f9645ab5cd4c5",
+    ("full", "fold_1/global.fedh"): "906df7224d530ddae7454ac8fcec47dc1a280c2b",
     ("full", "stderr"): "7ce5a94ddec9a13b1379c427800fbe4f8df96da3",
     ("head", "metrics.csv"): "37d622d443a4a3a656a7d8ef52d672438a5b6962",
     ("head", "summary.csv"): "7c044b6310b638aa0bec850932797c373acb4773",
     ("head", "violin.csv"): "74b6188e1bd9c06ca9c867b4fc2cf98031c1f2d6",
-    ("head", "fold_0/global.fedh"): "68f7a942aeb0f8f3344cb7d7d544cfde6d2a182c",
-    ("head", "fold_1/global.fedh"): "48bc6558e3abc0f946aa27b25b2cf1bfc19ebc08",
+    ("head", "fold_0/global.fedh"): "f44067479ec5e68ff1ef4eb95a226b7fe841c288",
+    ("head", "fold_1/global.fedh"): "9ed8fbbe5bd9da5f2c9ab8870ba8221c315fd9fc",
     ("head", "stderr"): "5653f7681fc992370fd263ae70ff7625af121f9d",
 }
 
@@ -556,6 +556,25 @@ def test_main_reports_a_diverged_svm_smote_fit_in_one_line(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: fold 0, sampler 'svm_smote': "), lines
     assert "svm_learning_rate=1e+308" in lines[0]
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("seed, counts, line", [
+    # no client's test split has two classes before the first global round
+    (4, [4, 4], "fold 0, global round 0: no client test split had two classes; AUC undefined"),
+    # client 0 has no fold-train rows, client 1 no test rows
+    (0, [2, 2], "fold 0, sampler 'smote': no client had both a test split and training "
+                "material"),
+])
+def test_main_names_where_a_tiny_skewed_run_stops(tmp_path, capsys, seed, counts, line):
+    cfg = {"seed": seed, "dataset": {"kind": "synthetic", "class_counts": counts, "dim": 4},
+           "num_clients": 2, "samplers": ["smote"], "num_folds": 2,
+           "global_rounds": 1, "personalization_rounds": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        rc = cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (1, f"error: {line}\n")
 
 
 def test_main_reports_an_allocation_that_cannot_succeed(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fedbalance.crossval as cv
-from fedbalance.checkpoint import VERSION, save_global
+from fedbalance.checkpoint import VERSION, _split_digest, save_global
 from fedbalance.crossval import (ExperimentPlan, run_experiment, run_fold, run_global_phase,
                                  run_trial)
 from fedbalance.dataset import generate_synthetic, make_synthetic_spec
@@ -122,8 +122,9 @@ def test_round_zero_is_identical_across_samplers(tiny_run):
 
 def test_checkpoints_written_per_fold(tiny_run):
     """global.fedh, in the current format, is the only file a fold writes.  It holds
-    every client's rows but only the global model's tensors: each sampler
-    trial gives every client a copy of the global model."""
+    a digest of the clients' rows and only the global model's tensors: each
+    sampler trial derives the rows from the plan and gives every client a
+    copy of the global model."""
     plan, _ = tiny_run
     for fold in range(plan.num_folds):
         path = plan.fold_dir(fold) / "global.fedh"
@@ -132,7 +133,8 @@ def test_checkpoints_written_per_fold(tiny_run):
         _, version, header_len = struct.unpack_from("<4sIQ", raw)
         header = json.loads(raw[16:16 + header_len])
         assert version == VERSION
-        assert len(header["clients"]) == plan.num_clients
+        splits = cv._split_clients(cv.partition_clients(plan), cv._fold_assignment(plan), fold)
+        assert "clients" not in header and header["split"] == _split_digest(splits)
         assert [name for name, _ in header["tensors"]] == list(_param_shapes(plan.arch))
 
 
@@ -157,8 +159,8 @@ def _record_trials(monkeypatch):
     trials = []
     load = cv.load_global
 
-    def recording_load(path):
-        server = load(path)
+    def recording_load(path, splits):
+        server = load(path, splits)
         trials.append((server, server.global_model.copy()))
         return server
 
@@ -215,10 +217,10 @@ def _log_codes(monkeypatch):
         monkeypatch.setattr(cv, name, entering(name, getattr(cv, name)))
     load = cv.load_global
 
-    def loading(path):
+    def loading(path, splits):
         where["trial"] += 1
         where["eval"] = -1
-        return load(path)
+        return load(path, splits)
 
     monkeypatch.setattr(cv, "load_global", loading)
     for fn in ("encode", "decode"):
@@ -329,6 +331,46 @@ def test_trial_alone_returns_its_slice_of_the_fold(tmp_path):
         assert run_trial(plan, 1, spec, path) == [r for r in records if r.sampler == spec.kind]
 
 
+def test_trial_rejects_a_checkpoint_of_another_split(tmp_path):
+    """A trial derives the clients' rows from its own plan; a checkpoint
+    written for another partition is refused, not trained on."""
+    path = run_global_phase(tiny_plan(tmp_path, concentration=0.5), 0)
+    plan = tiny_plan(tmp_path, concentration=5.0)
+    assert not all(np.array_equal(a, b) for a, b in
+                   zip(cv.partition_clients(plan),
+                       cv.partition_clients(tiny_plan(tmp_path, concentration=0.5))))
+    with pytest.raises(RuntimeError,
+                       match=r"^fold 0, sampler 'smote': .*written for another client split"):
+        run_trial(plan, 0, plan.samplers[0], path)
+
+
+def _fixed_size(path) -> int:
+    """The file's size with each history value and the payload checksum
+    written as 0: what is left does not depend on the values."""
+    raw = path.read_bytes()
+    _, _, header_len = struct.unpack_from("<4sIQ", raw)
+    header = json.loads(raw[16:16 + header_len])
+    header["server"] = {k: [0] * len(v) for k, v in header["server"].items()}
+    header["payload_crc32"] = 0
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return len(raw) - header_len + len(blob)
+
+
+def test_global_checkpoint_does_not_grow_with_the_data(tmp_path):
+    """Datasets of 58 and 580 rows, under the same architecture and rounds,
+    give files of one size, but for the digits of their histories and
+    checksum."""
+    paths = []
+    for n, counts in ((58, (30, 20, 8)), (580, (300, 200, 80))):
+        ds = generate_synthetic(make_synthetic_spec(class_counts=counts, dim=8, seed=0), seed=1)
+        plan = tiny_plan(tmp_path / str(n), global_rounds=2, samplers=["smote"])
+        plan = ExperimentPlan(**{**vars(plan), "dataset": ds})
+        assert len(plan.dataset) == n
+        paths.append(run_global_phase(plan, 0))
+    small, large = paths
+    assert _fixed_size(small) == _fixed_size(large)
+
+
 def test_run_fold_validates_index(tiny_run):
     plan, _ = tiny_run
     with pytest.raises(ValueError):
@@ -357,18 +399,14 @@ def test_single_class_client_warns_but_completes(tmp_path):
     from fedbalance.gcae import init_model
 
     plan = tiny_plan(tmp_path)
-    ds = plan.dataset
+    labels = plan.dataset.labels
     gm = init_model(plan.arch, np.random.default_rng(0))
-    class0 = np.flatnonzero(ds.labels == 0)
-    class1 = np.flatnonzero(ds.labels == 1)
-    class2 = np.flatnonzero(ds.labels == 2)
-    clients = [
-        ClientState(0, gm.copy(), class0[:8], class0[8:12]),  # single-class train
-        ClientState(1, gm.copy(), np.concatenate([class1[:6], class2[:4]]),
-                    np.concatenate([class1[6:8], class2[4:6]])),
-    ]
+    # client 0 holds class 0 only; client 1 the other two classes
+    shards = [np.flatnonzero(labels == 0), np.flatnonzero(labels > 0)]
+    splits = cv._split_clients(shards, cv._fold_assignment(plan), 0)
+    clients = [ClientState(i, gm.copy(), tr, te) for i, (tr, te) in enumerate(splits)]
     path = tmp_path / "global.fedh"
     save_global(path, ServerState(gm, clients))
     with pytest.warns(UserWarning, match="single-class training split"):
-        records = run_trial(plan, 0, plan.samplers[0], path)
+        records = run_trial(plan, 0, plan.samplers[0], path, shards)
     assert len(records) == len(plan.eval_schedule())

@@ -359,6 +359,20 @@ def test_empty_train_set_adds_no_loss():
     assert out.train_loss == evaluate_loss(models[1], x, y)[0]
 
 
+def test_no_loss_names_its_cause_when_only_untested_clients_have_material():
+    """Client 0 has a test split and no training rows, client 1 training
+    rows and an empty test split, which excludes its material too: the error
+    names that pairing, not a lack of material."""
+    x, y = random_batch(20, seed=7)
+    models = [make_model(3), make_model(4)]
+    tests = [EncodedSet(models[0], x, y), EncodedSet(models[1], x[:0], y[:0])]
+    trains = [EncodedSet(models[0], x[:0], y[:0]), EncodedSet(models[1], x, y)]
+    with (pytest.raises(ValueError, match="^no client had both a test split and training "
+                                          "material$"),
+          pytest.warns(UserWarning, match="client 1 has an empty test split")):
+        evaluate_clients(tests, trains)
+
+
 def test_encoded_set_is_scored_by_its_own_model():
     """Sets of two different models, in one evaluation, are each scored by
     the model that encodes them."""
