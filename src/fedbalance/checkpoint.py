@@ -164,6 +164,9 @@ def _read_file(path, kind: str) -> tuple[dict, ModelState]:
             raise CheckpointError(f"bad magic {magic!r}")
         if version != VERSION:
             raise CheckpointError(f"unsupported version {version}")
+        if header_len > os.fstat(fh.fileno()).st_size - _HEAD.size:  # before a read that size
+            raise CheckpointError(f"truncated header: header_len {header_len} runs past "
+                                  "the end of the file")
         blob = fh.read(header_len)
         if len(blob) < header_len:
             raise CheckpointError("truncated header")

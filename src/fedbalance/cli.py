@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import CheckpointError
-from .crossval import ExperimentPlan, MetricsRecord, partition_clients, run_experiment
+from .crossval import ExperimentPlan, MetricsRecord, run_experiment
 from .dataset import Dataset, generate_synthetic, load_csv, make_synthetic_spec
 from .federation import TrainHyper
 from .gcae import ArchSpec, ConvStage
@@ -366,8 +366,7 @@ def run(config: dict, output_dir=None) -> list[MetricsRecord]:
     output_dir = Path(output_dir if output_dir is not None else config["output_dir"])
     ds = build_dataset(config)
     plan = build_plan(config, ds, output_dir / "checkpoints")
-    shards = _build("config.num_clients: ", partition_clients, plan)
-    records = run_experiment(plan, shards)
+    records = run_experiment(plan)
     write_outputs(records, config, output_dir)
     return records
 

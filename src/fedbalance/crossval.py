@@ -1,9 +1,12 @@
 """Stratified K-fold orchestration of the federated train/personalize cycle.
 
-Per fold, ``run_global_phase`` runs partition-respecting global FedAvg
-training and checkpoints the global model with a digest of the clients'
+The plan fixes each client's rows: it draws the label-skew partition and
+the stratified fold assignment once, when it is built, and
+``ExperimentPlan.splits`` gives every client's (train, test) rows of a
+fold.  Per fold, ``run_global_phase`` runs partition-respecting global
+FedAvg training and checkpoints the global model with a digest of those
 rows.  Then ``run_trial`` runs once per sampling technique from that
-checkpoint: it derives the rows from the plan, as the global phase did, and
+checkpoint: it takes the rows from the plan, as the global phase did, and
 gives every client its own copy of the global model, so a trial's records
 depend only on the plan, the fold, the sampler spec and the checkpoint's
 bytes.  Metrics are recorded on a fixed round schedule and returned as one
@@ -57,7 +60,8 @@ def _as_spec(s) -> SamplerSpec:
 
 @dataclass
 class ExperimentPlan:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.  Building it draws
+    the client partition and the fold assignment, which ``splits`` reads."""
 
     dataset: Dataset
     num_clients: int
@@ -100,6 +104,22 @@ class ExperimentPlan:
         if self.arch.input_len != width:
             raise ValueError(f"arch input width {self.arch.input_len} does not match "
                              f"the dataset's {width} features")
+        try:
+            self._shards = partition_noniid(self.dataset, self.num_clients,
+                                            concentration=self.concentration,
+                                            seed=derive_seed(self.master_seed, "partition"))
+        except ValueError as exc:
+            raise ValueError(f"num_clients: {exc}") from None
+        self._folds = stratified_kfold(self.dataset.labels, self.num_folds,
+                                       seed=derive_seed(self.master_seed, "folds"))
+
+    def splits(self, fold: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Client i's (train, test) row indices of ``fold`` at position i;
+        the partition does not depend on the fold."""
+        if not 0 <= fold < self.num_folds:
+            raise ValueError(f"fold {fold} outside 0..{self.num_folds - 1}")
+        test_mask = self._folds == fold
+        return [(rows[~test_mask[rows]], rows[test_mask[rows]]) for rows in self._shards]
 
     def eval_schedule(self) -> tuple[int, ...]:
         """Personalization rounds at which metrics are recorded: the round-0
@@ -109,26 +129,6 @@ class ExperimentPlan:
 
     def fold_dir(self, fold: int) -> Path:
         return Path(self.work_dir) / f"fold_{fold}"
-
-
-def partition_clients(plan: ExperimentPlan):
-    """The experiment's client partition, each client's sorted row indices
-    at its id's position; it does not depend on the fold."""
-    return partition_noniid(plan.dataset, plan.num_clients,
-                            concentration=plan.concentration,
-                            seed=derive_seed(plan.master_seed, "partition"))
-
-
-def _fold_assignment(plan: ExperimentPlan):
-    """Each row's test fold."""
-    return stratified_kfold(plan.dataset.labels, plan.num_folds,
-                            seed=derive_seed(plan.master_seed, "folds"))
-
-
-def _split_clients(shards, folds, fold: int):
-    """Per-client (train, test) row indices for one fold."""
-    test_mask = folds == fold
-    return [(rows[~test_mask[rows]], rows[test_mask[rows]]) for rows in shards]
 
 
 def _global_eval(server: ServerState, features, labels) -> None:
@@ -154,16 +154,12 @@ _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 
 
 @_QUIET_OVERFLOW
-def run_global_phase(plan: ExperimentPlan, fold: int, shards=None) -> Path:
+def run_global_phase(plan: ExperimentPlan, fold: int) -> Path:
     """Train and evaluate one fold's global model, and write it with the
     digest of the clients' rows to the fold directory's ``global.fedh``,
-    whose path is returned.  ``shards`` is the client partition, as
-    ``partition_clients`` returns it; it is computed here when not given."""
-    if not 0 <= fold < plan.num_folds:
-        raise ValueError(f"fold {fold} outside 0..{plan.num_folds - 1}")
+    whose path is returned."""
+    splits = plan.splits(fold)
     features, labels = plan.dataset.features, plan.dataset.labels
-    shards = partition_clients(plan) if shards is None else shards
-    splits = _split_clients(shards, _fold_assignment(plan), fold)
 
     seed0 = plan.master_seed
     init_rng = derive_rng(seed0, "init", fold)
@@ -193,11 +189,11 @@ def run_global_phase(plan: ExperimentPlan, fold: int, shards=None) -> Path:
 
 @_QUIET_OVERFLOW
 def run_trial(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
-              path: Path, shards=None) -> list[MetricsRecord]:
+              path: Path) -> list[MetricsRecord]:
     """Personalize every client with one sampler from the fold's checkpoint
-    at ``path``, recording scheduled rounds; a failure, a checkpoint of
-    another client split too, is raised as a RuntimeError that names the
-    fold and the sampler.  ``shards`` is as for ``run_global_phase``.
+    at ``path``, recording scheduled rounds; a failure, a fold outside the
+    plan or a checkpoint of another client split too, is raised as a
+    RuntimeError that names the fold and the sampler.
 
     A head-only trial never moves an encoder or a decoder, so it keeps each
     client's test split and personalization set as one ``EncodedSet``: the
@@ -207,8 +203,7 @@ def run_trial(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
     sets over the same rows before each later evaluation.
     """
     try:
-        shards = partition_clients(plan) if shards is None else shards
-        server = load_global(path, _split_clients(shards, _fold_assignment(plan), fold))
+        server = load_global(path, plan.splits(fold))
         features, labels = plan.dataset.features, plan.dataset.labels
         seed0 = plan.master_seed
         head_only = not plan.personalize_full_model
@@ -245,21 +240,17 @@ def run_trial(plan: ExperimentPlan, fold: int, spec: SamplerSpec,
         raise RuntimeError(f"fold {fold}, sampler {spec.kind!r}: {exc}") from exc
 
 
-def run_fold(plan: ExperimentPlan, fold: int, shards=None) -> list[MetricsRecord]:
+def run_fold(plan: ExperimentPlan, fold: int) -> list[MetricsRecord]:
     """Run one fold's global phase, then each sampler's trial from its
-    checkpoint, and return the fold's metric rows.  ``shards`` is the
-    client partition, computed here when not given."""
-    shards = partition_clients(plan) if shards is None else shards
-    path = run_global_phase(plan, fold, shards)
-    return [r for spec in plan.samplers for r in run_trial(plan, fold, spec, path, shards)]
+    checkpoint, and return the fold's metric rows."""
+    path = run_global_phase(plan, fold)
+    return [r for spec in plan.samplers for r in run_trial(plan, fold, spec, path)]
 
 
-def run_experiment(plan: ExperimentPlan, shards=None) -> list[MetricsRecord]:
+def run_experiment(plan: ExperimentPlan) -> list[MetricsRecord]:
     """All folds, grid-checked: every (fold, sampler, scheduled round) cell
-    must be present exactly once or the run is rejected as inconsistent.
-    ``shards`` is the client partition, computed here when not given."""
-    shards = partition_clients(plan) if shards is None else shards
-    records = [r for fold in range(plan.num_folds) for r in run_fold(plan, fold, shards)]
+    must be present exactly once or the run is rejected as inconsistent."""
+    records = [r for fold in range(plan.num_folds) for r in run_fold(plan, fold)]
     _check_grid(plan, records)
     return records
 

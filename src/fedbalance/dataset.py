@@ -308,6 +308,9 @@ def partition_noniid(
         raise ValueError("n_clients must be >= 1")
     if not 0 < concentration < np.inf:
         raise ValueError(f"concentration must be finite and > 0, got {concentration}")
+    if 2 * n_clients > len(ds):  # before the draw, whose size grows with n_clients
+        raise ValueError(f"cannot give each of {n_clients} clients >=2 samples from "
+                         f"{len(ds)} rows")
     rng = np.random.default_rng(seed)
     class_indices = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]
 

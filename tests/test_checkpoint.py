@@ -174,6 +174,11 @@ def test_truncations_are_detected(tmp_path):
         (raw[: _header_len(raw) - 3], "truncated header"),
         (raw[:-10], f"payload is {needed - 10} bytes, the architecture needs {needed}"),
     ]
+    # a header length past the end is refused before a read of that size,
+    # which would overflow at 2**64 - 1 and allocate at 2**40
+    for header_len in (2**64 - 1, len(raw) - 16 + 1):
+        cases.append((raw[:8] + struct.pack("<Q", header_len) + raw[16:],
+                      f"header_len {header_len} runs past the end of the file"))
     for blob, match in cases:
         bad = tmp_path / "bad.fedh"
         bad.write_bytes(blob)

@@ -439,6 +439,9 @@ _SYNTHETIC = {"kind": "synthetic", "class_counts": [30, 20, 8], "dim": 8}
     ({"arch": {"pred_weight": float("inf")}}, "config.arch.pred_weight must be a finite number"),
     # finite, but the drawn features overflow
     ({"dataset": {**_SYNTHETIC, "scale": 1e308}}, "config.dataset.scale 1e+308 is too large"),
+    # more clients than half the rows: refused before a draw of that size
+    ({"num_clients": 10**12}, "config.num_clients: cannot give each of 1000000000000 clients"),
+    ({"num_clients": 10**30}, f"config.num_clients: cannot give each of {10**30} clients"),
 ])
 def test_main_value_errors_name_their_config_key(tmp_path, capsys, over, key):
     cfg_path = tmp_path / "cfg.json"

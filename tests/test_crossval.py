@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -133,8 +134,7 @@ def test_checkpoints_written_per_fold(tiny_run):
         _, version, header_len = struct.unpack_from("<4sIQ", raw)
         header = json.loads(raw[16:16 + header_len])
         assert version == VERSION
-        splits = cv._split_clients(cv.partition_clients(plan), cv._fold_assignment(plan), fold)
-        assert "clients" not in header and header["split"] == _split_digest(splits)
+        assert "clients" not in header and header["split"] == _split_digest(plan.splits(fold))
         assert [name for name, _ in header["tensors"]] == list(_param_shapes(plan.arch))
 
 
@@ -233,7 +233,7 @@ def _log_codes(monkeypatch):
 
 
 def _nonempty_splits(plan, fold):
-    splits = cv._split_clients(cv.partition_clients(plan), cv._fold_assignment(plan), fold)
+    splits = plan.splits(fold)
     return sum(len(tr) > 0 for tr, _ in splits), sum(len(te) > 0 for _, te in splits)
 
 
@@ -264,17 +264,17 @@ def test_full_model_trial_encodes_every_scheduled_round(tmp_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:client 0 has no fold-train data")
-def test_head_only_fold_scores_a_client_without_train_rows(tmp_path):
+def test_head_only_fold_scores_a_client_without_train_rows(tmp_path, monkeypatch):
     """A client whose rows all fall in the test fold keeps the global model
     and adds no training loss; the other clients' losses are still recorded."""
-    plan = tiny_plan(tmp_path, personalize_full_model=False)
-    shards = cv.partition_clients(plan)
-    rows = shards[0]
-    in_test = rows[cv._fold_assignment(plan)[rows] == 0]
+    in_test = tiny_plan(tmp_path, personalize_full_model=False).splits(0)[0][1]
     assert len(in_test) > 0
-    shards = [in_test] + shards[1:]
+    # the same plan, but client 0 holds only its rows of test fold 0
+    inner = cv.partition_noniid
+    monkeypatch.setattr(cv, "partition_noniid", lambda *a, **k: [in_test] + inner(*a, **k)[1:])
+    plan = tiny_plan(tmp_path, personalize_full_model=False)
     with pytest.warns(UserWarning, match="client 0 has no fold-train rows"):
-        records = run_fold(plan, 0, shards)
+        records = run_fold(plan, 0)
     assert len(records) == len(plan.samplers) * len(plan.eval_schedule())
     assert all(np.isfinite(r.train_loss) for r in records)
 
@@ -301,16 +301,24 @@ def test_global_phase_scores_no_train_loss(tmp_path, monkeypatch):
     assert calls
 
 
-def test_partition_is_computed_once_per_experiment(tmp_path, monkeypatch):
-    calls = []
-    inner = cv.partition_noniid
-    monkeypatch.setattr(cv, "partition_noniid",
-                        lambda *a, **k: calls.append(1) or inner(*a, **k))
-    records = run_experiment(tiny_plan(tmp_path / "all"))
-    assert len(calls) == 1
-    # a fold run on its own computes the same partition itself
-    assert run_fold(tiny_plan(tmp_path / "alone"), 1) == [r for r in records if r.fold == 1]
-    assert len(calls) == 2
+def test_partition_is_computed_once_per_plan(tmp_path, monkeypatch):
+    """Building a plan draws the partition and the fold assignment; running
+    its folds and trials draws neither again."""
+    calls = {"partition_noniid": 0, "stratified_kfold": 0}
+    for name in calls:
+        def counted(*a, _name=name, _inner=getattr(cv, name), **k):
+            calls[_name] += 1
+            return _inner(*a, **k)
+        monkeypatch.setattr(cv, name, counted)
+    plan = tiny_plan(tmp_path / "all")
+    assert calls == {"partition_noniid": 1, "stratified_kfold": 1}
+    records = run_experiment(plan)
+    assert calls == {"partition_noniid": 1, "stratified_kfold": 1}
+    # a fold run on its own gets the same rows from its own plan
+    alone = tiny_plan(tmp_path / "alone")
+    assert calls == {"partition_noniid": 2, "stratified_kfold": 2}
+    assert run_fold(alone, 1) == [r for r in records if r.fold == 1]
+    assert calls == {"partition_noniid": 2, "stratified_kfold": 2}
 
 
 def test_trials_in_reverse_sampler_order_give_the_same_records(tmp_path):
@@ -336,9 +344,8 @@ def test_trial_rejects_a_checkpoint_of_another_split(tmp_path):
     written for another partition is refused, not trained on."""
     path = run_global_phase(tiny_plan(tmp_path, concentration=0.5), 0)
     plan = tiny_plan(tmp_path, concentration=5.0)
-    assert not all(np.array_equal(a, b) for a, b in
-                   zip(cv.partition_clients(plan),
-                       cv.partition_clients(tiny_plan(tmp_path, concentration=0.5))))
+    assert _split_digest(plan.splits(0)) != _split_digest(
+        tiny_plan(tmp_path, concentration=0.5).splits(0))
     with pytest.raises(RuntimeError,
                        match=r"^fold 0, sampler 'smote': .*written for another client split"):
         run_trial(plan, 0, plan.samplers[0], path)
@@ -364,7 +371,7 @@ def test_global_checkpoint_does_not_grow_with_the_data(tmp_path):
     for n, counts in ((58, (30, 20, 8)), (580, (300, 200, 80))):
         ds = generate_synthetic(make_synthetic_spec(class_counts=counts, dim=8, seed=0), seed=1)
         plan = tiny_plan(tmp_path / str(n), global_rounds=2, samplers=["smote"])
-        plan = ExperimentPlan(**{**vars(plan), "dataset": ds})
+        plan = dataclasses.replace(plan, dataset=ds)
         assert len(plan.dataset) == n
         paths.append(run_global_phase(plan, 0))
     small, large = paths
@@ -375,6 +382,19 @@ def test_run_fold_validates_index(tiny_run):
     plan, _ = tiny_run
     with pytest.raises(ValueError):
         run_fold(plan, 2)
+
+
+@pytest.mark.parametrize("fold", [-1, 2])
+def test_a_fold_outside_the_plan_is_named_as_the_cause(tiny_run, fold):
+    """The global phase and a trial both refuse the fold itself, before a
+    trial could blame the checkpoint's split."""
+    plan, _ = tiny_run
+    path = plan.fold_dir(0) / "global.fedh"
+    with pytest.raises(ValueError, match=rf"^fold {fold} outside 0\.\.1$"):
+        run_global_phase(plan, fold)
+    with pytest.raises(RuntimeError, match=rf"^fold {fold}, sampler 'smote': "
+                                           rf"fold {fold} outside 0\.\.1$"):
+        run_trial(plan, fold, plan.samplers[0], path)
 
 
 # --- failure paths ---
@@ -392,21 +412,21 @@ def test_sampler_failure_is_wrapped_with_context(tmp_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:client 0 test split is single-class")
-def test_single_class_client_warns_but_completes(tmp_path):
+def test_single_class_client_warns_but_completes(tmp_path, monkeypatch):
     """A client whose fold-train rows are one class skips resampling and
     trains on its raw rows; the sampler trial still records its full grid."""
     from fedbalance.federation import ClientState, ServerState
     from fedbalance.gcae import init_model
 
-    plan = tiny_plan(tmp_path)
-    labels = plan.dataset.labels
-    gm = init_model(plan.arch, np.random.default_rng(0))
+    labels = tiny_dataset().labels
     # client 0 holds class 0 only; client 1 the other two classes
     shards = [np.flatnonzero(labels == 0), np.flatnonzero(labels > 0)]
-    splits = cv._split_clients(shards, cv._fold_assignment(plan), 0)
-    clients = [ClientState(i, gm.copy(), tr, te) for i, (tr, te) in enumerate(splits)]
+    monkeypatch.setattr(cv, "partition_noniid", lambda *a, **k: shards)
+    plan = tiny_plan(tmp_path)
+    gm = init_model(plan.arch, np.random.default_rng(0))
+    clients = [ClientState(i, gm.copy(), tr, te) for i, (tr, te) in enumerate(plan.splits(0))]
     path = tmp_path / "global.fedh"
     save_global(path, ServerState(gm, clients))
     with pytest.warns(UserWarning, match="single-class training split"):
-        records = run_trial(plan, 0, plan.samplers[0], path, shards)
+        records = run_trial(plan, 0, plan.samplers[0], path)
     assert len(records) == len(plan.eval_schedule())
